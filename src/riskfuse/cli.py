@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -98,6 +99,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _score_cell(path, row_no, row, column) -> float:
+    """One score cell as a finite float; any other cell is a data error naming its row and column."""
+    cell = row[column]
+    try:
+        x = float(cell)
+        if math.isfinite(x):
+            return x
+    except (TypeError, ValueError):
+        pass
+    raise DataError(f"{path}: row {row_no}, column {column}: {cell!r} is not a finite number")
+
+
 def _cmd_gof(args) -> int:
     try:
         with open(args.scores, newline="", encoding="utf-8") as fh:
@@ -105,9 +118,9 @@ def _cmd_gof(args) -> int:
             if reader.fieldnames is None or not {"p_clin", "p_gen"} <= set(reader.fieldnames):
                 raise DataError(f"{args.scores}: needs columns p_clin and p_gen")
             p_clin, p_gen = [], []
-            for row in reader:
-                p_clin.append(float(row["p_clin"]))
-                p_gen.append(float(row["p_gen"]))
+            for row_no, row in enumerate(reader, start=1):
+                p_clin.append(_score_cell(args.scores, row_no, row, "p_clin"))
+                p_gen.append(_score_cell(args.scores, row_no, row, "p_gen"))
     except OSError as exc:
         raise DataError(f"cannot read scores: {exc}") from exc
     u = pseudo_observations(np.asarray(p_clin))

@@ -9,7 +9,8 @@ family parameter and Kendall's tau:
 
 Samplers: Gaussian by correlated normals, Clayton by conditional inversion,
 Gumbel through its Archimedean generator with a root solve of the inner
-distribution function.
+distribution function. Kendall's tau and the pseudo-observations come from
+the rank module and are re-exported here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .bvn import bivariate_normal_cdf
-from .errors import DataError, NumericError
+from .errors import NumericError
+from .ranks import kendall_tau, pseudo_observations  # noqa: F401  re-exported
 
 FAMILIES = ("gaussian", "clayton", "gumbel")
 
@@ -29,86 +31,6 @@ CLAYTON_THETA_FLOOR = 1e-6
 _GUMBEL_ROOT_TOL = 1e-12
 _GUMBEL_ROOT_LO = 1e-12
 _GUMBEL_ROOT_HI = 1.0 - 1e-12
-
-
-def average_ranks(x) -> np.ndarray:
-    """1-based ranks, ties replaced by the mean rank of the tied block."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    run_start[1:] = sx[1:] != sx[:-1]
-    run_id = np.cumsum(run_start) - 1
-    starts = np.flatnonzero(run_start)
-    ends = np.append(starts[1:], n)
-    mean_rank = 0.5 * (starts + ends - 1) + 1.0
-    ranks = np.empty(n)
-    ranks[order] = mean_rank[run_id]
-    return ranks
-
-
-def pseudo_observations(x) -> np.ndarray:
-    """Map scores to (0,1) via rank / (n + 1), average ranks on ties."""
-    x = np.asarray(x, dtype=float)
-    if len(x) < 2:
-        raise DataError("pseudo-observations need at least two values")
-    return average_ranks(x) / (len(x) + 1.0)
-
-
-_INVERSION_BLOCK = 128
-
-
-def _count_inversions(a: np.ndarray):
-    """Number of pairs i < j with a[i] > a[j]; returns (sorted a, count)."""
-    n = len(a)
-    if n <= _INVERSION_BLOCK:
-        count = int(np.sum(np.triu(a[:, None] > a[None, :], k=1)))
-        return np.sort(a, kind="stable"), count
-    mid = n // 2
-    left, cl = _count_inversions(a[:mid])
-    right, cr = _count_inversions(a[mid:])
-    # elements of `left` sit before `right`; strict decreases across the cut
-    cross = int(mid * len(right) - np.searchsorted(left, right, side="right").sum())
-    return np.sort(np.concatenate([left, right]), kind="stable"), cl + cr + cross
-
-
-def _tie_pairs(x: np.ndarray) -> int:
-    _, counts = np.unique(x, return_counts=True)
-    return int(np.sum(counts * (counts - 1) // 2))
-
-
-def kendall_tau(u, v, variant: str = "a") -> float:
-    """Kendall rank correlation by merge-based inversion counting.
-
-    variant "a" (default) leaves tied pairs contributing zero against the
-    full pair count; variant "b" normalizes the tie counts away.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if len(u) != len(v):
-        raise DataError("vectors must have equal length")
-    n = len(u)
-    if n < 2:
-        raise DataError("Kendall's tau needs at least two pairs")
-    order = np.lexsort((v, u))
-    y = v[order]
-    _, discordant = _count_inversions(y)
-    n0 = n * (n - 1) // 2
-    n1 = _tie_pairs(u)
-    n2 = _tie_pairs(v)
-    pairs_uv = np.rec.fromarrays([u, v])
-    n3 = _tie_pairs(pairs_uv)
-    c_minus_d = n0 - n1 - n2 + n3 - 2 * discordant
-    if variant == "a":
-        return c_minus_d / n0
-    if variant == "b":
-        denom = np.sqrt(float(n0 - n1) * float(n0 - n2))
-        if denom == 0:
-            raise NumericError("tau-b undefined: one margin is constant")
-        return c_minus_d / denom
-    raise NumericError(f"unknown tau variant {variant!r}")
 
 
 @dataclass(frozen=True)

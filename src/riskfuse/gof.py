@@ -5,6 +5,11 @@ at the sample points. Its null distribution is simulated by drawing replicate
 samples from the fitted copula, re-ranking them, refitting the parameter by
 tau-inversion, and recomputing the statistic; the p-value is the smoothed
 exceedance fraction (1 + #{S_b >= S}) / (B + 1).
+
+C_n at the sample points and Kendall's tau share one O(n log n) sort of the
+sample (``ranks.rank_pass``); each replicate sorts once for both its refit
+and its statistic. Queries at other points, such as a plotting grid, compare
+every sample pair with every query point, a block of queries at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +22,10 @@ import numpy as np
 
 from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau, pseudo_observations, sample
 from .errors import DataError, NumericError
+from .ranks import RankPass, rank_pass
+
+
+_PAIRWISE_CELLS = 1 << 20  # sample x query comparisons held in memory at once
 
 
 @dataclass(frozen=True)
@@ -42,30 +51,47 @@ class GofResult:
 
 
 def empirical_copula(u_sample, v_sample, u, v):
-    """C_n(u, v) = fraction of sample pairs dominated by (u, v) componentwise."""
+    """C_n(u, v) = fraction of sample pairs dominated by (u, v) componentwise.
+
+    Queried at the sample points themselves, the counts come from one rank
+    pass; any other query points are compared with every sample pair, in
+    blocks of queries that keep the comparisons within _PAIRWISE_CELLS.
+    """
     u_sample = np.asarray(u_sample, dtype=float)
     v_sample = np.asarray(v_sample, dtype=float)
     if len(u_sample) != len(v_sample) or len(u_sample) == 0:
         raise DataError("sample arrays must be non-empty and equally long")
+    if not (np.isfinite(u_sample).all() and np.isfinite(v_sample).all()):
+        raise DataError("sample arrays must be finite")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     u, v = np.broadcast_arrays(u, v)
-    shape = u.shape
+    if u.shape == u_sample.shape and np.array_equal(u, u_sample) and np.array_equal(v, v_sample):
+        return rank_pass(u_sample, v_sample).dominance / len(u_sample)
     uq = u.ravel()
     vq = v.ravel()
-    hits = (u_sample[:, None] <= uq[None, :]) & (v_sample[:, None] <= vq[None, :])
-    out = hits.sum(axis=0) / len(u_sample)
-    out = out.reshape(shape)
+    counts = np.empty(len(uq), dtype=np.intp)
+    step = max(1, _PAIRWISE_CELLS // len(u_sample))
+    for lo in range(0, len(uq), step):
+        hits = u_sample[:, None] <= uq[None, lo : lo + step]
+        hits &= v_sample[:, None] <= vq[None, lo : lo + step]
+        counts[lo : lo + step] = hits.sum(axis=0)
+    out = (counts / len(u_sample)).reshape(u.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def cvm_statistic(u, v, model: CopulaModel) -> float:
-    """Mean squared gap between empirical and fitted copula at the sample points."""
+def cvm_statistic(u, v, model: CopulaModel, ranks: RankPass | None = None) -> float:
+    """Mean squared gap between empirical and fitted copula at the sample points.
+
+    ``ranks`` is the sample's ``rank_pass`` when the caller already has it.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if len(u) != len(v) or len(u) < 2:
         raise DataError("statistic needs at least two aligned pairs")
-    emp = empirical_copula(u, v, u, v)
+    if ranks is None:
+        ranks = rank_pass(u, v)
+    emp = ranks.dominance / len(u)
     fit = copula_cdf(model, u, v)
     return float(np.mean((emp - fit) ** 2))
 
@@ -80,11 +106,9 @@ def _one_replicate(model_hat, family, m, seed, b, refit):
     u_rep, v_rep = sample(model_hat, m, rng)
     u_rep = pseudo_observations(u_rep)
     v_rep = pseudo_observations(v_rep)
-    if refit:
-        model_b = fit_family(family, kendall_tau(u_rep, v_rep))
-    else:
-        model_b = model_hat
-    return cvm_statistic(u_rep, v_rep, model_b)
+    ranks = rank_pass(u_rep, v_rep)
+    model_b = fit_family(family, ranks.tau()) if refit else model_hat
+    return cvm_statistic(u_rep, v_rep, model_b, ranks)
 
 
 def default_workers() -> int:

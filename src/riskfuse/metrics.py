@@ -5,21 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+from .ranks import average_ranks
 
 
 def roc_auc(scores, y) -> float:
@@ -30,7 +16,7 @@ def roc_auc(scores, y) -> float:
     n0 = int(np.sum(y == 0))
     if n1 == 0 or n0 == 0:
         raise DataError("ROC-AUC needs both classes present")
-    ranks = _average_ranks(scores)
+    ranks = average_ranks(scores)
     r1 = float(np.sum(ranks[y == 1]))
     return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 

@@ -43,6 +43,15 @@ PLOT_FILES = ("roc.svg", "score_hist.svg", "score_scatter.svg", "copula_heat.svg
               "copula_contours.svg", "km.svg")
 
 
+def _typed(cast, section: dict, key: str, default, name: str):
+    """section[key], or the default, converted by ``cast``; a failure names the key."""
+    raw = section.get(key, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be {'an integer' if cast is int else 'a number'}, got {raw!r}") from exc
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     input_csv: str
@@ -69,11 +78,11 @@ class PipelineConfig:
             if key not in d:
                 raise ConfigError(f"config is missing required key {key!r}")
         cv = d.get("cv", {})
-        k = int(cv.get("k", 5))
+        k = _typed(int, cv, "k", 5, "cv.k")
         if k < 2:
             raise ConfigError("cv.k must be at least 2")
         cop = d.get("copula", {})
-        b = int(cop.get("B", 1000))
+        b = _typed(int, cop, "B", 1000, "copula.B")
         if b < 1:
             raise ConfigError("copula.B must be at least 1")
         families = tuple(cop.get("families", FAMILIES))
@@ -85,26 +94,26 @@ class PipelineConfig:
             if fam not in MODEL_FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r}")
             models[fam].update(hp)
-        m = cop.get("m")
-        min_size = int(d.get("strata", {}).get("min_size", 10))
+        m = None if cop.get("m") is None else _typed(int, cop, "m", None, "copula.m")
+        min_size = _typed(int, d.get("strata", {}), "min_size", 10, "strata.min_size")
         if min_size < 1:
             raise ConfigError("strata.min_size must be positive")
-        top_k = int(d.get("genomic_top_k", 50))
+        top_k = _typed(int, d, "genomic_top_k", 50, "genomic_top_k")
         if top_k < 1:
             raise ConfigError("genomic_top_k must be positive")
         return PipelineConfig(
             input_csv=str(d["input_csv"]),
             output_dir=str(d["output_dir"]),
             view_spec=ViewSpec.from_dict(d.get("view_spec", {})),
-            horizon_months=float(d.get("horizon_months", 60.0)),
+            horizon_months=_typed(float, d, "horizon_months", 60.0, "horizon_months"),
             genomic_top_k=top_k,
             cv_k=k,
-            cv_seed=int(cv.get("seed", 0)),
+            cv_seed=_typed(int, cv, "seed", 0, "cv.seed"),
             models=models,
             copula_families=families,
             copula_b=b,
-            copula_m=None if m is None else int(m),
-            copula_seed=int(cop.get("seed", 1)),
+            copula_m=m,
+            copula_seed=_typed(int, cop, "seed", 1, "copula.seed"),
             copula_refit=bool(cop.get("refit", True)),
             strata_min_size=min_size,
             status_column=d.get("endpoint", {}).get("status_column"),

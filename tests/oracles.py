@@ -68,3 +68,32 @@ def bvn_quad(x, y, rho, epsabs=1e-10):
 
     val, _ = integrate.dblquad(density, -np.inf, x, -np.inf, y, epsabs=epsabs)
     return val
+
+
+def tau_b_brute(u, v):
+    """Tau-b from the pair definition: (C - D) / sqrt((n0 - ties in u) (n0 - ties in v))."""
+    n = len(u)
+    s = 0.0
+    tu = tv = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            s += np.sign(u[i] - u[j]) * np.sign(v[i] - v[j])
+            tu += u[i] == u[j]
+            tv += v[i] == v[j]
+    n0 = n * (n - 1) / 2.0
+    return s / np.sqrt((n0 - tu) * (n0 - tv))
+
+
+def average_ranks_brute(x):
+    """1-based ranks by walking each tied block of the sorted values."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    sx = x[order]
+    i = 0
+    while i < len(sx):
+        j = i
+        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

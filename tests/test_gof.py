@@ -37,6 +37,13 @@ class TestEmpiricalCopula:
                 empirical_copula_brute(u, v, q1, q2), abs=1e-12
             )
 
+    def test_query_blocks_match_one_comparison_matrix(self, rng):
+        n, q = 3000, 1000  # more comparisons than one block holds
+        u, v = rng.uniform(size=n), rng.uniform(size=n)
+        qu, qv = rng.uniform(size=q), rng.uniform(size=q)
+        expected = ((u[:, None] <= qu[None, :]) & (v[:, None] <= qv[None, :])).sum(axis=0) / n
+        assert np.array_equal(empirical_copula(u, v, qu, qv), expected)
+
     def test_monotone_in_each_argument(self, rng):
         u, v = rng.uniform(size=80), rng.uniform(size=80)
         grid = np.linspace(0, 1, 21)

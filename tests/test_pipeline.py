@@ -54,6 +54,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="input_csv"):
             PipelineConfig.from_dict({"output_dir": "x"})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("copula", "B", "many"),
+        ("copula", "m", [3]),
+        ("cv", "seed", None),
+        (None, "horizon_months", "five years"),
+    ])
+    def test_type_errors_name_the_key(self, synth_run, section, key, value):
+        raw = json.loads(json.dumps(synth_run[0]))
+        (raw.setdefault(section, {}) if section else raw)[key] = value
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=name):
+            PipelineConfig.from_dict(raw)
+
     def test_unknown_stage_rejected(self, synth_run):
         with pytest.raises(ConfigError, match="unknown stage"):
             run_pipeline(synth_run[1], stop_after="nope")
@@ -179,6 +192,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "[stage config]" in err
 
+    def test_config_type_error_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"input_csv": "x.csv", "output_dir": "o", "copula": {"B": "many"}}')
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "copula.B must be an integer, got 'many'" in capsys.readouterr().err
+
     def test_unreadable_cohort_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"input_csv": str(tmp_path / "none.csv"), "output_dir": str(tmp_path / "o")}))
@@ -202,6 +221,13 @@ class TestCli:
         scores = tmp_path / "scores.csv"
         scores.write_text("a,b\n1,2\n")
         assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 3
+
+    @pytest.mark.parametrize("cell", ["high", "nan", "inf", ""])
+    def test_gof_bad_score_cell_exits_three(self, tmp_path, capsys, cell):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"p_clin,p_gen\n0.1,0.2\n0.3,0.4\n{cell},0.1\n0.7,0.9\n")
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 3
+        assert f"row 3, column p_clin: {cell!r} is not a finite number" in capsys.readouterr().err
 
     def test_gof_invalid_replicates_exits_four(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"

@@ -1,0 +1,109 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from riskfuse.copulas import fit_gaussian, kendall_tau, pseudo_observations, sample
+from riskfuse.errors import DataError
+from riskfuse.gof import empirical_copula, parametric_bootstrap
+from riskfuse.ranks import _MERGE_BLOCK, average_ranks, rank_pass
+
+from oracles import average_ranks_brute, empirical_copula_brute, tau_b_brute, tau_brute
+
+
+def tied_sample(seed, n):
+    """Integer margins with heavy ties, copied identical pairs and, at times, a constant column."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, rng.integers(1, 9), n).astype(float)
+    v = rng.integers(0, rng.integers(1, 9), n).astype(float)
+    copies = rng.integers(0, n, size=(n // 4, 2))
+    u[copies[:, 0]] = u[copies[:, 1]]
+    v[copies[:, 0]] = v[copies[:, 1]]
+    return rng, u, v
+
+
+class TestSamplePointCopula:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 600))
+    def test_matches_pairwise_path_and_brute_force(self, seed, n):
+        rng, u, v = tied_sample(seed, n)
+        at_samples = empirical_copula(u, v, u, v)
+        # a column-shaped query is not the sample itself, so it takes the pairwise path
+        pairwise = empirical_copula(u, v, u[:, None], v[:, None]).ravel()
+        assert np.array_equal(at_samples, pairwise)
+        for i in rng.choice(n, size=min(n, 25), replace=False):
+            assert at_samples[i] == empirical_copula_brute(u, v, u[i], v[i])
+
+    def test_dominance_counts_include_the_point_and_its_copies(self):
+        u = np.array([1.0, 1.0, 1.0, 0.0])
+        v = np.array([2.0, 2.0, 1.0, 3.0])
+        assert rank_pass(u, v).dominance.tolist() == [3, 3, 1, 1]
+
+
+class TestTauAboveBlockSize:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(_MERGE_BLOCK + 1, 10 * _MERGE_BLOCK))
+    def test_variants_match_pairwise_enumeration(self, seed, n):
+        _, u, v = tied_sample(seed, n)
+        assert kendall_tau(u, v, "a") == pytest.approx(tau_brute(u, v), abs=1e-12)
+        if len(np.unique(u)) > 1 and len(np.unique(v)) > 1:
+            assert kendall_tau(u, v, "b") == pytest.approx(tau_b_brute(u, v), abs=1e-12)
+
+
+class TestAverageRanks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    def test_equals_tied_block_walk(self, seed, n):
+        x = np.random.default_rng(seed).integers(0, 10, n).astype(float)
+        assert np.array_equal(average_ranks(x), average_ranks_brute(x))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rank_consumers_raise_data_error(self, bad):
+        x = np.array([0.1, 0.5, bad, 0.3])
+        y = np.array([0.2, 0.4, 0.6, 0.8])
+        for call in (
+            lambda: pseudo_observations(x),
+            lambda: rank_pass(x, y),
+            lambda: rank_pass(y, x),
+            lambda: kendall_tau(y, x),
+            lambda: empirical_copula(x, y, 0.5, 0.5),
+        ):
+            with pytest.raises(DataError, match="finite"):
+                call()
+
+
+# Recorded from the pairwise empirical copula and the np.unique tie counts that
+# the rank pass replaced; the bootstrap must reproduce them bit for bit.
+FROZEN_BOOTSTRAP = {
+    "gaussian": (0.00018988300377615022, 0.14285714285714285, [
+        7.04484164598416e-05, 7.028667719750295e-05, 0.00013657755212955389, 0.00013010350689206842,
+        0.00011273027639522962, 9.942597484837594e-05, 9.785899533747036e-05, 8.504685124079194e-05,
+        0.00013943841787010297, 0.0002377583795213409, 0.00015189945726978136, 0.00014401584793879846,
+        8.473822076687027e-05, 0.00010135189051562206, 8.968236503168848e-05, 7.606682057458495e-05,
+        0.00017046978813680785, 0.00010794416561112529, 0.0001081348550427925, 0.00020316225584079135]),
+    "clayton": (0.0004973512220928731, 0.047619047619047616, [
+        0.00019237569611519598, 0.00011171966769005946, 0.00017840804789029635, 9.434253591430382e-05,
+        0.00013572475690266253, 0.00010873087287904241, 0.00015925067876615856, 5.3015521446894236e-05,
+        0.00010461994426391269, 0.00022203628978763277, 0.00013136757664101555, 0.00014442220636043612,
+        0.00014260965927303805, 9.535221212250948e-05, 8.472915785437502e-05, 0.00010887160036067706,
+        0.00011839109964919245, 7.534532679769954e-05, 0.0001628710908459594, 9.530919751108827e-05]),
+    "gumbel": (0.0001959815398742901, 0.09523809523809523, [
+        0.0001488008776736624, 0.00014576819388361403, 9.329489512160819e-05, 0.00011220071601961775,
+        0.00012314337071531013, 0.00010223041920839913, 0.00010067189451322656, 0.00011112072105986092,
+        8.434532919114172e-05, 0.00013203702781221528, 0.0002176262806877081, 0.00013159575533954303,
+        8.44288250208704e-05, 0.0001308534523688568, 9.815625345461395e-05, 0.0001419084431756105,
+        0.00012002456562214408, 0.00010308598176358137, 0.00010933171187304786, 0.00012582215249450987]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FROZEN_BOOTSTRAP))
+def test_bootstrap_replicates_frozen(family):
+    x, y = sample(fit_gaussian(0.4), 150, seed=11)
+    u = pseudo_observations(np.round(x, 2))  # tied observed margins
+    v = pseudo_observations(np.round(y, 2))
+    res = parametric_bootstrap(u, v, family, n_boot=20, seed=7, keep_replicates=True)
+    statistic, p_value, replicates = FROZEN_BOOTSTRAP[family]
+    assert res.statistic == statistic
+    assert res.p_value == p_value
+    assert np.array_equal(res.replicates, replicates)
