@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .seeding import hash_seed
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,6 @@ class FoldAssignment:
 
     def train_rows(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of != fold)
-
-
-def _shuffle_key(seed: int, row_id) -> bytes:
-    return hashlib.blake2b(f"{seed}:{row_id}".encode(), digest_size=8).digest()
 
 
 def stratified_kfold(y, k: int = 5, seed: int = 0, row_ids=None) -> FoldAssignment:
@@ -57,7 +53,7 @@ def stratified_kfold(y, k: int = 5, seed: int = 0, row_ids=None) -> FoldAssignme
     fold_of = np.empty(n, dtype=int)
     for c in classes:
         members = np.flatnonzero(y == c)
-        keys = [_shuffle_key(seed, row_ids[i]) for i in members]
+        keys = [hash_seed(seed, row_ids[i], nbytes=8) for i in members]
         order = sorted(range(len(members)), key=lambda t: keys[t])
         for pos, t in enumerate(order):
             fold_of[members[t]] = pos % k

@@ -23,6 +23,7 @@ import numpy as np
 from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau, pseudo_observations, sample
 from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
+from .seeding import stream_rng
 
 
 _PAIRWISE_CELLS = 1 << 20  # sample x query comparisons held in memory at once
@@ -96,13 +97,8 @@ def cvm_statistic(u, v, model: CopulaModel, ranks: RankPass | None = None) -> fl
     return float(np.mean((emp - fit) ** 2))
 
 
-def _replicate_rng(seed, family, b) -> np.random.Generator:
-    fam_code = FAMILIES.index(family)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, fam_code, b])))
-
-
 def _one_replicate(model_hat, family, m, seed, b, refit):
-    rng = _replicate_rng(seed, family, b)
+    rng = stream_rng(seed, FAMILIES.index(family), b)
     u_rep, v_rep = sample(model_hat, m, rng)
     u_rep = pseudo_observations(u_rep)
     v_rep = pseudo_observations(v_rep)

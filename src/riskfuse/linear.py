@@ -37,7 +37,7 @@ class ElasticNetLogistic:
     number.
     """
 
-    def __init__(self, lam=0.0, alpha=0.5, max_iter=10000, tol=1e-8, seed=0):
+    def __init__(self, lam=0.0, alpha=0.5, max_iter=10000, tol=1e-8):
         if lam < 0:
             raise NumericError("penalty lam must be nonnegative")
         if not 0.0 <= alpha <= 1.0:
@@ -46,7 +46,6 @@ class ElasticNetLogistic:
         self.alpha = float(alpha)
         self.max_iter = int(max_iter)
         self.tol = float(tol)
-        self.seed = seed
         self.coef_ = None
         self.intercept_ = 0.0
         self.converged_ = False

@@ -2,8 +2,12 @@
 
 A single JSON config drives the run; all randomness flows from the seeds it
 contains, so identical configs reproduce identical reports byte for byte.
-Stage failures re-raise with a stage tag so the CLI can map them to exit
-codes.
+
+The run is ``_STAGE_TABLE``, one function per stage in order, each filling
+in fields of the ``ReportBundle``. The loop in ``run_pipeline`` is the one
+place that runs stages, records ``stages_run``, stops after ``stop_after``
+and tags errors: a ``FuseError`` from stage NAME re-raises as the same class
+prefixed ``[stage NAME]``, which the CLI maps to an exit code.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from .folds import stratified_kfold
 from .gof import GofResult, parametric_bootstrap, select_best_copula
 from .metrics import roc_auc, roc_points
 from .scoring import CVRecord, MODEL_FAMILIES, ModelSpec, oof_scores, select_best_model
+from .seeding import hash_seed
 from .survival import StrataKMResult, StratumAssignment, joint_strata, strata_km
 from . import svgplot
-
-STAGES = ("load", "endpoint", "views", "scores", "copula", "gof", "strata")
 
 DEFAULT_MODELS = {
     "elastic_net_lr": {"alpha": 0.5, "lam": "auto", "grid_points": 10, "inner_folds": 3,
@@ -50,6 +53,13 @@ def _typed(cast, section: dict, key: str, default, name: str):
         return cast(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be {'an integer' if cast is int else 'a number'}, got {raw!r}") from exc
+
+
+def _object(value, name: str) -> dict:
+    """A config section, which must be a JSON object; a failure names the section."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,11 +87,11 @@ class PipelineConfig:
         for key in ("input_csv", "output_dir"):
             if key not in d:
                 raise ConfigError(f"config is missing required key {key!r}")
-        cv = d.get("cv", {})
+        cv = _object(d.get("cv", {}), "cv")
         k = _typed(int, cv, "k", 5, "cv.k")
         if k < 2:
             raise ConfigError("cv.k must be at least 2")
-        cop = d.get("copula", {})
+        cop = _object(d.get("copula", {}), "copula")
         b = _typed(int, cop, "B", 1000, "copula.B")
         if b < 1:
             raise ConfigError("copula.B must be at least 1")
@@ -90,12 +100,12 @@ class PipelineConfig:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown copula family {fam!r}")
         models = json.loads(json.dumps(DEFAULT_MODELS))
-        for fam, hp in d.get("models", {}).items():
+        for fam, hp in _object(d.get("models", {}), "models").items():
             if fam not in MODEL_FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r}")
-            models[fam].update(hp)
+            models[fam].update(_object(hp, f"models.{fam}"))
         m = None if cop.get("m") is None else _typed(int, cop, "m", None, "copula.m")
-        min_size = _typed(int, d.get("strata", {}), "min_size", 10, "strata.min_size")
+        min_size = _typed(int, _object(d.get("strata", {}), "strata"), "min_size", 10, "strata.min_size")
         if min_size < 1:
             raise ConfigError("strata.min_size must be positive")
         top_k = _typed(int, d, "genomic_top_k", 50, "genomic_top_k")
@@ -104,7 +114,7 @@ class PipelineConfig:
         return PipelineConfig(
             input_csv=str(d["input_csv"]),
             output_dir=str(d["output_dir"]),
-            view_spec=ViewSpec.from_dict(d.get("view_spec", {})),
+            view_spec=ViewSpec.from_dict(_object(d.get("view_spec", {}), "view_spec")),
             horizon_months=_typed(float, d, "horizon_months", 60.0, "horizon_months"),
             genomic_top_k=top_k,
             cv_k=k,
@@ -116,7 +126,7 @@ class PipelineConfig:
             copula_seed=_typed(int, cop, "seed", 1, "copula.seed"),
             copula_refit=bool(cop.get("refit", True)),
             strata_min_size=min_size,
-            status_column=d.get("endpoint", {}).get("status_column"),
+            status_column=_object(d.get("endpoint", {}), "endpoint").get("status_column"),
         )
 
     def to_dict(self) -> dict:
@@ -166,31 +176,82 @@ class ReportBundle:
     strata_result: StrataKMResult | None = None
     written_files: list = field(default_factory=list)
     stages_run: list = field(default_factory=list)
+    table: CohortTable | None = None  # the cohort as of the last stage that reshaped it
+    views: dict = field(default_factory=dict)  # view name -> predictor table
 
 
-class _Stage:
-    """Tags any error raised inside with the stage name, same error class."""
-
-    def __init__(self, name, bundle):
-        self.name = name
-        self.bundle = bundle
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, FuseError) and not str(exc).startswith("[stage"):
-            raise exc_type(f"[stage {self.name}] {exc}") from exc
-        if exc is None:
-            self.bundle.stages_run.append(self.name)
-        return False
+def _load(bundle: ReportBundle):
+    bundle.table = load_cohort(bundle.config.input_csv)
+    bundle.n_loaded = bundle.table.n_rows
 
 
-def _seed_from(*parts) -> int:
-    import hashlib
+def _endpoint(bundle: ReportBundle):
+    config = bundle.config
+    endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.status_column)
+    bundle.table, bundle.endpoint = filter_cohort(bundle.table, endpoint)
+    bundle.n_analytic = bundle.table.n_rows
+    bundle.patient_ids = [str(v) for v in bundle.table.column(config.view_spec.id_column).values]
 
-    digest = hashlib.blake2b(":".join(str(p) for p in parts).encode(), digest_size=4).digest()
-    return int.from_bytes(digest, "big")
+
+def _views(bundle: ReportBundle):
+    clinical, genomic = split_views(bundle.table, bundle.config.view_spec)
+    bundle.views = {"clinical": clinical, "genomic": variance_filter(genomic, k=bundle.config.genomic_top_k)}
+
+
+def _scores(bundle: ReportBundle):
+    config = bundle.config
+    y = bundle.endpoint.y.astype(int)
+    folds = stratified_kfold(y, k=config.cv_k, seed=config.cv_seed, row_ids=bundle.patient_ids)
+    for view_name, view in bundle.views.items():
+        records = []
+        for family in MODEL_FAMILIES:
+            spec = ModelSpec(family, config.models[family], hash_seed(config.cv_seed, view_name, family))
+            scores = oof_scores(view, y, spec, folds, row_ids=bundle.patient_ids)
+            bundle.oof[(view_name, family)] = scores
+            records.append(CVRecord(view_name, spec, roc_auc(scores, y)))
+        bundle.cv_records.extend(records)
+        bundle.best[view_name] = select_best_model(records)
+    bundle.p_clin = bundle.oof[("clinical", bundle.best["clinical"].spec.family)]
+    bundle.p_gen = bundle.oof[("genomic", bundle.best["genomic"].spec.family)]
+
+
+def _copula(bundle: ReportBundle):
+    bundle.pseudo_u = pseudo_observations(bundle.p_clin)
+    bundle.pseudo_v = pseudo_observations(bundle.p_gen)
+    bundle.tau = kendall_tau(bundle.pseudo_u, bundle.pseudo_v)
+    bundle.copula_fits = [fit_family(f, bundle.tau) for f in bundle.config.copula_families]
+
+
+def _gof(bundle: ReportBundle):
+    config = bundle.config
+    bundle.gof_results = [
+        parametric_bootstrap(
+            bundle.pseudo_u,
+            bundle.pseudo_v,
+            fam,
+            n_boot=config.copula_b,
+            replicate_size=config.copula_m,
+            seed=config.copula_seed,
+            refit=config.copula_refit,
+        )
+        for fam in config.copula_families
+    ]
+    bundle.best_copula = select_best_copula(bundle.gof_results)
+
+
+def _strata(bundle: ReportBundle):
+    bundle.strata = joint_strata(bundle.p_clin, bundle.p_gen)
+    bundle.strata_result = strata_km(
+        bundle.strata,
+        bundle.endpoint.t_months,
+        bundle.endpoint.delta.astype(int),
+        min_size=bundle.config.strata_min_size,
+    )
+
+
+_STAGE_TABLE = (("load", _load), ("endpoint", _endpoint), ("views", _views), ("scores", _scores),
+                ("copula", _copula), ("gof", _gof), ("strata", _strata))
+STAGES = tuple(name for name, _ in _STAGE_TABLE)
 
 
 def run_pipeline(config: PipelineConfig, stop_after: str | None = None, emit: bool = True) -> ReportBundle:
@@ -198,82 +259,18 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None, emit: bo
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}; stages are {', '.join(STAGES)}")
     bundle = ReportBundle(config=config)
-
-    def should_stop(stage):
-        return stop_after is not None and STAGES.index(stage) >= STAGES.index(stop_after)
-
-    with _Stage("load", bundle):
-        table = load_cohort(config.input_csv)
-        bundle.n_loaded = table.n_rows
-    if not should_stop("load"):
-        with _Stage("endpoint", bundle):
-            endpoint = build_endpoint(table, horizon=config.horizon_months, status_column=config.status_column)
-            table, endpoint = filter_cohort(table, endpoint)
-            bundle.endpoint = endpoint
-            bundle.n_analytic = table.n_rows
-            id_col = table.column(config.view_spec.id_column)
-            bundle.patient_ids = [str(v) for v in id_col.values]
-        if not should_stop("endpoint"):
-            with _Stage("views", bundle):
-                clinical, genomic = split_views(table, config.view_spec)
-                genomic = variance_filter(genomic, k=config.genomic_top_k)
-            if not should_stop("views"):
-                _run_scores(bundle, clinical, genomic, endpoint)
-                if not should_stop("scores"):
-                    with _Stage("copula", bundle):
-                        bundle.pseudo_u = pseudo_observations(bundle.p_clin)
-                        bundle.pseudo_v = pseudo_observations(bundle.p_gen)
-                        bundle.tau = kendall_tau(bundle.pseudo_u, bundle.pseudo_v)
-                        bundle.copula_fits = [fit_family(f, bundle.tau) for f in config.copula_families]
-                    if not should_stop("copula"):
-                        with _Stage("gof", bundle):
-                            bundle.gof_results = [
-                                parametric_bootstrap(
-                                    bundle.pseudo_u,
-                                    bundle.pseudo_v,
-                                    fam,
-                                    n_boot=config.copula_b,
-                                    replicate_size=config.copula_m,
-                                    seed=config.copula_seed,
-                                    refit=config.copula_refit,
-                                )
-                                for fam in config.copula_families
-                            ]
-                            bundle.best_copula = select_best_copula(bundle.gof_results)
-                        if not should_stop("gof"):
-                            with _Stage("strata", bundle):
-                                bundle.strata = joint_strata(bundle.p_clin, bundle.p_gen)
-                                bundle.strata_result = strata_km(
-                                    bundle.strata,
-                                    endpoint.t_months,
-                                    endpoint.delta.astype(int),
-                                    min_size=config.strata_min_size,
-                                )
+    for name, stage in _STAGE_TABLE:
+        try:
+            stage(bundle)
+        except FuseError as exc:
+            raise type(exc)(f"[stage {name}] {exc}") from exc
+        bundle.stages_run.append(name)
+        if name == stop_after:
+            break
     if emit:
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        emit_tables(bundle, out_dir)
-        render_plots(bundle, out_dir)
+        emit_tables(bundle, config.output_dir)
+        render_plots(bundle, config.output_dir)
     return bundle
-
-
-def _run_scores(bundle: ReportBundle, clinical: CohortTable, genomic: CohortTable, endpoint: EndpointVector):
-    config = bundle.config
-    with _Stage("scores", bundle):
-        y = endpoint.y.astype(int)
-        folds = stratified_kfold(y, k=config.cv_k, seed=config.cv_seed, row_ids=bundle.patient_ids)
-        views = {"clinical": clinical, "genomic": genomic}
-        for view_name, view in views.items():
-            records = []
-            for family in MODEL_FAMILIES:
-                spec = ModelSpec(family, config.models[family], _seed_from(config.cv_seed, view_name, family))
-                scores = oof_scores(view, y, spec, folds, row_ids=bundle.patient_ids)
-                bundle.oof[(view_name, family)] = scores
-                records.append(CVRecord(view_name, spec, roc_auc(scores, y)))
-            bundle.cv_records.extend(records)
-            bundle.best[view_name] = select_best_model(records)
-        bundle.p_clin = bundle.oof[("clinical", bundle.best["clinical"].spec.family)]
-        bundle.p_gen = bundle.oof[("genomic", bundle.best["genomic"].spec.family)]
 
 
 def _write_csv(path, header, rows):

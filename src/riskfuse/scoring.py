@@ -7,7 +7,6 @@ by row identifier so that permuting cohort rows permutes scores with them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ from .folds import FoldAssignment, stratified_kfold
 from .linear import ElasticNetLogistic, lambda_grid
 from .metrics import roc_auc
 from .preprocess import fit_preprocessor, transform
+from .seeding import hash_seed
 from .trees import GradientBoosting, RandomForest
 
 MODEL_FAMILIES = ("elastic_net_lr", "random_forest", "gradient_boosting")
@@ -41,11 +41,6 @@ class CVRecord:
     auc: float
 
 
-def _derived_seed(seed, *parts) -> int:
-    digest = hashlib.blake2b(":".join(str(p) for p in (seed, *parts)).encode(), digest_size=4).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _fit_elastic_net(X, y, hp, seed):
     lam = hp.get("lam", "auto")
     alpha = hp.get("alpha", 0.5)
@@ -54,7 +49,7 @@ def _fit_elastic_net(X, y, hp, seed):
     if lam == "auto":
         grid = lambda_grid(X, y, alpha, n_points=hp.get("grid_points", 10))
         inner_k = hp.get("inner_folds", 3)
-        inner = stratified_kfold(y, k=inner_k, seed=_derived_seed(seed, "inner"))
+        inner = stratified_kfold(y, k=inner_k, seed=hash_seed(seed, "inner"))
         best_lam, best_auc = None, -np.inf
         for lam_cand in grid:  # grid is descending, so ties keep the larger penalty
             oof = np.empty(len(y))
@@ -66,7 +61,7 @@ def _fit_elastic_net(X, y, hp, seed):
             if auc > best_auc:
                 best_auc, best_lam = auc, lam_cand
         lam = best_lam
-    return ElasticNetLogistic(lam=lam, alpha=alpha, max_iter=max_iter, tol=tol, seed=seed).fit(X, y)
+    return ElasticNetLogistic(lam=lam, alpha=alpha, max_iter=max_iter, tol=tol).fit(X, y)
 
 
 def fit_model(spec: ModelSpec, X, y):
@@ -86,7 +81,6 @@ def fit_model(spec: ModelSpec, X, y):
         learning_rate=hp.get("learning_rate", 0.1),
         max_depth=hp.get("max_depth", 3),
         min_leaf=hp.get("min_leaf", 1),
-        seed=spec.seed,
     ).fit(X, y)
 
 
@@ -117,7 +111,7 @@ def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row
         X_train = transform(pre, view, train).values
         X_test = transform(pre, view, test).values
         model = fit_model(
-            ModelSpec(spec.family, spec.hyperparameters, _derived_seed(spec.seed, "fold", f)),
+            ModelSpec(spec.family, spec.hyperparameters, hash_seed(spec.seed, "fold", f)),
             X_train,
             y_train,
         )

@@ -66,11 +66,6 @@ def kaplan_meier(times, events) -> KMCurve:
     return KMCurve(times=event_times, survival=surv, events=d.astype(int), at_risk=r.astype(int), n_start=n)
 
 
-def _median(x: np.ndarray) -> float:
-    # mid-order statistic; even n averages the two middle values
-    return float(np.median(x))
-
-
 def joint_strata(p_clin, p_gen) -> StratumAssignment:
     """Four-quadrant labels from the per-score medians, ties on the low side."""
     p_clin = np.asarray(p_clin, dtype=float)
@@ -82,8 +77,8 @@ def joint_strata(p_clin, p_gen) -> StratumAssignment:
     for name, x in (("clinical", p_clin), ("genomic", p_gen)):
         if np.all(x == x[0]):
             warnings.warn(f"{name} scores are constant; every patient falls on the low side")
-    m_clin = _median(p_clin)
-    m_gen = _median(p_gen)
+    m_clin = float(np.median(p_clin))
+    m_gen = float(np.median(p_gen))
     high_c = p_clin > m_clin
     high_g = p_gen > m_gen
     labels = np.where(

@@ -13,12 +13,9 @@ import math
 import numpy as np
 
 from .errors import NumericError
+from .seeding import stream_rng
 
 _NEWTON_EPS = 1e-9
-
-
-def _rng_for(seed, stream) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, stream])))
 
 
 def _find_split(Xnode, target, min_leaf, gini):
@@ -155,7 +152,7 @@ class RandomForest:
         mtry = self.mtry if self.mtry is not None else max(1, math.ceil(math.sqrt(p)))
         self.trees_ = []
         for t in range(self.n_trees):
-            rng = _rng_for(self.seed, t)
+            rng = stream_rng(self.seed, t)
             boot = rng.integers(0, n, size=n)
             tree = _Tree.grow(
                 X[boot],
@@ -181,14 +178,13 @@ class GradientBoosting:
     """Additive log-odds model: squared-error trees on the logistic-loss
     gradient with Newton leaf values."""
 
-    def __init__(self, n_rounds=200, learning_rate=0.1, max_depth=3, min_leaf=1, seed=0):
+    def __init__(self, n_rounds=200, learning_rate=0.1, max_depth=3, min_leaf=1):
         if learning_rate <= 0:
             raise NumericError("learning_rate must be positive")
         self.n_rounds = int(n_rounds)
         self.learning_rate = float(learning_rate)
         self.max_depth = max_depth
         self.min_leaf = int(min_leaf)
-        self.seed = seed
         self.trees_ = None
         self.base_score_ = 0.0
         self.train_losses_ = None

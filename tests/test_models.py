@@ -4,7 +4,8 @@ import pytest
 from riskfuse.errors import NumericError
 from riskfuse.linear import ElasticNetLogistic, lambda_grid
 from riskfuse.metrics import roc_auc
-from riskfuse.trees import GradientBoosting, RandomForest, _rng_for
+from riskfuse.seeding import stream_rng
+from riskfuse.trees import GradientBoosting, RandomForest
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ class TestRandomForest:
         X = rng.standard_normal((50, 2))
         y = (rng.uniform(size=50) < 0.4).astype(float)
         rf = RandomForest(n_trees=1, max_depth=0, seed=7).fit(X, y)
-        boot = _rng_for(7, 0).integers(0, 50, 50)
+        boot = stream_rng(7, 0).integers(0, 50, 50)
         assert rf.predict_proba(X) == pytest.approx(np.full(50, y[boot].mean()))
 
     def test_xor_training_accuracy(self):
@@ -123,6 +124,6 @@ class TestGradientBoosting:
     def test_deterministic(self, rng):
         X = rng.standard_normal((60, 3))
         y = (rng.uniform(size=60) < 0.5).astype(float)
-        a = GradientBoosting(n_rounds=20, max_depth=2, seed=5).fit(X, y).predict_proba(X)
-        b = GradientBoosting(n_rounds=20, max_depth=2, seed=5).fit(X, y).predict_proba(X)
+        a = GradientBoosting(n_rounds=20, max_depth=2).fit(X, y).predict_proba(X)
+        b = GradientBoosting(n_rounds=20, max_depth=2).fit(X, y).predict_proba(X)
         assert np.array_equal(a, b)

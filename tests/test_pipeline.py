@@ -9,7 +9,7 @@ import pytest
 
 from riskfuse.cli import main
 from riskfuse.errors import ConfigError
-from riskfuse.pipeline import PipelineConfig, run_pipeline
+from riskfuse.pipeline import STAGES, PipelineConfig, run_pipeline
 from riskfuse.synth import SynthParams, write_synth
 
 FAST_MODELS = {
@@ -164,6 +164,26 @@ class TestStagePrefix:
         assert "copula_fit.json" in names and "gof.json" not in names
         assert bundle.stages_run == ["load", "endpoint", "views", "scores", "copula"]
 
+    @pytest.mark.parametrize("stop_after", ["load", "endpoint", "views"])
+    def test_early_prefix_writes_only_the_manifest(self, synth_run, tmp_path, stop_after):
+        raw = json.loads(json.dumps(synth_run[0]))
+        raw["output_dir"] = str(tmp_path / "prefix")
+        bundle = run_pipeline(PipelineConfig.from_dict(raw), stop_after=stop_after)
+        assert bundle.stages_run == list(STAGES[: STAGES.index(stop_after) + 1])
+        assert [Path(f).name for f in bundle.written_files] == ["manifest.json"]
+        assert [p.name for p in (tmp_path / "prefix").iterdir()] == ["manifest.json"]
+
+    def test_views_stage_tag_appears_once(self, synth_run, tmp_path, capsys):
+        raw = json.loads(json.dumps(synth_run[0]))
+        raw["output_dir"] = str(tmp_path / "out")
+        raw.setdefault("view_spec", {})["clinical_columns"] = ["nope"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "[stage views] view column 'nope' not present in table" in err
+        assert err.count("[stage") == 1
+
     def test_stage_tag_in_errors(self, tmp_path):
         cfg = {
             "input_csv": str(tmp_path / "missing.csv"),
@@ -197,6 +217,22 @@ class TestCli:
         bad.write_text('{"input_csv": "x.csv", "output_dir": "o", "copula": {"B": "many"}}')
         assert main(["run", "--config", str(bad)]) == 2
         assert "copula.B must be an integer, got 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value", [
+        ("cv", 5),
+        ("copula", []),
+        ("strata", 3),
+        ("endpoint", "x"),
+        ("view_spec", 1),
+        ("models", []),
+        ("models", {"random_forest": 5}),
+    ])
+    def test_config_section_not_an_object_exits_two(self, tmp_path, capsys, section, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"input_csv": "x.csv", "output_dir": "o", section: value}))
+        assert main(["run", "--config", str(bad)]) == 2
+        name = "models.random_forest" if isinstance(value, dict) else section
+        assert f"{name} must be a JSON object" in capsys.readouterr().err
 
     def test_unreadable_cohort_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
