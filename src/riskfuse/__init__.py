@@ -30,7 +30,6 @@ from .copulas import (
     kendall_tau,
     pseudo_observations,
     sample,
-    tail_dependence,
 )
 from .errors import ConfigError, DataError, FuseError, NumericError
 from .folds import FoldAssignment, stratified_kfold
@@ -64,7 +63,6 @@ __all__ = [
     "kendall_tau",
     "pseudo_observations",
     "sample",
-    "tail_dependence",
     "ConfigError",
     "DataError",
     "FuseError",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -59,19 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if args.seed is not None:
-            raw.setdefault("cv", {})["seed"] = args.seed
-            raw.setdefault("copula", {})["seed"] = args.seed + 1
-        if args.out is not None:
-            raw["output_dir"] = args.out
-        config = PipelineConfig.from_dict(raw)
+            config = PipelineConfig.from_dict(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"[stage config] cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"[stage config] config is not valid JSON: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"[stage config] {exc}") from exc
+    if args.seed is not None:
+        config = dataclasses.replace(config, cv_seed=args.seed, copula_seed=args.seed + 1)
+    if args.out is not None:
+        config = dataclasses.replace(config, output_dir=args.out)
     bundle = run_pipeline(config, stop_after=args.stage)
     print(f"wrote {len(bundle.written_files)} files to {config.output_dir}")
     if bundle.best_copula is not None:

@@ -140,14 +140,6 @@ class ViewSpec:
     id_column: str = "patient_id"
     survival_columns: tuple[str, ...] = SURVIVAL_COLUMNS
 
-    @staticmethod
-    def from_dict(d: dict) -> "ViewSpec":
-        return ViewSpec(
-            clinical_columns=tuple(d.get("clinical_columns", DEFAULT_CLINICAL_COLUMNS)),
-            id_column=d.get("id_column", "patient_id"),
-            survival_columns=tuple(d.get("survival_columns", SURVIVAL_COLUMNS)),
-        )
-
 
 def _is_missing_token(cell: str) -> bool:
     return cell.strip().lower() in MISSING_TOKENS

@@ -84,10 +84,6 @@ def fit_family(family: str, tau: float) -> CopulaModel:
     raise NumericError(f"unknown copula family {family!r}")
 
 
-def tail_dependence(model: CopulaModel) -> tuple[float, float]:
-    return model.lambda_lower, model.lambda_upper
-
-
 def _clayton_cdf(u, v, theta):
     # 1 + (u^-t - 1) + (v^-t - 1), assembled from expm1 so tiny theta stays exact
     s = np.expm1(-theta * np.log(u)) + np.expm1(-theta * np.log(v))

@@ -37,7 +37,7 @@ class ElasticNetLogistic:
     number.
     """
 
-    def __init__(self, lam=0.0, alpha=0.5, max_iter=10000, tol=1e-8):
+    def __init__(self, *, lam, alpha, max_iter, tol):
         if lam < 0:
             raise NumericError("penalty lam must be nonnegative")
         if not 0.0 <= alpha <= 1.0:
@@ -125,7 +125,7 @@ class ElasticNetLogistic:
         return _sigmoid(X @ self.coef_ + self.intercept_)
 
 
-def lambda_grid(X, y, alpha, n_points=10):
+def lambda_grid(X, y, alpha, n_points):
     """Log-spaced penalty grid from the smallest all-zero lam down 3 decades."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

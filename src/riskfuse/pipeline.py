@@ -15,143 +15,85 @@ from __future__ import annotations
 import csv
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, schema
 from .cohort import CohortTable, EndpointVector, ViewSpec, build_endpoint, filter_cohort, load_cohort, split_views, variance_filter
 from .copulas import FAMILIES, fit_family, kendall_tau, pseudo_observations
 from .errors import ConfigError, FuseError
 from .folds import stratified_kfold
 from .gof import GofResult, parametric_bootstrap, select_best_copula
 from .metrics import roc_auc, roc_points
-from .scoring import CVRecord, MODEL_FAMILIES, ModelSpec, oof_scores, select_best_model
+from .schema import Key
+from .scoring import CVRecord, DEFAULT_MODELS, MODEL_FAMILIES, ModelSpec, oof_scores, select_best_model
 from .seeding import hash_seed
 from .survival import StrataKMResult, StratumAssignment, joint_strata, strata_km
 from . import svgplot
-
-DEFAULT_MODELS = {
-    "elastic_net_lr": {"alpha": 0.5, "lam": "auto", "grid_points": 10, "inner_folds": 3,
-                       "max_iter": 10000, "tol": 1e-8},
-    "random_forest": {"n_trees": 300, "max_depth": None, "mtry": None, "min_leaf": 5},
-    "gradient_boosting": {"n_rounds": 200, "learning_rate": 0.1, "max_depth": 3},
-}
 
 TABLE_FILES = ("scores.csv", "model_auc.csv", "copula_fit.json", "gof.json",
                "strata.csv", "km_curves.csv", "manifest.json")
 PLOT_FILES = ("roc.svg", "score_hist.svg", "score_scatter.svg", "copula_heat.svg",
               "copula_contours.svg", "km.svg")
 
-
-def _typed(cast, section: dict, key: str, default, name: str):
-    """section[key], or the default, converted by ``cast``; a failure names the key."""
-    raw = section.get(key, default)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be {'an integer' if cast is int else 'a number'}, got {raw!r}") from exc
-
-
-def _object(value, name: str) -> dict:
-    """A config section, which must be a JSON object; a failure names the section."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return value
+# Every config key, in the order the manifest writes them.
+CONFIG_SCHEMA = {
+    "input_csv": Key(str),
+    "output_dir": Key(str),
+    "view_spec": {"id_column": Key(str, ViewSpec.id_column), "clinical_columns": Key(tuple, ViewSpec.clinical_columns),
+                  "survival_columns": Key(tuple, ViewSpec.survival_columns)},
+    "horizon_months": Key(float, 60.0, gt=0),
+    "genomic_top_k": Key(int, 50, ge=1),
+    "cv": {"k": Key(int, 5, ge=2), "seed": Key(int, 0)},
+    "models": DEFAULT_MODELS,
+    "copula": {"families": Key(tuple, FAMILIES, choices=FAMILIES), "B": Key(int, 1000, ge=1),
+               "m": Key(int, None, ge=2, null=True), "seed": Key(int, 1), "refit": Key(bool, True)},
+    "strata": {"min_size": Key(int, 10, ge=1)},
+    "endpoint": {"status_column": Key(str, None, null=True)},
+}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One run's settings, keyed as in ``CONFIG_SCHEMA``. A top-level key that
+    names a field is held whole (``view_spec`` as a ``ViewSpec``); the keys of
+    any other section are held as ``<section>_<key>`` fields, in lower case."""
+
     input_csv: str
     output_dir: str
-    view_spec: ViewSpec = ViewSpec()
-    horizon_months: float = 60.0
-    genomic_top_k: int = 50
-    cv_k: int = 5
-    cv_seed: int = 0
-    models: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_MODELS)))
-    copula_families: tuple = FAMILIES
-    copula_b: int = 1000
-    copula_m: int | None = None
-    copula_seed: int = 1
-    copula_refit: bool = True
-    strata_min_size: int = 10
-    status_column: str | None = None
+    view_spec: ViewSpec
+    horizon_months: float
+    genomic_top_k: int
+    cv_k: int
+    cv_seed: int
+    models: dict
+    copula_families: tuple
+    copula_b: int
+    copula_m: int | None
+    copula_seed: int
+    copula_refit: bool
+    strata_min_size: int
+    endpoint_status_column: str | None
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        for key in ("input_csv", "output_dir"):
-            if key not in d:
-                raise ConfigError(f"config is missing required key {key!r}")
-        cv = _object(d.get("cv", {}), "cv")
-        k = _typed(int, cv, "k", 5, "cv.k")
-        if k < 2:
-            raise ConfigError("cv.k must be at least 2")
-        cop = _object(d.get("copula", {}), "copula")
-        b = _typed(int, cop, "B", 1000, "copula.B")
-        if b < 1:
-            raise ConfigError("copula.B must be at least 1")
-        families = tuple(cop.get("families", FAMILIES))
-        for fam in families:
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown copula family {fam!r}")
-        models = json.loads(json.dumps(DEFAULT_MODELS))
-        for fam, hp in _object(d.get("models", {}), "models").items():
-            if fam not in MODEL_FAMILIES:
-                raise ConfigError(f"unknown model family {fam!r}")
-            models[fam].update(_object(hp, f"models.{fam}"))
-        m = None if cop.get("m") is None else _typed(int, cop, "m", None, "copula.m")
-        min_size = _typed(int, _object(d.get("strata", {}), "strata"), "min_size", 10, "strata.min_size")
-        if min_size < 1:
-            raise ConfigError("strata.min_size must be positive")
-        top_k = _typed(int, d, "genomic_top_k", 50, "genomic_top_k")
-        if top_k < 1:
-            raise ConfigError("genomic_top_k must be positive")
-        return PipelineConfig(
-            input_csv=str(d["input_csv"]),
-            output_dir=str(d["output_dir"]),
-            view_spec=ViewSpec.from_dict(_object(d.get("view_spec", {}), "view_spec")),
-            horizon_months=_typed(float, d, "horizon_months", 60.0, "horizon_months"),
-            genomic_top_k=top_k,
-            cv_k=k,
-            cv_seed=_typed(int, cv, "seed", 0, "cv.seed"),
-            models=models,
-            copula_families=families,
-            copula_b=b,
-            copula_m=m,
-            copula_seed=_typed(int, cop, "seed", 1, "copula.seed"),
-            copula_refit=bool(cop.get("refit", True)),
-            strata_min_size=min_size,
-            status_column=_object(d.get("endpoint", {}), "endpoint").get("status_column"),
-        )
+        """The config in ``d``; an unknown key, a wrong JSON type or an
+        out-of-range value raises a ``ConfigError`` naming the key."""
+        names = {f.name for f in fields(PipelineConfig)}
+        kw = {}
+        for key, value in schema.read(CONFIG_SCHEMA, d).items():
+            kw.update({key: value} if key in names else {f"{key}_{k}".lower(): v for k, v in value.items()})
+        return PipelineConfig(**dict(kw, view_spec=ViewSpec(**kw["view_spec"])))
 
     def to_dict(self) -> dict:
-        return {
-            "input_csv": self.input_csv,
-            "output_dir": self.output_dir,
-            "view_spec": {
-                "id_column": self.view_spec.id_column,
-                "clinical_columns": list(self.view_spec.clinical_columns),
-                "survival_columns": list(self.view_spec.survival_columns),
-            },
-            "horizon_months": self.horizon_months,
-            "genomic_top_k": self.genomic_top_k,
-            "cv": {"k": self.cv_k, "seed": self.cv_seed},
-            "models": self.models,
-            "copula": {
-                "families": list(self.copula_families),
-                "B": self.copula_b,
-                "m": self.copula_m,
-                "seed": self.copula_seed,
-                "refit": self.copula_refit,
-            },
-            "strata": {"min_size": self.strata_min_size},
-            "endpoint": {"status_column": self.status_column},
-        }
+        held = dict(vars(self), view_spec=vars(self.view_spec))
+        return schema.write(CONFIG_SCHEMA, {
+            key: held[key] if key in held else {k: held[f"{key}_{k}".lower()] for k in spec}
+            for key, spec in CONFIG_SCHEMA.items()
+        })
 
 
 @dataclass
@@ -187,7 +129,7 @@ def _load(bundle: ReportBundle):
 
 def _endpoint(bundle: ReportBundle):
     config = bundle.config
-    endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.status_column)
+    endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.endpoint_status_column)
     bundle.table, bundle.endpoint = filter_cohort(bundle.table, endpoint)
     bundle.n_analytic = bundle.table.n_rows
     bundle.patient_ids = [str(v) for v in bundle.table.column(config.view_spec.id_column).values]

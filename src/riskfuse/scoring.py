@@ -17,10 +17,22 @@ from .folds import FoldAssignment, stratified_kfold
 from .linear import ElasticNetLogistic, lambda_grid
 from .metrics import roc_auc
 from .preprocess import fit_preprocessor, transform
+from .schema import Key
 from .seeding import hash_seed
 from .trees import GradientBoosting, RandomForest
 
-MODEL_FAMILIES = ("elastic_net_lr", "random_forest", "gradient_boosting")
+# Each model family's hyperparameters with their JSON type, default and range;
+# the config's "models" section is checked against this table.
+DEFAULT_MODELS = {
+    "elastic_net_lr": {"alpha": Key(float, 0.5, ge=0, le=1), "lam": Key(float, "auto", ge=0, choices=("auto",)),
+                       "grid_points": Key(int, 10, ge=1), "inner_folds": Key(int, 3, ge=2),
+                       "max_iter": Key(int, 10000, ge=1), "tol": Key(float, 1e-8, ge=0)},
+    "random_forest": {"n_trees": Key(int, 300, ge=1), "max_depth": Key(int, None, ge=0, null=True),
+                      "mtry": Key(int, None, ge=1, null=True), "min_leaf": Key(int, 5, ge=1)},
+    "gradient_boosting": {"n_rounds": Key(int, 200, ge=0), "learning_rate": Key(float, 0.1, gt=0),
+                          "max_depth": Key(int, 3, ge=0, null=True)},
+}
+MODEL_FAMILIES = tuple(DEFAULT_MODELS)
 
 
 @dataclass(frozen=True)
@@ -41,19 +53,14 @@ class CVRecord:
     auc: float
 
 
-def _fit_elastic_net(X, y, hp, seed):
-    lam = hp.get("lam", "auto")
-    alpha = hp.get("alpha", 0.5)
-    max_iter = hp.get("max_iter", 10000)
-    tol = hp.get("tol", 1e-8)
+def _fit_elastic_net(X, y, seed, *, alpha, lam, grid_points, inner_folds, max_iter, tol):
     if lam == "auto":
-        grid = lambda_grid(X, y, alpha, n_points=hp.get("grid_points", 10))
-        inner_k = hp.get("inner_folds", 3)
-        inner = stratified_kfold(y, k=inner_k, seed=hash_seed(seed, "inner"))
+        grid = lambda_grid(X, y, alpha, n_points=grid_points)
+        inner = stratified_kfold(y, k=inner_folds, seed=hash_seed(seed, "inner"))
         best_lam, best_auc = None, -np.inf
         for lam_cand in grid:  # grid is descending, so ties keep the larger penalty
             oof = np.empty(len(y))
-            for f in range(inner_k):
+            for f in range(inner_folds):
                 tr, te = inner.train_rows(f), inner.test_rows(f)
                 model = ElasticNetLogistic(lam=lam_cand, alpha=alpha, max_iter=max_iter, tol=tol).fit(X[tr], y[tr])
                 oof[te] = model.predict_proba(X[te])
@@ -65,23 +72,13 @@ def _fit_elastic_net(X, y, hp, seed):
 
 
 def fit_model(spec: ModelSpec, X, y):
-    hp = spec.hyperparameters
+    """Fit spec's family with its hyperparameters, taking the rest from DEFAULT_MODELS."""
+    hp = {name: key.default for name, key in DEFAULT_MODELS[spec.family].items()} | spec.hyperparameters
     if spec.family == "elastic_net_lr":
-        return _fit_elastic_net(X, y, hp, spec.seed)
+        return _fit_elastic_net(X, y, spec.seed, **hp)
     if spec.family == "random_forest":
-        return RandomForest(
-            n_trees=hp.get("n_trees", 300),
-            max_depth=hp.get("max_depth"),
-            mtry=hp.get("mtry"),
-            min_leaf=hp.get("min_leaf", 5),
-            seed=spec.seed,
-        ).fit(X, y)
-    return GradientBoosting(
-        n_rounds=hp.get("n_rounds", 200),
-        learning_rate=hp.get("learning_rate", 0.1),
-        max_depth=hp.get("max_depth", 3),
-        min_leaf=hp.get("min_leaf", 1),
-    ).fit(X, y)
+        return RandomForest(**hp, seed=spec.seed).fit(X, y)
+    return GradientBoosting(**hp).fit(X, y)
 
 
 def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row_ids=None):

@@ -137,7 +137,7 @@ class _Tree:
 class RandomForest:
     """Bagged Gini trees; class probability = mean of leaf class fractions."""
 
-    def __init__(self, n_trees=300, max_depth=None, mtry=None, min_leaf=5, seed=0):
+    def __init__(self, *, n_trees, max_depth, mtry, min_leaf, seed):
         self.n_trees = int(n_trees)
         self.max_depth = max_depth
         self.mtry = mtry
@@ -178,13 +178,12 @@ class GradientBoosting:
     """Additive log-odds model: squared-error trees on the logistic-loss
     gradient with Newton leaf values."""
 
-    def __init__(self, n_rounds=200, learning_rate=0.1, max_depth=3, min_leaf=1):
+    def __init__(self, *, n_rounds, learning_rate, max_depth):
         if learning_rate <= 0:
             raise NumericError("learning_rate must be positive")
         self.n_rounds = int(n_rounds)
         self.learning_rate = float(learning_rate)
         self.max_depth = max_depth
-        self.min_leaf = int(min_leaf)
         self.trees_ = None
         self.base_score_ = 0.0
         self.train_losses_ = None
@@ -210,7 +209,7 @@ class GradientBoosting:
                 X,
                 grad,
                 criterion="mse",
-                min_leaf=self.min_leaf,
+                min_leaf=1,
                 max_depth=self.max_depth,
                 hess=hess,
             )

@@ -12,7 +12,6 @@ from riskfuse.copulas import (
     kendall_tau,
     pseudo_observations,
     sample,
-    tail_dependence,
 )
 from riskfuse.errors import DataError, NumericError
 
@@ -80,7 +79,7 @@ class TestFits:
     def test_gaussian_reference_value(self):
         model = fit_gaussian(0.432)
         assert model.param == pytest.approx(0.628, abs=0.01)
-        assert tail_dependence(model) == (0.0, 0.0)
+        assert (model.lambda_lower, model.lambda_upper) == (0.0, 0.0)
 
     def test_gaussian_special_points(self):
         assert fit_gaussian(0.0).param == 0.0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -9,8 +10,8 @@ import pytest
 
 from riskfuse.cli import main
 from riskfuse.errors import ConfigError
-from riskfuse.pipeline import STAGES, PipelineConfig, run_pipeline
-from riskfuse.synth import SynthParams, write_synth
+from riskfuse.pipeline import CONFIG_SCHEMA, STAGES, PipelineConfig, run_pipeline
+from riskfuse.synth import SynthParams, default_config, write_synth
 
 FAST_MODELS = {
     "elastic_net_lr": {"lam": 0.02},
@@ -66,6 +67,26 @@ class TestConfigValidation:
         name = f"{section}.{key}" if section else key
         with pytest.raises(ConfigError, match=name):
             PipelineConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("models", [None, FAST_MODELS])
+    def test_to_dict_is_a_fixed_point(self, models):
+        raw = default_config("cohort.csv", "report", SynthParams())
+        if models is not None:
+            raw["models"] = models
+        config = PipelineConfig.from_dict(raw)
+        assert PipelineConfig.from_dict(config.to_dict()) == config
+
+    def test_readme_config_block_matches_schema(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = json.loads(text.split("```jsonc\n", 1)[1].split("```", 1)[0])
+
+        def tree(node):
+            return {k: tree(v) for k, v in node.items()} if isinstance(node, dict) else None
+
+        assert tree(block) == tree(CONFIG_SCHEMA)
+        shown = PipelineConfig.from_dict(block)
+        defaults = PipelineConfig.from_dict({"input_csv": "cohort.csv", "output_dir": "report"})
+        assert shown == dataclasses.replace(defaults, view_spec=shown.view_spec)
 
     def test_unknown_stage_rejected(self, synth_run):
         with pytest.raises(ConfigError, match="unknown stage"):
@@ -233,6 +254,38 @@ class TestCli:
         assert main(["run", "--config", str(bad)]) == 2
         name = "models.random_forest" if isinstance(value, dict) else section
         assert f"{name} must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("copla", {}, []),
+        ("cv.kk", 5, []),
+        ("models.random_forest.n_tree", 10, []),
+        ("view_spec.clinical_cols", ["age"], []),
+        ("copula.refit", "false", []),
+        ("cv.k", 2.7, []),
+        ("copula.families", 5, []),
+        ("models.random_forest.n_trees", "many", []),
+        ("models.elastic_net_lr.lam", "autoo", []),
+        ("models.elastic_net_lr.grid_points", 0, []),
+        ("cv", 5, ["--seed", "3"]),
+        ("copula.m", 1, []),
+        ("horizon_months", -5, []),
+        ("models.elastic_net_lr.alpha", 2, []),
+        ("view_spec.clinical_columns", "age", []),
+    ])
+    def test_bad_config_exits_two_before_load(self, tmp_path, capsys, key, value, argv):
+        raw = {"input_csv": str(tmp_path / "absent.csv"), "output_dir": str(tmp_path / "out")}
+        *sections, leaf = key.split(".")
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [stage config] ")
+        assert f"{key} must" in err or f"{key!r}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_cohort_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
