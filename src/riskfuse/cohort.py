@@ -274,6 +274,8 @@ def split_views(table: CohortTable, spec: ViewSpec) -> tuple[CohortTable, Cohort
             raise DataError(f"view column {name!r} not present in table")
     excluded = set(spec.survival_columns) | {spec.id_column}
     clinical_names = [c for c in spec.clinical_columns if c not in excluded]
+    if not clinical_names:
+        raise DataError("clinical view is empty after removing id and survival columns")
     clinical_set = set(clinical_names)
     genomic_names = [c.name for c in table.columns if c.name not in excluded and c.name not in clinical_set]
     if not genomic_names:

@@ -59,13 +59,19 @@ class ElasticNetLogistic:
         pen = self.lam * (self.alpha * np.abs(w).sum() + 0.5 * (1 - self.alpha) * (w @ w))
         return loss + pen
 
-    def fit(self, X, y):
+    def fit(self, X, y, start=None):
+        """Fit from ``start = (coef, intercept)``, or from zero coefficients and
+        the prevalence intercept when ``start`` is None."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, p = X.shape
-        w = np.zeros(p)
-        prev = float(np.clip(np.mean(y), 1e-12, 1 - 1e-12))
-        b = float(np.log(prev / (1 - prev)))
+        if start is None:
+            w = np.zeros(p)
+            prev = float(np.clip(np.mean(y), 1e-12, 1 - 1e-12))
+            b = float(np.log(prev / (1 - prev)))
+        else:
+            w = np.array(start[0], dtype=float)
+            b = float(start[1])
 
         obj = self._objective(X, y, w, b)
         best_obj, best_w, best_b = obj, w.copy(), b

@@ -34,22 +34,18 @@ from .seeding import hash_seed
 from .survival import StrataKMResult, StratumAssignment, joint_strata, strata_km
 from . import svgplot
 
-TABLE_FILES = ("scores.csv", "model_auc.csv", "copula_fit.json", "gof.json",
-               "strata.csv", "km_curves.csv", "manifest.json")
-PLOT_FILES = ("roc.svg", "score_hist.svg", "score_scatter.svg", "copula_heat.svg",
-              "copula_contours.svg", "km.svg")
-
 # Every config key, in the order the manifest writes them.
 CONFIG_SCHEMA = {
     "input_csv": Key(str),
     "output_dir": Key(str),
-    "view_spec": {"id_column": Key(str, ViewSpec.id_column), "clinical_columns": Key(tuple, ViewSpec.clinical_columns),
+    "view_spec": {"id_column": Key(str, ViewSpec.id_column),
+                  "clinical_columns": Key(tuple, ViewSpec.clinical_columns, min_len=1),
                   "survival_columns": Key(tuple, ViewSpec.survival_columns)},
     "horizon_months": Key(float, 60.0, gt=0),
     "genomic_top_k": Key(int, 50, ge=1),
     "cv": {"k": Key(int, 5, ge=2), "seed": Key(int, 0)},
     "models": DEFAULT_MODELS,
-    "copula": {"families": Key(tuple, FAMILIES, choices=FAMILIES), "B": Key(int, 1000, ge=1),
+    "copula": {"families": Key(tuple, FAMILIES, choices=FAMILIES, min_len=1), "B": Key(int, 1000, ge=1),
                "m": Key(int, None, ge=2, null=True), "seed": Key(int, 1), "refit": Key(bool, True)},
     "strata": {"min_size": Key(int, 10, ge=1)},
     "endpoint": {"status_column": Key(str, None, null=True)},
@@ -222,65 +218,47 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def emit_tables(bundle: ReportBundle, out_dir) -> list:
-    """Write the machine-readable report files for everything computed."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
 
-    if bundle.p_clin is not None:
-        ep = bundle.endpoint
-        rows = [
-            [pid, str(pc), str(pg), int(yy), str(tt), int(dd)]
-            for pid, pc, pg, yy, tt, dd in zip(
-                bundle.patient_ids, bundle.p_clin, bundle.p_gen, ep.y.astype(int), ep.t_months, ep.delta.astype(int)
-            )
-        ]
-        path = out_dir / "scores.csv"
-        _write_csv(path, ["patient_id", "p_clin", "p_gen", "y", "t_months", "event"], rows)
-        written.append(path)
 
-        rows = [[r.view, r.spec.family, str(r.auc)] for r in bundle.cv_records]
-        path = out_dir / "model_auc.csv"
-        _write_csv(path, ["view", "model", "auc"], rows)
-        written.append(path)
-
-    if bundle.copula_fits:
-        path = out_dir / "copula_fit.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"tau": bundle.tau, "fits": [m.to_dict() for m in bundle.copula_fits]}, fh, indent=2)
-        written.append(path)
-
-    if bundle.gof_results:
-        path = out_dir / "gof.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "results": [r.to_dict() for r in bundle.gof_results],
-                    "selected": bundle.best_copula.family,
-                },
-                fh,
-                indent=2,
-            )
-        written.append(path)
-
-    if bundle.strata is not None:
-        path = out_dir / "strata.csv"
-        _write_csv(
-            path,
-            ["patient_id", "stratum"],
-            [[pid, lab] for pid, lab in zip(bundle.patient_ids, bundle.strata.labels)],
+def _scores_csv(bundle: ReportBundle, path):
+    ep = bundle.endpoint
+    rows = [
+        [pid, str(pc), str(pg), int(yy), str(tt), int(dd)]
+        for pid, pc, pg, yy, tt, dd in zip(
+            bundle.patient_ids, bundle.p_clin, bundle.p_gen, ep.y.astype(int), ep.t_months, ep.delta.astype(int)
         )
-        written.append(path)
+    ]
+    _write_csv(path, ["patient_id", "p_clin", "p_gen", "y", "t_months", "event"], rows)
 
-        rows = []
-        for label, curve in bundle.strata_result.curves.items():
-            for t, s, d, r in zip(curve.times, curve.survival, curve.events, curve.at_risk):
-                rows.append([label, str(float(t)), str(float(s)), int(d), int(r), curve.n_start])
-        path = out_dir / "km_curves.csv"
-        _write_csv(path, ["stratum", "t", "S_hat", "d", "r", "n_start"], rows)
-        written.append(path)
 
+def _model_auc_csv(bundle: ReportBundle, path):
+    _write_csv(path, ["view", "model", "auc"], [[r.view, r.spec.family, str(r.auc)] for r in bundle.cv_records])
+
+
+def _copula_fit_json(bundle: ReportBundle, path):
+    _write_json(path, {"tau": bundle.tau, "fits": [m.to_dict() for m in bundle.copula_fits]})
+
+
+def _gof_json(bundle: ReportBundle, path):
+    _write_json(path, {"results": [r.to_dict() for r in bundle.gof_results], "selected": bundle.best_copula.family})
+
+
+def _strata_csv(bundle: ReportBundle, path):
+    _write_csv(path, ["patient_id", "stratum"], [list(row) for row in zip(bundle.patient_ids, bundle.strata.labels)])
+
+
+def _km_curves_csv(bundle: ReportBundle, path):
+    rows = []
+    for label, curve in bundle.strata_result.curves.items():
+        for t, s, d, r in zip(curve.times, curve.survival, curve.events, curve.at_risk):
+            rows.append([label, str(float(t)), str(float(s)), int(d), int(r), curve.n_start])
+    _write_csv(path, ["stratum", "t", "S_hat", "d", "r", "n_start"], rows)
+
+
+def _manifest_json(bundle: ReportBundle, path):
     manifest = {
         "tool": {"name": "riskfuse", "version": __version__},
         "environment": {
@@ -308,52 +286,74 @@ def emit_tables(bundle: ReportBundle, out_dir) -> list:
             "sizes": bundle.strata_result.sizes,
             "omitted": bundle.strata_result.omitted,
         }
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-    written.append(path)
+    _write_json(path, manifest)
 
+
+def _roc_svg(bundle: ReportBundle, path):
+    y = bundle.endpoint.y.astype(int)
+    curves = {}
+    for view in ("clinical", "genomic"):
+        scores = bundle.p_clin if view == "clinical" else bundle.p_gen
+        fpr, tpr = roc_points(scores, y)
+        curves[view] = (fpr, tpr, bundle.best[view].auc)
+    svgplot.render_roc(path, curves)
+
+
+def _score_hist_svg(bundle: ReportBundle, path):
+    svgplot.render_score_hist(path, bundle.p_clin, bundle.p_gen)
+
+
+def _score_scatter_svg(bundle: ReportBundle, path):
+    svgplot.render_scatter(path, bundle.p_clin, bundle.p_gen, bundle.endpoint.y.astype(int))
+
+
+def _copula_heat_svg(bundle: ReportBundle, path):
+    svgplot.render_copula_heat(path, bundle.pseudo_u, bundle.pseudo_v, bundle.best_copula.model)
+
+
+def _copula_contours_svg(bundle: ReportBundle, path):
+    svgplot.render_copula_contours(path, bundle.pseudo_u, bundle.pseudo_v, bundle.best_copula.model)
+
+
+def _km_svg(bundle: ReportBundle, path):
+    svgplot.render_km(path, bundle.strata_result.curves, bundle.strata_result.omitted)
+
+
+# Report files in the order they are written: (name, the stage whose results
+# the file shows, or None for a file every run writes, writer).
+_TABLES = (("scores.csv", "scores", _scores_csv), ("model_auc.csv", "scores", _model_auc_csv),
+           ("copula_fit.json", "copula", _copula_fit_json), ("gof.json", "gof", _gof_json),
+           ("strata.csv", "strata", _strata_csv), ("km_curves.csv", "strata", _km_curves_csv),
+           ("manifest.json", None, _manifest_json))
+_PLOTS = (("roc.svg", "scores", _roc_svg), ("score_hist.svg", "scores", _score_hist_svg),
+          ("score_scatter.svg", "scores", _score_scatter_svg), ("copula_heat.svg", "gof", _copula_heat_svg),
+          ("copula_contours.svg", "gof", _copula_contours_svg), ("km.svg", "strata", _km_svg))
+TABLE_FILES = tuple(name for name, _, _ in _TABLES)
+PLOT_FILES = tuple(name for name, _, _ in _PLOTS)
+
+
+def _write_reports(bundle: ReportBundle, out_dir, reports) -> list:
+    """Write each report whose stage ran, and delete the others' files: a file
+    left by an earlier run into ``out_dir`` would describe a different run."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, stage, writer in reports:
+        path = out_dir / name
+        if stage is None or stage in bundle.stages_run:
+            writer(bundle, path)
+            written.append(path)
+        else:
+            path.unlink(missing_ok=True)
     bundle.written_files.extend(str(p) for p in written)
     return written
+
+
+def emit_tables(bundle: ReportBundle, out_dir) -> list:
+    """Write the machine-readable report files for everything computed."""
+    return _write_reports(bundle, out_dir, _TABLES)
 
 
 def render_plots(bundle: ReportBundle, out_dir) -> list:
     """Write the SVG figures for everything computed."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if bundle.p_clin is not None:
-        y = bundle.endpoint.y.astype(int)
-        curves = {}
-        for view in ("clinical", "genomic"):
-            scores = bundle.p_clin if view == "clinical" else bundle.p_gen
-            fpr, tpr = roc_points(scores, y)
-            curves[view] = (fpr, tpr, bundle.best[view].auc)
-        path = out_dir / "roc.svg"
-        svgplot.render_roc(path, curves)
-        written.append(path)
-
-        path = out_dir / "score_hist.svg"
-        svgplot.render_score_hist(path, bundle.p_clin, bundle.p_gen)
-        written.append(path)
-
-        path = out_dir / "score_scatter.svg"
-        svgplot.render_scatter(path, bundle.p_clin, bundle.p_gen, y)
-        written.append(path)
-
-    if bundle.best_copula is not None:
-        model = bundle.best_copula.model
-        path = out_dir / "copula_heat.svg"
-        svgplot.render_copula_heat(path, bundle.pseudo_u, bundle.pseudo_v, model)
-        written.append(path)
-        path = out_dir / "copula_contours.svg"
-        svgplot.render_copula_contours(path, bundle.pseudo_u, bundle.pseudo_v, model)
-        written.append(path)
-
-    if bundle.strata_result is not None:
-        path = out_dir / "km.svg"
-        svgplot.render_km(path, bundle.strata_result.curves, bundle.strata_result.omitted)
-        written.append(path)
-
-    bundle.written_files.extend(str(p) for p in written)
-    return written
+    return _write_reports(bundle, out_dir, _PLOTS)

@@ -16,9 +16,10 @@ _BOUNDS = ((">=", "ge", operator.ge), (">", "gt", operator.gt), ("<=", "le", ope
 @dataclass(frozen=True)
 class Key:
     """One config leaf of kind int, float (any finite number), bool, str or
-    tuple (a list of strings). Numbers must meet the bounds that are set.
-    ``choices`` are the strings a list may hold, or that a float key takes
-    besides numbers. null is accepted only when ``null`` is set."""
+    tuple (a list of strings). Numbers must meet the bounds that are set, and
+    a list must hold at least ``min_len`` items. ``choices`` are the strings a
+    list may hold, or that a float key takes besides numbers. null is accepted
+    only when ``null`` is set."""
 
     kind: type
     default: object = REQUIRED
@@ -27,6 +28,7 @@ class Key:
     le: float | None = None
     choices: tuple = ()
     null: bool = False
+    min_len: int = 0
 
     def read(self, raw, name: str):
         """The JSON value ``raw`` as this key's value; a ConfigError names ``name``."""
@@ -40,6 +42,8 @@ class Key:
         for sign, attr, holds in _BOUNDS:
             if getattr(self, attr) is not None and not holds(raw, getattr(self, attr)):
                 raise ConfigError(f"{name} must be {sign} {getattr(self, attr)}, got {raw!r}")
+        if self.kind is tuple and len(raw) < self.min_len:
+            raise ConfigError(f"{name} must hold at least {self.min_len} item(s), got {raw!r}")
         for item in raw if self.kind is tuple else ():
             if self.choices and item not in self.choices:
                 raise ConfigError(f"{name} holds {item!r}; expected one of {', '.join(self.choices)}")

@@ -55,19 +55,22 @@ class CVRecord:
 
 def _fit_elastic_net(X, y, seed, *, alpha, lam, grid_points, inner_folds, max_iter, tol):
     if lam == "auto":
+        # Each inner fold fits the descending grid as one path, every lam
+        # starting from the previous lam's solution (glmnet's warm start).
         grid = lambda_grid(X, y, alpha, n_points=grid_points)
         inner = stratified_kfold(y, k=inner_folds, seed=hash_seed(seed, "inner"))
-        best_lam, best_auc = None, -np.inf
-        for lam_cand in grid:  # grid is descending, so ties keep the larger penalty
-            oof = np.empty(len(y))
-            for f in range(inner_folds):
-                tr, te = inner.train_rows(f), inner.test_rows(f)
-                model = ElasticNetLogistic(lam=lam_cand, alpha=alpha, max_iter=max_iter, tol=tol).fit(X[tr], y[tr])
-                oof[te] = model.predict_proba(X[te])
-            auc = roc_auc(oof, y)
-            if auc > best_auc:
-                best_auc, best_lam = auc, lam_cand
-        lam = best_lam
+        oof = np.empty((len(grid), len(y)))
+        for f in range(inner_folds):
+            tr, te = inner.train_rows(f), inner.test_rows(f)
+            X_tr, y_tr, X_te = X[tr], y[tr], X[te]
+            start = None
+            for i, lam_cand in enumerate(grid):
+                model = ElasticNetLogistic(lam=lam_cand, alpha=alpha, max_iter=max_iter, tol=tol).fit(X_tr, y_tr, start)
+                oof[i, te] = model.predict_proba(X_te)
+                start = (model.coef_, model.intercept_)
+        aucs = [roc_auc(scores, y) for scores in oof]
+        lam = grid[int(np.argmax(aucs))]  # the first maximum: ties keep the larger penalty
+    # a cold start, so the reported model does not depend on the search path
     return ElasticNetLogistic(lam=lam, alpha=alpha, max_iter=max_iter, tol=tol).fit(X, y)
 
 

@@ -7,6 +7,11 @@ naive and separate from the implementation it checks.
 import numpy as np
 from scipy import integrate
 
+from riskfuse.folds import stratified_kfold
+from riskfuse.linear import ElasticNetLogistic, lambda_grid
+from riskfuse.metrics import roc_auc
+from riskfuse.seeding import hash_seed
+
 
 def tau_brute(u, v):
     """Pairwise sign count over all pairs; ties contribute zero."""
@@ -97,3 +102,25 @@ def average_ranks_brute(x):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def lambda_search_cold(X, y, seed, *, alpha, grid_points, inner_folds, max_iter, tol):
+    """The inner-CV penalty search with every (lam, fold) fit started cold.
+
+    Returns the selected lam (the first grid point with the largest inner
+    out-of-fold AUC) and the coordinate sweeps summed over all its fits.
+    """
+    grid = lambda_grid(X, y, alpha, n_points=grid_points)
+    inner = stratified_kfold(y, k=inner_folds, seed=hash_seed(seed, "inner"))
+    best_lam, best_auc, sweeps = None, -np.inf, 0
+    for lam in grid:
+        oof = np.empty(len(y))
+        for f in range(inner_folds):
+            tr, te = inner.train_rows(f), inner.test_rows(f)
+            model = ElasticNetLogistic(lam=lam, alpha=alpha, max_iter=max_iter, tol=tol).fit(X[tr], y[tr])
+            oof[te] = model.predict_proba(X[te])
+            sweeps += model.n_iter_
+        auc = roc_auc(oof, y)
+        if auc > best_auc:
+            best_auc, best_lam = auc, lam
+    return best_lam, sweeps

@@ -102,6 +102,7 @@ def test_c3_sampler_consistency():
             assert abs(kendall_tau(u, v) - model.tau) <= 0.01, model
 
 
+@pytest.mark.slow
 def test_c4_gof_calibration_and_selection():
     with criterion(4, "bootstrap calibration and family selection"):
         true = fit_gaussian(2.0 / np.pi * np.arcsin(0.6))
@@ -204,6 +205,7 @@ def test_c6_ml_sanity():
             assert 0.40 <= auc <= 0.60, f"{spec.family} null AUC {auc:.3f}"
 
 
+@pytest.mark.slow
 def test_c7_end_to_end_synthetic(tmp_path):
     with criterion(7, "end-to-end synthetic pipeline"):
         selected = 0

@@ -199,6 +199,11 @@ class TestSplitViews:
         with pytest.raises(DataError, match="genomic view is empty"):
             split_views(self.make(), spec)
 
+    def test_clinical_columns_all_excluded_is_error(self):
+        spec = ViewSpec(clinical_columns=("patient_id", "overall_survival"))
+        with pytest.raises(DataError, match="clinical view is empty"):
+            split_views(self.make(), spec)
+
 
 class TestVarianceFilter:
     def test_top_k_by_variance(self):

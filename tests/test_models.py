@@ -6,9 +6,11 @@ import pytest
 from riskfuse.errors import NumericError
 from riskfuse.linear import ElasticNetLogistic, lambda_grid
 from riskfuse.metrics import roc_auc
-from riskfuse.scoring import DEFAULT_MODELS
+from riskfuse.scoring import DEFAULT_MODELS, ModelSpec, fit_model
 from riskfuse.seeding import stream_rng
 from riskfuse.trees import GradientBoosting, RandomForest
+
+from oracles import lambda_search_cold
 
 _CLASSES = {"elastic_net_lr": ElasticNetLogistic, "random_forest": RandomForest, "gradient_boosting": GradientBoosting}
 
@@ -73,6 +75,73 @@ class TestElasticNet:
         grid = lambda_grid(X, y, alpha=0.5, n_points=10)
         assert len(grid) == 10
         assert np.all(np.diff(grid) < 0)
+
+    def test_cold_start_argument_matches_default_start(self, rng):
+        X = rng.standard_normal((150, 5))
+        y = (rng.uniform(size=150) < 0.3).astype(float)
+        prevalence = y.mean()
+        start = (np.zeros(5), np.log(prevalence / (1 - prevalence)))
+        a = build("elastic_net_lr", lam=0.01).fit(X, y)
+        b = build("elastic_net_lr", lam=0.01).fit(X, y, start=start)
+        assert np.array_equal(a.coef_, b.coef_) and a.intercept_ == b.intercept_
+        assert a.n_iter_ == b.n_iter_
+
+
+def _clinical_design(seed, n=500):
+    """Four continuous columns, a one-hot block of four levels and one 0/1 flag."""
+    rng = np.random.default_rng(seed)
+    cont = rng.standard_normal((n, 4))
+    onehot = (rng.integers(0, 4, n)[:, None] == np.arange(4)).astype(float)
+    flag = (rng.uniform(size=n) < 0.3).astype(float)
+    z = 0.8 * cont[:, 0] - 0.5 * cont[:, 1] + onehot @ np.array([0.0, 0.4, -0.6, 0.9]) - 0.5
+    y = (rng.uniform(size=n) < 1 / (1 + np.exp(-z))).astype(float)
+    return np.column_stack([cont, onehot, flag]), y
+
+
+def _genomic_design(seed, n=900, p=50):
+    """Fifty standard-normal columns, six of them carrying signal."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:6] = rng.normal(0.0, 0.5, 6)
+    y = (rng.uniform(size=n) < 1 / (1 + np.exp(0.8 - X @ beta))).astype(float)
+    return X, y
+
+
+class TestElasticNetPath:
+    """The warm-started lam path against the cold search it replaced."""
+
+    @pytest.mark.parametrize("design, data_seed, alpha", [
+        (_clinical_design, 1, 0.5),
+        (_genomic_design, 2, 0.5),
+        (_clinical_design, 3, 0.0),
+        (_genomic_design, 4, 1.0),
+        (_genomic_design, 5, 0.0),
+        (_clinical_design, 6, 1.0),
+    ])
+    def test_path_selects_the_cold_search_lambda(self, monkeypatch, design, data_seed, alpha):
+        X, y = design(data_seed)
+        seed = 10 + data_seed
+        hp = {name: key.default for name, key in DEFAULT_MODELS["elastic_net_lr"].items() if name != "lam"}
+        cold_lam, cold_sweeps = lambda_search_cold(X, y, seed, **dict(hp, alpha=alpha))
+
+        sweeps = []
+        fit = ElasticNetLogistic.fit
+
+        def counted(self, *args, **kwargs):
+            model = fit(self, *args, **kwargs)
+            sweeps.append(model.n_iter_)
+            return model
+
+        monkeypatch.setattr(ElasticNetLogistic, "fit", counted)
+        model = fit_model(ModelSpec("elastic_net_lr", {"alpha": alpha, "lam": "auto"}, seed), X, y)
+        monkeypatch.undo()
+
+        assert model.lam == cold_lam
+        reference = build("elastic_net_lr", lam=cold_lam, alpha=alpha).fit(X, y)
+        assert np.array_equal(model.coef_, reference.coef_)
+        assert model.intercept_ == reference.intercept_
+        assert sum(sweeps[:-1]) < cold_sweeps  # the last fit is the final refit on all rows
 
 
 class TestRandomForest:

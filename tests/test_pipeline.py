@@ -10,7 +10,7 @@ import pytest
 
 from riskfuse.cli import main
 from riskfuse.errors import ConfigError
-from riskfuse.pipeline import CONFIG_SCHEMA, STAGES, PipelineConfig, run_pipeline
+from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, run_pipeline
 from riskfuse.synth import SynthParams, default_config, write_synth
 
 FAST_MODELS = {
@@ -185,6 +185,18 @@ class TestStagePrefix:
         assert "copula_fit.json" in names and "gof.json" not in names
         assert bundle.stages_run == ["load", "endpoint", "views", "scores", "copula"]
 
+    def test_prefix_run_removes_the_previous_runs_reports(self, synth_run, tmp_path):
+        raw = json.loads(json.dumps(synth_run[0]))
+        raw["output_dir"] = str(tmp_path / "out")
+        config = PipelineConfig.from_dict(raw)
+        run_pipeline(config)
+        (tmp_path / "out" / "notes.txt").write_text("kept\n")
+        bundle = run_pipeline(config, stop_after="copula")
+        written = [Path(f).name for f in bundle.written_files]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(written + ["notes.txt"])
+        assert set(TABLE_FILES + PLOT_FILES) - set(written) >= {"gof.json", "strata.csv", "km_curves.csv", "km.svg"}
+        assert (tmp_path / "out" / "notes.txt").read_text() == "kept\n"
+
     @pytest.mark.parametrize("stop_after", ["load", "endpoint", "views"])
     def test_early_prefix_writes_only_the_manifest(self, synth_run, tmp_path, stop_after):
         raw = json.loads(json.dumps(synth_run[0]))
@@ -271,6 +283,8 @@ class TestCli:
         ("horizon_months", -5, []),
         ("models.elastic_net_lr.alpha", 2, []),
         ("view_spec.clinical_columns", "age", []),
+        ("view_spec.clinical_columns", [], []),
+        ("copula.families", [], []),
     ])
     def test_bad_config_exits_two_before_load(self, tmp_path, capsys, key, value, argv):
         raw = {"input_csv": str(tmp_path / "absent.csv"), "output_dir": str(tmp_path / "out")}
