@@ -1,11 +1,12 @@
 """Command-line interface.
 
     fuse run   --config c.json [--stage NAME] [--seed N] [--out DIR]
-    fuse synth --out DIR [--seed N] [--n 800] [--copula gaussian] [--tau 0.43 | --rho R] ...
-    fuse gof   --scores scores.csv --family gaussian [--B 1000] [--m M] [--seed N]
+    fuse synth --out DIR [--seed N] [--n N] [--copula FAMILY] [--tau T | --rho R] ...
+    fuse gof   --scores scores.csv --family FAMILY [--B B] [--m M] [--seed N]
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
-The environment variable FUSE_THREADS caps bootstrap worker threads.
+FUSE_THREADS caps bootstrap worker threads: unset means 1, and a value that
+is not an integer >= 1 exits 2 before any input is read.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .copulas import FAMILIES, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError, NumericError
-from .gof import parametric_bootstrap
-from .pipeline import PipelineConfig, STAGES, run_pipeline
+from .gof import default_workers, parametric_bootstrap
+from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, run_pipeline
 from .synth import SynthParams, write_synth
 
 
@@ -38,19 +39,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic cohort plus a matching config")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--n", type=int, default=800)
-    synth.add_argument("--copula", default="gaussian", choices=FAMILIES)
+    # each flag sets, and takes its default from, the SynthParams field named by its dest
+    synth.add_argument("--seed", type=int, default=SynthParams.seed)
+    synth.add_argument("--n", type=int, default=SynthParams.n)
+    synth.add_argument("--copula", default=SynthParams.copula, choices=FAMILIES)
     synth.add_argument("--tau", type=float, default=None, help="dependence strength as Kendall tau")
     synth.add_argument("--rho", type=float, default=None, help="gaussian correlation (alternative to --tau)")
-    synth.add_argument("--genes", type=int, default=40)
-    synth.add_argument("--hazard-ratio", type=float, default=4.0, help="joint-high vs joint-low hazard ratio")
-    synth.add_argument("--single-ratio", type=float, default=2.0, help="single-high vs joint-low hazard ratio")
+    synth.add_argument("--genes", dest="n_genes", type=int, default=SynthParams.n_genes)
+    synth.add_argument("--hazard-ratio", dest="hazard_ratio_both", type=float,
+                       default=SynthParams.hazard_ratio_both, help="joint-high vs joint-low hazard ratio")
+    synth.add_argument("--single-ratio", dest="hazard_ratio_single", type=float,
+                       default=SynthParams.hazard_ratio_single, help="single-high vs joint-low hazard ratio")
 
     gof = sub.add_parser("gof", help="bootstrap goodness-of-fit for a score table")
     gof.add_argument("--scores", required=True, help="CSV with p_clin and p_gen columns")
     gof.add_argument("--family", required=True, choices=FAMILIES)
-    gof.add_argument("--B", type=int, default=1000)
+    gof.add_argument("--B", type=int, default=CONFIG_SCHEMA["copula"]["B"].default)
     gof.add_argument("--m", type=int, default=None)
     gof.add_argument("--seed", type=int, default=0)
     gof.add_argument("--out", default=None, help="optional path for the JSON result")
@@ -79,21 +83,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    tau = args.tau
-    if tau is None and args.rho is not None:
-        tau = float(2.0 / np.pi * np.arcsin(args.rho))
-    if tau is None:
-        tau = 0.43
-    params = SynthParams(
-        n=args.n,
-        copula=args.copula,
-        tau=tau,
-        seed=args.seed,
-        n_genes=args.genes,
-        hazard_ratio_both=args.hazard_ratio,
-        hazard_ratio_single=args.single_ratio,
-    )
-    write_synth(args.out, params)
+    chosen = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams) if hasattr(args, f.name)}
+    if args.tau is None:  # from --rho when given, else the SynthParams default
+        chosen["tau"] = SynthParams.tau if args.rho is None else float(2.0 / np.pi * np.arcsin(args.rho))
+    write_synth(args.out, SynthParams(**chosen))
     print(f"wrote cohort.csv, config.json, params.json to {args.out}")
     return 0
 
@@ -124,7 +117,8 @@ def _cmd_gof(args) -> int:
         raise DataError(f"cannot read scores: {exc}") from exc
     u = pseudo_observations(np.asarray(p_clin))
     v = pseudo_observations(np.asarray(p_gen))
-    result = parametric_bootstrap(u, v, args.family, n_boot=args.B, replicate_size=args.m, seed=args.seed)
+    result = parametric_bootstrap(u, v, args.family, n_boot=args.B, replicate_size=args.m, seed=args.seed,
+                                  refit=CONFIG_SCHEMA["copula"]["refit"].default)
     payload = dict(result.to_dict(), tau=kendall_tau(u, v))
     text = json.dumps(payload, indent=2)
     print(text)
@@ -138,6 +132,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        default_workers()  # a bad FUSE_THREADS fails before any input is read
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "synth":

@@ -20,6 +20,8 @@ DEATH_LABELS = frozenset({"died of disease", "dead", "deceased", "1"})
 ALIVE_LABELS = frozenset({"living", "alive", "0", "died of other causes"})
 
 SURVIVAL_COLUMNS = ("overall_survival_months", "overall_survival", "death_from_cancer")
+TIME_COLUMN = "overall_survival_months"
+STATUS_COLUMNS = ("death_from_cancer", "overall_survival")  # in order of preference
 
 # Clinical variables of the standard METABRIC export, used when no explicit
 # view specification is supplied.
@@ -61,11 +63,6 @@ class Column:
     name: str
     kind: str  # "numeric" | "categorical"
     values: np.ndarray
-
-    def missing_mask(self) -> np.ndarray:
-        if self.kind == "numeric":
-            return np.isnan(self.values)
-        return np.array([v is None for v in self.values], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,6 @@ class EndpointVector:
     t_months: np.ndarray
     delta: np.ndarray
     y: np.ndarray
-    horizon: float = 60.0
 
     def __post_init__(self):
         n = len(self.t_months)
@@ -129,7 +125,7 @@ class EndpointVector:
         return len(self.t_months)
 
     def take(self, idx: np.ndarray) -> "EndpointVector":
-        return EndpointVector(self.t_months[idx], self.delta[idx], self.y[idx], self.horizon)
+        return EndpointVector(self.t_months[idx], self.delta[idx], self.y[idx])
 
 
 @dataclass(frozen=True)
@@ -214,30 +210,36 @@ def _normalize_status(col: Column) -> np.ndarray:
     return out
 
 
-def build_endpoint(table: CohortTable, horizon: float = 60.0, status_column: str | None = None) -> EndpointVector:
+def endpoint_columns(status_column: str | None) -> tuple[str, ...]:
+    """The columns ``build_endpoint`` reads, or may read when no status column is forced."""
+    return (TIME_COLUMN, *(STATUS_COLUMNS if status_column is None else (status_column,)))
+
+
+def build_endpoint(table: CohortTable, horizon: float, status_column: str | None) -> EndpointVector:
     """Construct the fixed-window cancer-death endpoint from survival columns.
 
-    The event indicator comes from ``death_from_cancer`` when present (else
-    ``overall_survival``), with string labels normalized case-insensitively.
-    The binary outcome is 1 for a cancer death within the horizon, 0 for a
-    death after the horizon or survival past it, and missing when follow-up
-    ends before the horizon without an event or the status is unrecognized.
+    The event indicator comes from ``status_column``, or when that is None
+    from ``death_from_cancer`` when present (else ``overall_survival``), with
+    string labels normalized case-insensitively. The binary outcome is 1 for
+    a cancer death within the horizon, 0 for a death after the horizon or
+    survival past it, and missing when follow-up ends before the horizon
+    without an event or the status is unrecognized.
     """
-    if not table.has_column("overall_survival_months"):
-        raise DataError("endpoint requires column 'overall_survival_months'")
+    if not table.has_column(TIME_COLUMN):
+        raise DataError(f"endpoint requires column {TIME_COLUMN!r}")
     if status_column is None:
-        for cand in ("death_from_cancer", "overall_survival"):
+        for cand in STATUS_COLUMNS:
             if table.has_column(cand):
                 status_column = cand
                 break
         else:
-            raise DataError("endpoint requires 'death_from_cancer' or 'overall_survival'")
+            raise DataError(f"endpoint requires {' or '.join(map(repr, STATUS_COLUMNS))}")
     elif not table.has_column(status_column):
         raise DataError(f"status column {status_column!r} not present")
 
-    t_col = table.column("overall_survival_months")
+    t_col = table.column(TIME_COLUMN)
     if t_col.kind != "numeric":
-        raise DataError("'overall_survival_months' must be numeric")
+        raise DataError(f"{TIME_COLUMN!r} must be numeric")
     t = t_col.values.astype(float)
     if np.any(t[~np.isnan(t)] < 0):
         raise DataError("negative follow-up times")
@@ -250,7 +252,7 @@ def build_endpoint(table: CohortTable, horizon: float = 60.0, status_column: str
     y[known & (delta == 1) & (t > horizon)] = 0.0
     y[known & (delta == 0) & (t >= horizon)] = 0.0
     # remaining rows (censored before horizon, unknown status, missing time) stay NaN
-    return EndpointVector(t, delta, y, float(horizon))
+    return EndpointVector(t, delta, y)
 
 
 def filter_cohort(table: CohortTable, endpoint: EndpointVector) -> tuple[CohortTable, EndpointVector]:
@@ -263,16 +265,17 @@ def filter_cohort(table: CohortTable, endpoint: EndpointVector) -> tuple[CohortT
     return table.take_rows(keep), endpoint.take(keep)
 
 
-def split_views(table: CohortTable, spec: ViewSpec) -> tuple[CohortTable, CohortTable]:
+def split_views(table: CohortTable, spec: ViewSpec, status_column: str | None = None) -> tuple[CohortTable, CohortTable]:
     """Split predictors into a clinical view and the genomic remainder.
 
-    Survival columns and the id column never appear in either view, even if
-    listed among the clinical columns.
+    Survival columns, the id column and every column ``build_endpoint`` reads
+    for ``status_column`` never appear in either view, even if listed among
+    the clinical columns.
     """
     for name in (spec.id_column, *spec.clinical_columns, *spec.survival_columns):
         if not table.has_column(name):
             raise DataError(f"view column {name!r} not present in table")
-    excluded = set(spec.survival_columns) | {spec.id_column}
+    excluded = {*spec.survival_columns, *endpoint_columns(status_column), spec.id_column}
     clinical_names = [c for c in spec.clinical_columns if c not in excluded]
     if not clinical_names:
         raise DataError("clinical view is empty after removing id and survival columns")
@@ -283,7 +286,7 @@ def split_views(table: CohortTable, spec: ViewSpec) -> tuple[CohortTable, Cohort
     return table.select(clinical_names), table.select(genomic_names)
 
 
-def variance_filter(genomic: CohortTable, k: int = 50) -> CohortTable:
+def variance_filter(genomic: CohortTable, k: int) -> CohortTable:
     """Keep the k numeric columns with the largest sample variance.
 
     Missing cells are skipped; a column with fewer than two observed values

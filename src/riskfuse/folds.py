@@ -23,7 +23,7 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of != fold)
 
 
-def stratified_kfold(y, k: int = 5, seed: int = 0, row_ids=None) -> FoldAssignment:
+def stratified_kfold(y, k: int, seed: int, row_ids=None) -> FoldAssignment:
     """Assign rows to k folds, balancing each class to within one row per fold.
 
     When ``row_ids`` are given, a row's fold depends only on the identifiers

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau, pseudo_observations, sample
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .ranks import RankPass, rank_pass
 from .seeding import stream_rng
 
@@ -38,7 +38,7 @@ class GofResult:
     p_value: float
     model: CopulaModel
     degenerate_fit: bool = False  # parameter pinned at a bound (e.g. Clayton floor)
-    replicates: np.ndarray | None = None
+    replicates: np.ndarray | None = None  # the B null statistics
 
     def to_dict(self) -> dict:
         return {
@@ -108,28 +108,27 @@ def _one_replicate(model_hat, family, m, seed, b, refit):
 
 
 def default_workers() -> int:
+    """Bootstrap worker threads: FUSE_THREADS, an integer >= 1, or 1 when unset."""
     raw = os.environ.get("FUSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ConfigError(f"FUSE_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def parametric_bootstrap(
     u,
     v,
     family: str,
-    n_boot: int = 1000,
-    replicate_size: int | None = None,
-    seed: int = 0,
-    refit: bool = True,
-    keep_replicates: bool = False,
-    workers: int | None = None,
+    n_boot: int,
+    replicate_size: int | None,
+    seed: int,
+    refit: bool,
 ) -> GofResult:
     """Bootstrap-calibrated CvM test of one copula family against the sample.
 
-    Replicates default to the sample size; each uses its own RNG stream keyed
-    by (seed, family, replicate), so worker scheduling never affects the
+    Replicates are ``replicate_size`` pairs, or the sample size when that is
+    None; each uses its own RNG stream keyed by (seed, family, replicate), so
+    the scheduling of the ``default_workers()`` threads never affects the
     result. A non-positive tau pins Clayton at its parameter floor; the fit
     still runs and is flagged degenerate.
     """
@@ -149,7 +148,7 @@ def parametric_bootstrap(
     degenerate = family == "clayton" and tau_hat <= 0
     stat = cvm_statistic(u, v, model_hat)
 
-    workers = default_workers() if workers is None else max(1, int(workers))
+    workers = default_workers()
     if workers == 1:
         reps = np.array([_one_replicate(model_hat, family, m, seed, b, refit) for b in range(n_boot)])
     else:
@@ -167,7 +166,7 @@ def parametric_bootstrap(
         p_value=p_value,
         model=model_hat,
         degenerate_fit=degenerate,
-        replicates=reps if keep_replicates else None,
+        replicates=reps,
     )
 
 

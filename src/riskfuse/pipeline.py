@@ -132,7 +132,7 @@ def _endpoint(bundle: ReportBundle):
 
 
 def _views(bundle: ReportBundle):
-    clinical, genomic = split_views(bundle.table, bundle.config.view_spec)
+    clinical, genomic = split_views(bundle.table, bundle.config.view_spec, bundle.config.endpoint_status_column)
     bundle.views = {"clinical": clinical, "genomic": variance_filter(genomic, k=bundle.config.genomic_top_k)}
 
 

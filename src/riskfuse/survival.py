@@ -89,7 +89,7 @@ def joint_strata(p_clin, p_gen) -> StratumAssignment:
     return StratumAssignment(labels=labels, median_clin=m_clin, median_gen=m_gen)
 
 
-def strata_km(assignment: StratumAssignment, times, events, min_size: int = 10) -> StrataKMResult:
+def strata_km(assignment: StratumAssignment, times, events, min_size: int) -> StrataKMResult:
     """Kaplan-Meier curve per stratum over full follow-up; small strata are
     left out and reported."""
     times = np.asarray(times, dtype=float)

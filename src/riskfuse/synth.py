@@ -17,8 +17,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.special import ndtri
 
+from .cohort import SURVIVAL_COLUMNS
 from .copulas import fit_family, sample
 from .errors import ConfigError
+from .pipeline import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def generate_cohort(params: SynthParams):
         ["patient_id", "age_at_diagnosis", "tumor_size", "node_burden", "prognostic_index",
          "marker_noise", "grade", "receptor_status", "center"]
         + [f"g{j + 1:03d}_exp" for j in range(params.n_genes)]
-        + ["overall_survival_months", "overall_survival", "death_from_cancer"]
+        + list(SURVIVAL_COLUMNS)
     )
     rows = []
     for i in range(params.n):
@@ -137,26 +139,21 @@ CLINICAL_COLUMNS = [
 
 
 def default_config(csv_path: str, out_dir: str, params: SynthParams) -> dict:
-    """A pipeline config sized for the synthetic cohort."""
-    return {
+    """A complete pipeline config sized for the synthetic cohort: the settings
+    below, and the schema defaults for every other key."""
+    return PipelineConfig.from_dict({
         "input_csv": csv_path,
         "output_dir": out_dir,
-        "horizon_months": 60,
-        "view_spec": {
-            "id_column": "patient_id",
-            "clinical_columns": CLINICAL_COLUMNS,
-            "survival_columns": ["overall_survival_months", "overall_survival", "death_from_cancer"],
-        },
+        "view_spec": {"clinical_columns": CLINICAL_COLUMNS},
         "genomic_top_k": 20,
-        "cv": {"k": 5, "seed": params.seed},
+        "cv": {"seed": params.seed},
         "models": {
-            "elastic_net_lr": {"alpha": 0.5, "lam": "auto", "grid_points": 5, "inner_folds": 3},
-            "random_forest": {"n_trees": 50, "min_leaf": 5},
-            "gradient_boosting": {"n_rounds": 60, "learning_rate": 0.1, "max_depth": 2},
+            "elastic_net_lr": {"grid_points": 5},
+            "random_forest": {"n_trees": 50},
+            "gradient_boosting": {"n_rounds": 60, "max_depth": 2},
         },
-        "copula": {"families": ["gaussian", "clayton", "gumbel"], "B": 200, "m": None, "seed": params.seed + 1},
-        "strata": {"min_size": 10},
-    }
+        "copula": {"B": 200, "seed": params.seed + 1},
+    }).to_dict()
 
 
 def write_synth(out_dir, params: SynthParams) -> dict:

@@ -65,7 +65,7 @@ class TestBuildEndpoint:
             [40, 80, 70, 30],
             ["Died of Disease", "Died of Disease", "Living", "Living"],
         )
-        ep = build_endpoint(table, horizon=60)
+        ep = build_endpoint(table, horizon=60, status_column=None)
         assert ep.y[0] == 1.0  # event within the window
         assert ep.y[1] == 0.0  # died after the window
         assert ep.y[2] == 0.0  # alive past the window
@@ -76,7 +76,7 @@ class TestBuildEndpoint:
             [10, 10, 10, 10, 90, 10],
             ["DEAD", "deceased", "1", "Died of Other Causes", "ALIVE", "mystery"],
         )
-        ep = build_endpoint(table)
+        ep = build_endpoint(table, horizon=60, status_column=None)
         assert list(ep.delta[:3]) == [1.0, 1.0, 1.0]
         assert ep.delta[3] == 0.0  # non-cancer death counts as no event
         assert ep.delta[4] == 0.0
@@ -87,7 +87,7 @@ class TestBuildEndpoint:
             overall_survival_months=np.array([10.0, 90.0]),
             overall_survival=np.array([1.0, 0.0]),
         )
-        ep = build_endpoint(table)
+        ep = build_endpoint(table, horizon=60, status_column=None)
         assert ep.y[0] == 1.0 and ep.y[1] == 0.0
 
     def test_prefers_cancer_specific_column(self):
@@ -96,24 +96,24 @@ class TestBuildEndpoint:
             overall_survival=np.array([1.0]),
             death_from_cancer=np.array(["Living"], dtype=object),
         )
-        ep = build_endpoint(table)
+        ep = build_endpoint(table, horizon=60, status_column=None)
         assert np.isnan(ep.y[0])  # living + t<60: indeterminate
 
     def test_missing_required_columns(self):
         with pytest.raises(DataError, match="overall_survival_months"):
-            build_endpoint(make_table(x=np.array([1.0])))
+            build_endpoint(make_table(x=np.array([1.0])), horizon=60, status_column=None)
         with pytest.raises(DataError, match="death_from_cancer"):
-            build_endpoint(make_table(overall_survival_months=np.array([1.0])))
+            build_endpoint(make_table(overall_survival_months=np.array([1.0])), horizon=60, status_column=None)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DataError, match="negative"):
-            build_endpoint(self.make([-1], ["Living"]))
+            build_endpoint(self.make([-1], ["Living"]), horizon=60, status_column=None)
 
     def test_reconstruction_invariant(self, rng):
         n = 300
         t = rng.uniform(0, 150, n)
         labels = rng.choice(["Died of Disease", "Living", "Died of Other Causes"], n)
-        ep = build_endpoint(self.make(t, labels), horizon=60)
+        ep = build_endpoint(self.make(t, labels), horizon=60, status_column=None)
         for i in range(n):
             d, ti = ep.delta[i], ep.t_months[i]
             if d == 1 and ti <= 60:
@@ -131,7 +131,7 @@ class TestFilterCohort:
             overall_survival_months=np.asarray(times, dtype=float),
             death_from_cancer=np.array(statuses, dtype=object),
         )
-        return table, build_endpoint(table)
+        return table, build_endpoint(table, horizon=60, status_column=None)
 
     def test_drops_missing_y(self):
         table, ep = self.make(
@@ -188,6 +188,17 @@ class TestSplitViews:
         reunion = set(clin.column_names) | set(gen.column_names) | {"patient_id"} | set(spec.survival_columns)
         assert reunion == set(table.column_names)
         assert not set(clin.column_names) & set(gen.column_names)
+
+    def test_endpoint_columns_excluded_without_survival_columns(self):
+        spec = ViewSpec(clinical_columns=("age", "overall_survival_months"), survival_columns=())
+        clin, gen = split_views(self.make(), spec)
+        assert clin.column_names == ["age"]
+        assert gen.column_names == ["tumor_size", "gene1_z"]
+
+    def test_forced_status_column_is_the_only_status_excluded(self):
+        spec = ViewSpec(clinical_columns=("age",), survival_columns=())
+        clin, gen = split_views(self.make(), spec, status_column="death_from_cancer")
+        assert gen.column_names == ["tumor_size", "gene1_z", "overall_survival"]
 
     def test_absent_column_is_error(self):
         spec = ViewSpec(clinical_columns=("age", "nope"))

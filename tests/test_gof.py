@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from riskfuse.copulas import fit_clayton, fit_gaussian, fit_gumbel, pseudo_observations, sample
-from riskfuse.errors import DataError, NumericError
+from riskfuse.errors import ConfigError, DataError, NumericError
 from riskfuse.gof import (
     GofResult,
     cvm_statistic,
@@ -78,7 +80,7 @@ class TestParametricBootstrap:
         model = fit_gaussian(0.4)
         u, v = sample(model, 120, seed=9)
         u, v = pseudo_observations(u), pseudo_observations(v)
-        args = dict(n_boot=50, seed=3)
+        args = dict(n_boot=50, replicate_size=None, seed=3, refit=True)
         args.update(kw)
         return parametric_bootstrap(u, v, "gaussian", **args)
 
@@ -87,25 +89,27 @@ class TestParametricBootstrap:
             self.run_small(n_boot=0)
 
     def test_p_value_bounds_and_formula(self):
-        res = self.run_small(keep_replicates=True)
+        res = self.run_small()
         assert 1.0 / 51.0 <= res.p_value <= 1.0
         expected = (1.0 + np.sum(res.replicates >= res.statistic)) / 51.0
         assert res.p_value == expected
 
     def test_statistic_below_every_replicate_gives_one(self):
-        res = self.run_small(keep_replicates=True)
+        res = self.run_small()
         forced = (1.0 + np.sum(res.replicates >= -1.0)) / 51.0
         assert forced == 1.0  # (1 + B) / (B + 1) at the formula boundary
 
     def test_reproducible_bit_exact(self):
-        a = self.run_small(keep_replicates=True)
-        b = self.run_small(keep_replicates=True)
+        a = self.run_small()
+        b = self.run_small()
         assert a.p_value == b.p_value
         assert np.array_equal(a.replicates, b.replicates)
 
-    def test_worker_count_does_not_change_result(self):
-        a = self.run_small(workers=1)
-        b = self.run_small(workers=2)
+    def test_worker_count_does_not_change_result(self, monkeypatch):
+        monkeypatch.setenv("FUSE_THREADS", "1")
+        a = self.run_small()
+        monkeypatch.setenv("FUSE_THREADS", "2")
+        b = self.run_small()
         assert a.p_value == b.p_value and a.statistic == b.statistic
 
     def test_worker_cap_read_from_environment(self, monkeypatch):
@@ -114,23 +118,32 @@ class TestParametricBootstrap:
         monkeypatch.setenv("FUSE_THREADS", "3")
         assert default_workers() == 3
         monkeypatch.setenv("FUSE_THREADS", "junk")
-        assert default_workers() == 1
+        with pytest.raises(ConfigError, match="FUSE_THREADS"):
+            default_workers()
         monkeypatch.delenv("FUSE_THREADS")
         assert default_workers() == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "1.5", "", "two"])
+    def test_worker_cap_must_be_a_positive_integer(self, monkeypatch, raw):
+        from riskfuse.gof import default_workers
+
+        monkeypatch.setenv("FUSE_THREADS", raw)
+        with pytest.raises(ConfigError, match=re.escape(f"FUSE_THREADS must be an integer >= 1, got {raw!r}")):
+            default_workers()
 
     def test_replicate_size_flag(self):
         res = self.run_small(replicate_size=64)
         assert res.replicate_size == 64
 
     def test_no_refit_flag_changes_distribution(self):
-        a = self.run_small(keep_replicates=True, refit=True)
-        b = self.run_small(keep_replicates=True, refit=False)
+        a = self.run_small(refit=True)
+        b = self.run_small(refit=False)
         assert not np.array_equal(a.replicates, b.replicates)
 
     def test_clayton_floor_flagged_degenerate(self, rng):
         u = pseudo_observations(rng.standard_normal(80))
         v = 1.0 - u  # strongly negative dependence
-        res = parametric_bootstrap(u, v, "clayton", n_boot=20, seed=1)
+        res = parametric_bootstrap(u, v, "clayton", n_boot=20, replicate_size=None, seed=1, refit=True)
         assert res.degenerate_fit
         assert res.model.param == 1e-6
 
@@ -143,10 +156,10 @@ class TestParametricBootstrap:
         for i in range(50):
             u, v = sample(gauss, 500, np.random.default_rng((500, i)))
             u, v = pseudo_observations(u), pseudo_observations(v)
-            null_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, seed=i).p_value)
+            null_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, replicate_size=None, seed=i, refit=True).p_value)
             u, v = sample(clay, 500, np.random.default_rng((501, i)))
             u, v = pseudo_observations(u), pseudo_observations(v)
-            alt_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, seed=i).p_value)
+            alt_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, replicate_size=None, seed=i, refit=True).p_value)
         assert np.median(alt_ps) < np.median(null_ps)
 
 

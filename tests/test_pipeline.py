@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskfuse.cli import main
+from riskfuse import cohort, folds, gof, survival
+from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
 from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, run_pipeline
 from riskfuse.synth import SynthParams, default_config, write_synth
@@ -217,6 +219,13 @@ class TestStagePrefix:
         assert "[stage views] view column 'nope' not present in table" in err
         assert err.count("[stage") == 1
 
+    def test_views_exclude_endpoint_columns_without_survival_columns(self, tmp_path):
+        cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
+        cfg["view_spec"]["survival_columns"] = []
+        bundle = run_pipeline(PipelineConfig.from_dict(cfg), stop_after="views", emit=False)
+        names = {name for view in bundle.views.values() for name in view.column_names}
+        assert not names & {"overall_survival_months", "overall_survival", "death_from_cancer"}
+
     def test_stage_tag_in_errors(self, tmp_path):
         cfg = {
             "input_csv": str(tmp_path / "missing.csv"),
@@ -237,6 +246,26 @@ class TestCli:
         json.dump(cfg, open(cfg_path, "w"))
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (out / "report" / "manifest.json").exists()
+
+    def test_synth_defaults_are_the_synth_params(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        write_synth(tmp_path / "lib", SynthParams())
+        for name in ("cohort.csv", "params.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+        raw = json.loads((tmp_path / "cli" / "config.json").read_text())
+        assert raw == PipelineConfig.from_dict(raw).to_dict()  # every key spelled out
+
+    def test_gof_replicates_default_to_copula_b(self):
+        args = _build_parser().parse_args(["gof", "--scores", "s.csv", "--family", "gaussian"])
+        assert args.B == CONFIG_SCHEMA["copula"]["B"].default
+
+    @pytest.mark.parametrize("argv", [["gof", "--scores", "absent.csv", "--family", "gaussian"], ["synth", "--out", "s"]])
+    def test_bad_worker_cap_exits_two_before_reading(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("FUSE_THREADS", "0")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "config error: FUSE_THREADS must be an integer >= 1, got '0'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -352,3 +381,17 @@ class TestCli:
         m2 = json.load(open(out / "r2" / "manifest.json"))
         assert m1["config"]["cv"]["seed"] != m2["config"]["cv"]["seed"]
         assert m1["kendall_tau"] != m2["kendall_tau"]
+
+
+def test_run_settings_have_no_library_defaults():
+    required = {
+        gof.parametric_bootstrap: ("n_boot", "replicate_size", "seed", "refit"),
+        cohort.variance_filter: ("k",),
+        cohort.build_endpoint: ("horizon", "status_column"),
+        folds.stratified_kfold: ("k", "seed"),
+        survival.strata_km: ("min_size",),
+    }
+    for fn, names in required.items():
+        params = inspect.signature(fn).parameters
+        assert [n for n in names if params[n].default is not inspect.Parameter.empty] == [], fn.__name__
+    assert "horizon" not in {f.name for f in dataclasses.fields(cohort.EndpointVector)}
