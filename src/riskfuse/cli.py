@@ -5,8 +5,6 @@
     fuse gof   --scores scores.csv --family FAMILY [--B B] [--m M] [--seed N]
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
-FUSE_THREADS caps bootstrap worker threads: unset means 1, and a value that
-is not an integer >= 1 exits 2 before any input is read.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 
 from .copulas import FAMILIES, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError, NumericError
-from .gof import default_workers, parametric_bootstrap
+from .gof import parametric_bootstrap
 from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, run_pipeline
 from .synth import SynthParams, write_synth
 
@@ -54,9 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gof = sub.add_parser("gof", help="bootstrap goodness-of-fit for a score table")
     gof.add_argument("--scores", required=True, help="CSV with p_clin and p_gen columns")
     gof.add_argument("--family", required=True, choices=FAMILIES)
-    gof.add_argument("--B", type=int, default=CONFIG_SCHEMA["copula"]["B"].default)
-    gof.add_argument("--m", type=int, default=None)
-    gof.add_argument("--seed", type=int, default=0)
+    # the defaults of a run's copula section, so a run's scores.csv reproduces its gof.json
+    copula = CONFIG_SCHEMA["copula"]
+    gof.add_argument("--B", type=int, default=copula["B"].default)
+    gof.add_argument("--m", type=int, default=copula["m"].default)
+    gof.add_argument("--seed", type=int, default=copula["seed"].default)
     gof.add_argument("--out", default=None, help="optional path for the JSON result")
     return parser
 
@@ -132,7 +132,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        default_workers()  # a bad FUSE_THREADS fails before any input is read
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "synth":

@@ -300,9 +300,6 @@ def variance_filter(genomic: CohortTable, k: int) -> CohortTable:
     for c in numeric:
         obs = c.values[~np.isnan(c.values)]
         variances.append(float(np.var(obs, ddof=1)) if len(obs) >= 2 else 0.0)
-    if len(numeric) <= k:
-        keep = list(range(len(numeric)))
-    else:
-        # stable sort on negated variance keeps original order among ties
-        keep = sorted(np.argsort(-np.asarray(variances), kind="stable")[:k])
+    # stable sort on negated variance keeps original order among ties
+    keep = sorted(np.argsort(-np.asarray(variances), kind="stable")[:k])
     return CohortTable(tuple(numeric[i] for i in keep), genomic.n_rows)

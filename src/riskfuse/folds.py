@@ -14,7 +14,6 @@ from .seeding import hash_seed
 class FoldAssignment:
     fold_of: np.ndarray  # per-row fold index in [0, k)
     k: int
-    seed: int
 
     def test_rows(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
@@ -57,4 +56,4 @@ def stratified_kfold(y, k: int, seed: int, row_ids=None) -> FoldAssignment:
         order = sorted(range(len(members)), key=lambda t: keys[t])
         for pos, t in enumerate(order):
             fold_of[members[t]] = pos % k
-    return FoldAssignment(fold_of=fold_of, k=k, seed=seed)
+    return FoldAssignment(fold_of=fold_of, k=k)

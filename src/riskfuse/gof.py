@@ -14,14 +14,12 @@ every sample pair with every query point, a block of queries at a time.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau, pseudo_observations, sample
-from .errors import ConfigError, DataError, NumericError
+from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
 from .seeding import stream_rng
 
@@ -107,14 +105,6 @@ def _one_replicate(model_hat, family, m, seed, b, refit):
     return cvm_statistic(u_rep, v_rep, model_b, ranks)
 
 
-def default_workers() -> int:
-    """Bootstrap worker threads: FUSE_THREADS, an integer >= 1, or 1 when unset."""
-    raw = os.environ.get("FUSE_THREADS", "1")
-    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
-        raise ConfigError(f"FUSE_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def parametric_bootstrap(
     u,
     v,
@@ -127,10 +117,9 @@ def parametric_bootstrap(
     """Bootstrap-calibrated CvM test of one copula family against the sample.
 
     Replicates are ``replicate_size`` pairs, or the sample size when that is
-    None; each uses its own RNG stream keyed by (seed, family, replicate), so
-    the scheduling of the ``default_workers()`` threads never affects the
-    result. A non-positive tau pins Clayton at its parameter floor; the fit
-    still runs and is flagged degenerate.
+    None; each uses its own RNG stream keyed by (seed, family, replicate).
+    A non-positive tau pins Clayton at its parameter floor; the fit still
+    runs and is flagged degenerate.
     """
     if n_boot < 1:
         raise NumericError("bootstrap requires at least one replicate")
@@ -148,14 +137,7 @@ def parametric_bootstrap(
     degenerate = family == "clayton" and tau_hat <= 0
     stat = cvm_statistic(u, v, model_hat)
 
-    workers = default_workers()
-    if workers == 1:
-        reps = np.array([_one_replicate(model_hat, family, m, seed, b, refit) for b in range(n_boot)])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reps = np.array(
-                list(pool.map(lambda b: _one_replicate(model_hat, family, m, seed, b, refit), range(n_boot)))
-            )
+    reps = np.array([_one_replicate(model_hat, family, m, seed, b, refit) for b in range(n_boot)])
 
     p_value = (1.0 + float(np.sum(reps >= stat))) / (n_boot + 1.0)
     return GofResult(

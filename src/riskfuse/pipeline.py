@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -24,7 +25,7 @@ import scipy
 from . import __version__, schema
 from .cohort import CohortTable, EndpointVector, ViewSpec, build_endpoint, filter_cohort, load_cohort, split_views, variance_filter
 from .copulas import FAMILIES, fit_family, kendall_tau, pseudo_observations
-from .errors import ConfigError, FuseError
+from .errors import ConfigError, DataError, FuseError
 from .folds import stratified_kfold
 from .gof import GofResult, parametric_bootstrap, select_best_copula
 from .metrics import roc_auc, roc_points
@@ -126,9 +127,16 @@ def _load(bundle: ReportBundle):
 def _endpoint(bundle: ReportBundle):
     config = bundle.config
     endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.endpoint_status_column)
+    ids = bundle.table.column(config.view_spec.id_column).values
     bundle.table, bundle.endpoint = filter_cohort(bundle.table, endpoint)
     bundle.n_analytic = bundle.table.n_rows
-    bundle.patient_ids = [str(v) for v in bundle.table.column(config.view_spec.id_column).values]
+    csv_row = {}  # patient id -> CSV row number of each analytic row; the header is row 1
+    for i in np.flatnonzero(~np.isnan(endpoint.y)):
+        pid = str(ids[i])
+        if pid in csv_row:
+            raise DataError(f"{config.view_spec.id_column} {pid!r} appears in CSV rows {csv_row[pid]} and {i + 2}")
+        csv_row[pid] = i + 2
+    bundle.patient_ids = list(csv_row)
 
 
 def _views(bundle: ReportBundle):
@@ -334,14 +342,23 @@ PLOT_FILES = tuple(name for name, _, _ in _PLOTS)
 
 def _write_reports(bundle: ReportBundle, out_dir, reports) -> list:
     """Write each report whose stage ran, and delete the others' files: a file
-    left by an earlier run into ``out_dir`` would describe a different run."""
+    left by an earlier run into ``out_dir`` would describe a different run.
+
+    Each file is written under a temporary name in ``out_dir`` and then
+    renamed onto its own, so a writer that fails leaves the old file whole."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, stage, writer in reports:
         path = out_dir / name
         if stage is None or stage in bundle.stages_run:
-            writer(bundle, path)
+            partial = out_dir / f".{name}.partial"
+            try:
+                writer(bundle, partial)
+            except BaseException:
+                partial.unlink(missing_ok=True)
+                raise
+            os.replace(partial, path)
             written.append(path)
         else:
             path.unlink(missing_ok=True)

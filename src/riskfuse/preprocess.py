@@ -35,26 +35,6 @@ class Preprocessor:
     numeric: dict
     categorical: dict
 
-    @property
-    def feature_names(self) -> list[str]:
-        names = []
-        for name, kind in self.schema:
-            if kind == "numeric":
-                names.append(name)
-            else:
-                names.extend(f"{name}={cat}" for cat in self.categorical[name].categories)
-        return names
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    values: np.ndarray
-    feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("feature matrix contains non-finite entries")
-
 
 MISSING_CATEGORY = "__missing__"
 
@@ -93,8 +73,8 @@ def fit_preprocessor(view: CohortTable, train_rows: np.ndarray) -> Preprocessor:
     return Preprocessor(schema=schema, numeric=numeric, categorical=categorical)
 
 
-def transform(pre: Preprocessor, view: CohortTable, rows: np.ndarray) -> FeatureMatrix:
-    """Impute, standardize and one-hot encode the given rows."""
+def transform(pre: Preprocessor, view: CohortTable, rows: np.ndarray) -> np.ndarray:
+    """Impute, standardize and one-hot encode the given rows into a float matrix."""
     if tuple((c.name, c.kind) for c in view.columns) != pre.schema:
         raise DataError("view schema does not match the fitted preprocessor")
     rows = np.asarray(rows)
@@ -121,4 +101,6 @@ def transform(pre: Preprocessor, view: CohortTable, rows: np.ndarray) -> Feature
                 # unseen category: leave the block all-zero
             blocks.append(block)
     values = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
-    return FeatureMatrix(values=values, feature_names=tuple(pre.feature_names))
+    if not np.all(np.isfinite(values)):
+        raise DataError("feature matrix contains non-finite entries")
+    return values

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError
 
 _MERGE_BLOCK = 32  # widest base block compared pairwise in one vectorized step
 
@@ -108,22 +108,13 @@ class RankPass(NamedTuple):
     ties_v: int
     ties_uv: int
 
-    def tau(self, variant: str = "a") -> float:
-        """Kendall's tau; "a" keeps tied pairs at zero against all pairs, "b"
-        normalizes the ties away."""
+    def tau(self) -> float:
+        """Kendall's tau-a: tied pairs count zero against all pairs."""
         n = len(self.dominance)
         if n < 2:
             raise DataError("Kendall's tau needs at least two pairs")
         n0 = n * (n - 1) // 2
-        c_minus_d = n0 - self.ties_u - self.ties_v + self.ties_uv - 2 * self.discordant
-        if variant == "a":
-            return c_minus_d / n0
-        if variant == "b":
-            denom = np.sqrt(float(n0 - self.ties_u) * float(n0 - self.ties_v))
-            if denom == 0:
-                raise NumericError("tau-b undefined: one margin is constant")
-            return c_minus_d / denom
-        raise NumericError(f"unknown tau variant {variant!r}")
+        return (n0 - self.ties_u - self.ties_v + self.ties_uv - 2 * self.discordant) / n0
 
 
 def rank_pass(u, v) -> RankPass:
@@ -166,10 +157,6 @@ def rank_pass(u, v) -> RankPass:
     )
 
 
-def kendall_tau(u, v, variant: str = "a") -> float:
-    """Kendall rank correlation from one ``rank_pass``.
-
-    variant "a" (default) leaves tied pairs contributing zero against the
-    full pair count; variant "b" normalizes the tie counts away.
-    """
-    return rank_pass(u, v).tau(variant)
+def kendall_tau(u, v) -> float:
+    """Kendall's tau-a from one ``rank_pass``."""
+    return rank_pass(u, v).tau()

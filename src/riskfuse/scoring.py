@@ -108,8 +108,8 @@ def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row
         if len(np.unique(y_train)) < 2:
             raise DataError(f"fold {f}: training complement lacks one of the classes")
         pre = fit_preprocessor(view, train)
-        X_train = transform(pre, view, train).values
-        X_test = transform(pre, view, test).values
+        X_train = transform(pre, view, train)
+        X_test = transform(pre, view, test)
         model = fit_model(
             ModelSpec(spec.family, spec.hyperparameters, hash_seed(spec.seed, "fold", f)),
             X_train,

@@ -75,20 +75,6 @@ def bvn_quad(x, y, rho, epsabs=1e-10):
     return val
 
 
-def tau_b_brute(u, v):
-    """Tau-b from the pair definition: (C - D) / sqrt((n0 - ties in u) (n0 - ties in v))."""
-    n = len(u)
-    s = 0.0
-    tu = tv = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s += np.sign(u[i] - u[j]) * np.sign(v[i] - v[j])
-            tu += u[i] == u[j]
-            tv += v[i] == v[j]
-    n0 = n * (n - 1) / 2.0
-    return s / np.sqrt((n0 - tu) * (n0 - tv))
-
-
 def average_ranks_brute(x):
     """1-based ranks by walking each tied block of the sorted values."""
     order = np.argsort(x, kind="stable")

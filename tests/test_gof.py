@@ -1,10 +1,8 @@
-import re
-
 import numpy as np
 import pytest
 
 from riskfuse.copulas import fit_clayton, fit_gaussian, fit_gumbel, pseudo_observations, sample
-from riskfuse.errors import ConfigError, DataError, NumericError
+from riskfuse.errors import DataError, NumericError
 from riskfuse.gof import (
     GofResult,
     cvm_statistic,
@@ -104,32 +102,6 @@ class TestParametricBootstrap:
         b = self.run_small()
         assert a.p_value == b.p_value
         assert np.array_equal(a.replicates, b.replicates)
-
-    def test_worker_count_does_not_change_result(self, monkeypatch):
-        monkeypatch.setenv("FUSE_THREADS", "1")
-        a = self.run_small()
-        monkeypatch.setenv("FUSE_THREADS", "2")
-        b = self.run_small()
-        assert a.p_value == b.p_value and a.statistic == b.statistic
-
-    def test_worker_cap_read_from_environment(self, monkeypatch):
-        from riskfuse.gof import default_workers
-
-        monkeypatch.setenv("FUSE_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("FUSE_THREADS", "junk")
-        with pytest.raises(ConfigError, match="FUSE_THREADS"):
-            default_workers()
-        monkeypatch.delenv("FUSE_THREADS")
-        assert default_workers() == 1
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "1.5", "", "two"])
-    def test_worker_cap_must_be_a_positive_integer(self, monkeypatch, raw):
-        from riskfuse.gof import default_workers
-
-        monkeypatch.setenv("FUSE_THREADS", raw)
-        with pytest.raises(ConfigError, match=re.escape(f"FUSE_THREADS must be an integer >= 1, got {raw!r}")):
-            default_workers()
 
     def test_replicate_size_flag(self):
         res = self.run_small(replicate_size=64)

@@ -72,7 +72,7 @@ def test_incomplete_folds_rejected(small_problem):
     folds = stratified_kfold(y, k=5, seed=0)
     orphaned = folds.fold_of.copy()
     orphaned[:3] = 99  # these rows never appear in any test fold
-    broken = type(folds)(fold_of=orphaned, k=5, seed=0)
+    broken = type(folds)(fold_of=orphaned, k=5)
     with pytest.raises(DataError, match="exactly once"):
         oof_scores(view, y, ModelSpec("elastic_net_lr", {"lam": 0.1}), broken)
 

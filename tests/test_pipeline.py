@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskfuse import cohort, folds, gof, survival
+from riskfuse import cohort, folds, gof, survival, svgplot
 from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
-from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, run_pipeline
+from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, render_plots, run_pipeline
 from riskfuse.synth import SynthParams, default_config, write_synth
 
 FAST_MODELS = {
@@ -162,6 +162,20 @@ class TestOutputs:
                 assert el.tag.split("}")[-1] not in ("image", "script", "use", "link")
                 assert not any("href" in a.lower() for a in el.attrib)
 
+    def test_failed_writer_leaves_the_previous_file(self, synth_run, tmp_path, monkeypatch):
+        bundle = dataclasses.replace(synth_run[2], written_files=[])
+        render_plots(bundle, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def broken_km(path, *args):
+            Path(path).write_text("<svg")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(svgplot, "render_km", broken_km)
+        with pytest.raises(OSError, match="disk full"):
+            render_plots(bundle, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, synth_run, tmp_path):
@@ -259,13 +273,49 @@ class TestCli:
         args = _build_parser().parse_args(["gof", "--scores", "s.csv", "--family", "gaussian"])
         assert args.B == CONFIG_SCHEMA["copula"]["B"].default
 
-    @pytest.mark.parametrize("argv", [["gof", "--scores", "absent.csv", "--family", "gaussian"], ["synth", "--out", "s"]])
-    def test_bad_worker_cap_exits_two_before_reading(self, tmp_path, monkeypatch, capsys, argv):
-        monkeypatch.setenv("FUSE_THREADS", "0")
-        monkeypatch.chdir(tmp_path)
-        assert main(argv) == 2
-        assert "config error: FUSE_THREADS must be an integer >= 1, got '0'" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    def test_gof_reproduces_the_runs_gof_json(self, tmp_path):
+        cfg = write_synth(tmp_path, SynthParams(n=200))
+        assert cfg["copula"]["seed"] == CONFIG_SCHEMA["copula"]["seed"].default
+        cfg["models"] = dict(FAST_MODELS)
+        cfg["copula"]["B"] = 40
+        run_pipeline(PipelineConfig.from_dict(cfg))
+        report = Path(cfg["output_dir"])
+        for entry in json.loads((report / "gof.json").read_text())["results"]:
+            out = tmp_path / f"{entry['family']}.json"
+            assert main(["gof", "--scores", str(report / "scores.csv"), "--family", entry["family"],
+                         "--B", "40", "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert (doc["statistic"], doc["p_value"]) == (entry["statistic"], entry["p_value"])
+
+    @staticmethod
+    def copy_first_id(cfg, analytic: bool):
+        """Give the first patient's id to the second analytic row, or to the
+        first row without a 5-year outcome; return the id and both CSV rows."""
+        table = cohort.load_cohort(cfg["input_csv"])
+        y = cohort.build_endpoint(table, horizon=cfg["horizon_months"], status_column=None).y
+        kept = np.flatnonzero(~np.isnan(y))
+        first, target = kept[0], kept[1] if analytic else np.flatnonzero(np.isnan(y))[0]
+        path = Path(cfg["input_csv"])
+        lines = path.read_text().splitlines()
+        pid = lines[first + 1].split(",")[0]
+        lines[target + 1] = pid + lines[target + 1][lines[target + 1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        return pid, first + 2, target + 2
+
+    def test_duplicate_patient_id_exits_three_at_endpoint(self, tmp_path, capsys):
+        cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
+        pid, row_a, row_b = self.copy_first_id(cfg, analytic=True)
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: [stage endpoint] patient_id {pid!r} appears in CSV rows {row_a} and {row_b}" in err
+        assert not Path(cfg["output_dir"]).exists()
+
+    def test_duplicate_id_on_a_dropped_row_still_runs(self, tmp_path):
+        cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
+        self.copy_first_id(cfg, analytic=False)
+        cfg["models"] = dict(FAST_MODELS)
+        bundle = run_pipeline(PipelineConfig.from_dict(cfg), stop_after="scores", emit=False)
+        assert len(set(bundle.patient_ids)) == bundle.n_analytic < bundle.n_loaded
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

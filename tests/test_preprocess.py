@@ -28,16 +28,16 @@ def test_constant_numeric_transforms_to_zeros():
     view = make_table(x=np.array([7.0, 7.0, 7.0]))
     pre = fit_preprocessor(view, np.arange(3))
     out = transform(pre, view, np.arange(3))
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_zscore_and_missing_imputation():
     view = make_table(x=np.array([1.0, 3.0, np.nan, 5.0]))
     pre = fit_preprocessor(view, np.array([0, 1]))  # mean 2, sd sqrt(2), median 2
     out = transform(pre, view, np.arange(4))
-    assert out.values[2, 0] == 0.0  # imputed to the median, then centered away
-    assert out.values[3, 0] == pytest.approx((5.0 - 2.0) / np.sqrt(2.0))
-    assert np.isfinite(out.values).all()
+    assert out[2, 0] == 0.0  # imputed to the median, then centered away
+    assert out[3, 0] == pytest.approx((5.0 - 2.0) / np.sqrt(2.0))
+    assert np.isfinite(out).all()
 
 
 def test_value_5_mean_2_sd_1_gives_3():
@@ -45,22 +45,21 @@ def test_value_5_mean_2_sd_1_gives_3():
     pre = fit_preprocessor(view, np.array([0, 1, 2]))
     assert pre.numeric["x"].mean == 2.0 and pre.numeric["x"].sd == 1.0
     out = transform(pre, view, np.array([3]))
-    assert out.values[0, 0] == pytest.approx(3.0)
+    assert out[0, 0] == pytest.approx(3.0)
 
 
 def test_unseen_category_encodes_all_zero():
     view = make_table(c=np.array(["a", "b", "c"], dtype=object))
     pre = fit_preprocessor(view, np.array([0, 1]))  # categories (a, b)
     out = transform(pre, view, np.array([2]))
-    assert out.feature_names == ("c=a", "c=b")
-    assert np.array_equal(out.values, [[0.0, 0.0]])
+    assert np.array_equal(out, [[0.0, 0.0]])
 
 
 def test_missing_categorical_imputed_with_mode():
     view = make_table(c=np.array(["a", "a", "b", None], dtype=object))
     pre = fit_preprocessor(view, np.arange(4))
     out = transform(pre, view, np.array([3]))
-    assert np.array_equal(out.values, [[1.0, 0.0]])
+    assert np.array_equal(out, [[1.0, 0.0]])
 
 
 def test_entirely_missing_columns():
@@ -70,9 +69,9 @@ def test_entirely_missing_columns():
     )
     pre = fit_preprocessor(view, np.arange(2))
     out = transform(pre, view, np.arange(2))
-    assert np.all(out.values[:, 0] == 0.0)  # numeric block
+    assert np.all(out[:, 0] == 0.0)  # numeric block
     assert pre.categorical["c"].categories == ("__missing__",)
-    assert np.all(out.values[:, 1] == 1.0)  # dedicated missing category
+    assert np.all(out[:, 1] == 1.0)  # dedicated missing category
 
 
 def test_transform_of_fit_rows_has_no_missing(rng):
@@ -82,7 +81,7 @@ def test_transform_of_fit_rows_has_no_missing(rng):
     view = make_table(x=vals, c=labels)
     pre = fit_preprocessor(view, np.arange(30))
     out = transform(pre, view, np.arange(30))
-    assert np.isfinite(out.values).all()
+    assert np.isfinite(out).all()
 
 
 def test_schema_mismatch_rejected():
