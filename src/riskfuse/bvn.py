@@ -31,18 +31,23 @@ _GL_W = np.array([
 
 
 def _bvnu_moderate(h, k, r):
-    """Upper-quadrant probability for |r| < 0.925 (arrays of equal shape)."""
+    """Upper-quadrant probability for |r| < 0.925 (1-D arrays of equal length).
+
+    The quadrature nodes depend on r alone, so their sines are taken once per
+    distinct r; a bootstrap replicate has one r for all its points.
+    """
     hk = h * k
     hs = 0.5 * (h * h + k * k)
-    asr = np.arcsin(r)
-    sn_lo = np.sin(asr[..., None] * (1.0 - _GL_X) / 2.0)
-    sn_hi = np.sin(asr[..., None] * (1.0 + _GL_X) / 2.0)
+    rho, at = np.unique(r, return_inverse=True)
+    asr = np.arcsin(rho)
+    sn_lo = np.sin(asr[:, None] * (1.0 - _GL_X) / 2.0)[at]
+    sn_hi = np.sin(asr[:, None] * (1.0 + _GL_X) / 2.0)[at]
 
     def integrand(sn):
-        return np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn))
+        return np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn))
 
     acc = np.sum(_GL_W * (integrand(sn_lo) + integrand(sn_hi)), axis=-1)
-    return acc * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
+    return acc * asr[at] / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
 
 
 def _bvnu_extreme(h, k, r):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from riskfuse.bvn import bivariate_normal_cdf
+from riskfuse.bvn import _bvnu_moderate, bivariate_normal_cdf
 from riskfuse.errors import NumericError
 
-from oracles import bvn_quad
+from oracles import bvn_quad, bvnu_moderate_pointwise
 
 
 def PHI(z):
@@ -66,3 +66,14 @@ def test_adaptive_integration_oracle(rng):
         x, y = rng.uniform(-4, 4, 2)
         r = rng.uniform(-0.99, 0.99)
         assert bivariate_normal_cdf(x, y, r) == pytest.approx(bvn_quad(x, y, r), abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 17, 150, 300, 765, 1783, 1999])
+def test_moderate_nodes_per_distinct_rho_match_pointwise(n):
+    rng = np.random.default_rng(n)
+    h, k = rng.uniform(-4, 4, (2, n))
+    for rho in np.linspace(-0.92, 0.92, 20):
+        r = np.full(n, rho)
+        assert np.array_equal(_bvnu_moderate(h, k, r), bvnu_moderate_pointwise(h, k, r))
+    r = rng.choice(np.linspace(-0.92, 0.92, 7), n)
+    assert np.array_equal(_bvnu_moderate(h, k, r), bvnu_moderate_pointwise(h, k, r))

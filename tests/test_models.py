@@ -1,16 +1,19 @@
+import hashlib
 import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskfuse.errors import NumericError
 from riskfuse.linear import ElasticNetLogistic, lambda_grid
 from riskfuse.metrics import roc_auc
 from riskfuse.scoring import DEFAULT_MODELS, ModelSpec, fit_model
 from riskfuse.seeding import stream_rng
+from riskfuse import trees
 from riskfuse.trees import GradientBoosting, RandomForest
 
-from oracles import lambda_search_cold
+from oracles import GradientBoostingOracle, RandomForestOracle, lambda_search_cold
 
 _CLASSES = {"elastic_net_lr": ElasticNetLogistic, "random_forest": RandomForest, "gradient_boosting": GradientBoosting}
 
@@ -208,3 +211,88 @@ class TestGradientBoosting:
         a = build("gradient_boosting", n_rounds=20, max_depth=2).fit(X, y).predict_proba(X)
         b = build("gradient_boosting", n_rounds=20, max_depth=2).fit(X, y).predict_proba(X)
         assert np.array_equal(a, b)
+
+
+def _same_trees(model, oracle):
+    assert len(model.trees_) == len(oracle.trees_)
+    for tree, expected in zip(model.trees_, oracle.trees_):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
+
+
+def _tied_design(seed, n, p):
+    """Small-integer columns (heavy ties), a constant column at times, and
+    near-duplicate values one part in 1e12 apart."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, rng.integers(1, 7, size=p), size=(n, p)).astype(float)
+    X += rng.choice([0.0, 0.0, 1e-12, 0.5], size=(n, p))
+    if rng.random() < 0.3:
+        X[:, rng.integers(p)] = 2.0
+    y = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(float)
+    return X, y
+
+
+def _frozen_design():
+    rng = np.random.default_rng(20261018)
+    n = 300
+    X = np.column_stack([rng.standard_normal((n, 3)), rng.integers(0, 5, (n, 2)).astype(float), np.full(n, 2.0)])
+    z = X[:, 0] - 0.7 * X[:, 3] + 0.5 * rng.standard_normal(n)
+    return X, (z > 0.3).astype(float)
+
+
+def _digest(model):
+    h = hashlib.sha256()
+    for tree in model.trees_:
+        for name in ("feature", "left", "right"):
+            h.update(getattr(tree, name).astype("<i8").tobytes())
+        for name in ("threshold", "value"):
+            h.update(getattr(tree, name).astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestTreeGrowth:
+    """Column blocks and the lockstep forest against the node-by-node grower."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 150), st.integers(1, 8),
+        st.integers(1, 8), st.sampled_from([None, 0, 1, 2, 3, 4, 5]), st.sampled_from(["none", "one", "p", "p+2"]),
+        st.integers(1, 12), st.integers(0, 8), st.sampled_from([None, 0, 1, 2, 3, 4, 5]),
+    )
+    def test_trees_match_the_oracle(self, seed, n, p, min_leaf, max_depth, mtry, n_trees, n_rounds, gb_depth):
+        X, y = _tied_design(seed, n, p)
+        mtry = {"none": None, "one": 1, "p": p, "p+2": p + 2}[mtry]
+        rf = dict(n_trees=n_trees, max_depth=max_depth, mtry=mtry, min_leaf=min_leaf, seed=seed % 1000)
+        _same_trees(RandomForest(**rf).fit(X, y), RandomForestOracle(**rf).fit(X, y))
+        gb = dict(n_rounds=n_rounds, learning_rate=0.5, max_depth=gb_depth)
+        model, oracle = GradientBoosting(**gb).fit(X, y), GradientBoostingOracle(**gb).fit(X, y)
+        _same_trees(model, oracle)
+        assert model.train_losses_ == oracle.train_losses_
+
+    @pytest.mark.parametrize("cells", [1, 40, 700])
+    def test_forest_batches_of_any_size_match_the_oracle(self, monkeypatch, cells):
+        X, y = _tied_design(3, 120, 5)
+        X[:, 0] = np.random.default_rng(4).standard_normal(120)
+        rf = dict(n_trees=9, max_depth=None, mtry=2, min_leaf=2, seed=8)
+        monkeypatch.setattr(trees, "_SPLIT_CELLS", cells)
+        _same_trees(RandomForest(**rf).fit(X, y), RandomForestOracle(**rf).fit(X, y))
+
+    def test_frozen_forest_and_boosting(self):
+        # sha256 over every tree's arrays, recorded from the node-by-node grower
+        X, y = _frozen_design()
+        rf = RandomForest(n_trees=20, max_depth=None, mtry=None, min_leaf=3, seed=5).fit(X, y)
+        gb = GradientBoosting(n_rounds=15, learning_rate=0.1, max_depth=3).fit(X, y)
+        assert sum(len(tree.feature) for tree in rf.trees_) == 614
+        assert _digest(rf) == "f33ecec58bf8c4c5558d01a7ceadfcf5313e5c16fdef61ab13d79deb3cde750b"
+        assert sum(len(tree.feature) for tree in gb.trees_) == 219
+        assert _digest(gb) == "6b129253679a2b2fa8b85fc9003442f78b1e41be2f2906abc97877a27073760c"
+
+    @pytest.mark.parametrize("bad", ["nan_feature", "label_two", "label_half"])
+    def test_forest_rejects_non_finite_features_and_non_binary_labels(self, bad):
+        X, y = _frozen_design()
+        if bad == "nan_feature":
+            X[7, 2] = np.nan
+        else:
+            y[7] = 2.0 if bad == "label_two" else 0.5
+        with pytest.raises(NumericError, match="random forest"):
+            build("random_forest", n_trees=2, seed=1).fit(X, y)
