@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -104,6 +105,8 @@ def _score_cell(path, row_no, row, column) -> float:
 
 
 def _cmd_gof(args) -> int:
+    if args.out and not Path(args.out).parent.is_dir():
+        raise ConfigError(f"--out {args.out}: {str(Path(args.out).parent)!r} is not a directory")
     try:
         with open(args.scores, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -115,6 +118,8 @@ def _cmd_gof(args) -> int:
                 p_gen.append(_score_cell(args.scores, row_no, row, "p_gen"))
     except OSError as exc:
         raise DataError(f"cannot read scores: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{args.scores}: not a readable UTF-8 CSV file: {exc}") from exc
     u = pseudo_observations(np.asarray(p_clin))
     v = pseudo_observations(np.asarray(p_gen))
     result = parametric_bootstrap(u, v, args.family, n_boot=args.B, replicate_size=args.m, seed=args.seed,
@@ -123,8 +128,11 @@ def _cmd_gof(args) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DataError(f"cannot write --out {args.out}: {exc}") from exc
     return 0
 
 

@@ -2,7 +2,8 @@
 
 A cohort is an immutable column-typed table. Numeric columns are stored as
 float arrays with NaN marking missing cells; categorical columns as object
-arrays with None marking missing cells. All operations return new tables.
+arrays with None marking missing cells. The loader types each column in one
+pass over its cells. All operations return new tables.
 """
 
 from __future__ import annotations
@@ -137,17 +138,20 @@ class ViewSpec:
     survival_columns: tuple[str, ...] = SURVIVAL_COLUMNS
 
 
-def _is_missing_token(cell: str) -> bool:
-    return cell.strip().lower() in MISSING_TOKENS
-
-
-def _parse_number(cell: str) -> float | None:
-    """Return a finite float, or None when the cell is not a usable number."""
+def _typed_column(name: str, cells) -> Column:
+    """One column, typed in one pass over its cells. ``float()`` ignores the whitespace
+    that ``str.strip()`` removes, so a stripped cell parses to the same bits."""
+    cells = [c.strip() for c in cells]
+    missing = [c.lower() in MISSING_TOKENS for c in cells]
     try:
-        x = float(cell)
+        parsed = [float(c) for c, m in zip(cells, missing) if not m]
     except ValueError:
-        return None
-    return x if np.isfinite(x) else None
+        parsed = None
+    if parsed is not None and np.isfinite(parsed).all():
+        values = np.full(len(cells), np.nan)
+        values[~np.array(missing, dtype=bool)] = parsed
+        return Column(name, "numeric", values)
+    return Column(name, "categorical", np.array([None if m else c for c, m in zip(cells, missing)], dtype=object))
 
 
 def load_cohort(csv_path) -> CohortTable:
@@ -155,7 +159,8 @@ def load_cohort(csv_path) -> CohortTable:
 
     A column is numeric when every non-missing cell parses to a finite
     number, categorical otherwise. Empty strings and the tokens NA / NaN
-    (any case) count as missing.
+    (any case, surrounding whitespace ignored) count as missing; categorical
+    cells are stored stripped.
     """
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -167,6 +172,8 @@ def load_cohort(csv_path) -> CohortTable:
             rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {csv_path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{csv_path}: not a readable UTF-8 CSV file: {exc}") from exc
 
     if len(set(header)) != len(header):
         raise DataError(f"{csv_path}: duplicate header names")
@@ -174,20 +181,9 @@ def load_cohort(csv_path) -> CohortTable:
         if len(row) != len(header):
             raise DataError(f"{csv_path}: row {i + 2} has {len(row)} fields, header has {len(header)}")
 
-    n = len(rows)
-    columns = []
-    for j, name in enumerate(header):
-        raw = [rows[i][j] for i in range(n)]
-        missing = [_is_missing_token(c) for c in raw]
-        parsed = [None if m else _parse_number(c) for c, m in zip(raw, missing)]
-        numeric = all(p is not None for p, m in zip(parsed, missing) if not m)
-        if numeric:
-            vals = np.array([np.nan if m else p for p, m in zip(parsed, missing)], dtype=float)
-            columns.append(Column(name, "numeric", vals))
-        else:
-            vals = np.array([None if m else c.strip() for c, m in zip(raw, missing)], dtype=object)
-            columns.append(Column(name, "categorical", vals))
-    return CohortTable(tuple(columns), n)
+    # zip(*rows) yields one column at a time, but no columns at all without rows
+    columns = zip(*rows) if rows else [()] * len(header)
+    return CohortTable(tuple(_typed_column(name, cells) for name, cells in zip(header, columns)), len(rows))
 
 
 def _normalize_status(col: Column) -> np.ndarray:

@@ -204,6 +204,8 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None, emit: bo
     """Execute the pipeline (optionally a prefix) and write the report files."""
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}; stages are {', '.join(STAGES)}")
+    if emit:
+        _check_output_dir(config.output_dir)
     bundle = ReportBundle(config=config)
     for name, stage in _STAGE_TABLE:
         try:
@@ -214,9 +216,23 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None, emit: bo
         if name == stop_after:
             break
     if emit:
-        emit_tables(bundle, config.output_dir)
-        render_plots(bundle, config.output_dir)
+        try:
+            emit_tables(bundle, config.output_dir)
+            render_plots(bundle, config.output_dir)
+        except OSError as exc:
+            raise DataError(f"cannot write the report to {config.output_dir}: {exc}") from exc
     return bundle
+
+
+def _check_output_dir(out_dir):
+    """Fail before any work when ``out_dir``, or its nearest existing
+    ancestor, is not a directory. Nothing is created here: a run that fails
+    on its data leaves no output directory."""
+    for path in (Path(out_dir), *Path(out_dir).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"[stage config] output_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
+            return
 
 
 def _write_csv(path, header, rows):

@@ -4,6 +4,7 @@ Each oracle is a direct transcription of a definition, kept deliberately
 naive and separate from the implementation it checks.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from scipy.special import ndtr
 
 from riskfuse import trees
 from riskfuse.bvn import _GL_W, _GL_X, _TWOPI
+from riskfuse.cohort import MISSING_TOKENS, CohortTable, Column
+from riskfuse.errors import DataError
 from riskfuse.folds import stratified_kfold
 from riskfuse.linear import ElasticNetLogistic, lambda_grid
 from riskfuse.metrics import roc_auc
@@ -108,6 +111,55 @@ def average_ranks_brute(x):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def _is_missing_token(cell: str) -> bool:
+    return cell.strip().lower() in MISSING_TOKENS
+
+
+def _parse_number(cell: str) -> float | None:
+    """Return a finite float, or None when the cell is not a usable number."""
+    try:
+        x = float(cell)
+    except ValueError:
+        return None
+    return x if np.isfinite(x) else None
+
+
+def load_cohort_cells(csv_path) -> CohortTable:
+    """The loader the one-pass column typing replaced: five Python passes over
+    every cell, through the two per-cell helpers above. Kept as it was."""
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{csv_path}: file is empty")
+            rows = list(reader)
+    except OSError as exc:
+        raise DataError(f"cannot read {csv_path}: {exc}") from exc
+
+    if len(set(header)) != len(header):
+        raise DataError(f"{csv_path}: duplicate header names")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{csv_path}: row {i + 2} has {len(row)} fields, header has {len(header)}")
+
+    n = len(rows)
+    columns = []
+    for j, name in enumerate(header):
+        raw = [rows[i][j] for i in range(n)]
+        missing = [_is_missing_token(c) for c in raw]
+        parsed = [None if m else _parse_number(c) for c, m in zip(raw, missing)]
+        numeric = all(p is not None for p, m in zip(parsed, missing) if not m)
+        if numeric:
+            vals = np.array([np.nan if m else p for p, m in zip(parsed, missing)], dtype=float)
+            columns.append(Column(name, "numeric", vals))
+        else:
+            vals = np.array([None if m else c.strip() for c, m in zip(raw, missing)], dtype=object)
+            columns.append(Column(name, "categorical", vals))
+    return CohortTable(tuple(columns), n)
 
 
 def lambda_search_cold(X, y, seed, *, alpha, grid_points, inner_folds, max_iter, tol):

@@ -1,3 +1,7 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,41 @@ from riskfuse.cohort import (
 from riskfuse.errors import DataError
 
 from conftest import make_table
+from oracles import load_cohort_cells
+
+
+@st.composite
+def _missing_cell(draw):
+    """A missing token in any case, padded with whitespace on either side."""
+    token = "".join(ch.upper() if draw(st.booleans()) else ch for ch in draw(st.sampled_from(["", "na", "nan"])))
+    pad = st.sampled_from(["", " ", "\t", "\xa0", " \xa0 "])
+    return draw(pad) + token + draw(pad)
+
+
+_NUMBER_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "1e999", "nan", "-nan", "1_000", "+5", " +2.5 ", "-0.0", "1e-400"]),
+)
+_TEXT_CELL = st.one_of(
+    st.sampled_from(["high", "R175H", "N/A", "Infinity", "0x10", "\u0661\u0662", " \xa01\xa0", "a,b", 'say "x"']),
+    st.text(alphabet="ab1. \xa0", max_size=4),
+)
+_COLUMN = st.one_of(
+    st.just(_missing_cell()),
+    st.just(st.one_of(_NUMBER_CELL, _missing_cell())),
+    st.just(st.one_of(_NUMBER_CELL, _missing_cell(), _TEXT_CELL)),
+)
+
+
+@st.composite
+def _csv_cells(draw):
+    """A header of 1-5 names and 0-8 rows; each column draws its cells from
+    missing tokens only, numbers and missing tokens, or any cell."""
+    n_rows = draw(st.integers(0, 8))
+    kinds = draw(st.lists(_COLUMN, min_size=1, max_size=5))
+    columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    return [f"c{j}" for j in range(len(columns))], [list(row) for row in zip(*columns)]
 
 
 class TestLoadCohort:
@@ -51,6 +90,38 @@ class TestLoadCohort:
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_cohort(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("body", [b"a,b\n1,\xff\n", b"a,b\n1," + b"9" * (csv.field_size_limit() + 1) + b"\n"],
+                             ids=["not-utf8", "field-too-large"])
+    def test_unparseable_file_is_a_data_error(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body)
+        with pytest.raises(DataError, match="t.csv: not a readable UTF-8 CSV file"):
+            load_cohort(path)
+
+    def test_header_only_gives_empty_numeric_columns(self, csv_dir):
+        table = load_cohort(csv_dir("t.csv", "a,b,c\n"))
+        assert table.n_rows == 0 and table.column_names == ["a", "b", "c"]
+        for col in table.columns:
+            assert col.kind == "numeric" and col.values.dtype == np.float64 and col.values.shape == (0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_cells())
+    def test_matches_the_per_cell_oracle(self, csv_cells):
+        header, rows = csv_cells
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows])
+            got, want = load_cohort(path), load_cohort_cells(path)
+        assert got.n_rows == want.n_rows == len(rows)
+        assert got.column_names == want.column_names == header
+        for g, w in zip(got.columns, want.columns):
+            assert (g.kind, g.values.dtype) == (w.kind, w.values.dtype)
+            if g.kind == "numeric":
+                assert g.values.tobytes() == w.values.tobytes()
+            else:
+                assert list(g.values) == list(w.values)
 
 
 class TestBuildEndpoint:

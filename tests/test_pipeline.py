@@ -386,6 +386,60 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "[stage load]" in capsys.readouterr().err
 
+    # bytes that are not UTF-8, and a field over the csv module's field-size limit
+    UNREADABLE_CSV = [b"a,b\n1,\xff\n", b"a,b\n1," + b"9" * (csv.field_size_limit() + 1) + b"\n"]
+
+    @pytest.mark.parametrize("body", UNREADABLE_CSV, ids=["not-utf8", "field-too-large"])
+    def test_unparseable_cohort_exits_three(self, tmp_path, capsys, body):
+        (tmp_path / "cohort.csv").write_bytes(body)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_csv": str(tmp_path / "cohort.csv"), "output_dir": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: [stage load] ") and "cohort.csv" in err
+
+    @pytest.mark.parametrize("body", UNREADABLE_CSV, ids=["not-utf8", "field-too-large"])
+    def test_gof_unparseable_scores_exits_three(self, tmp_path, capsys, body):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(body.replace(b"a,b", b"p_clin,p_gen"))
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 3
+        assert "scores.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["cohort.csv", "cohort.csv/report", "cohort.csv/a/b"])
+    def test_output_dir_under_a_file_exits_two_before_load(self, tmp_path, capsys, out):
+        (tmp_path / "cohort.csv").write_text("a\n1\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_csv": str(tmp_path / "absent.csv"), "output_dir": str(tmp_path / out)}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [stage config] output_dir ")
+        assert f"{str(tmp_path / 'cohort.csv')!r} is not a directory" in err
+
+    def test_report_write_failure_exits_three(self, tmp_path, capsys):
+        (tmp_path / "cohort.csv").write_text("a\n1\n")
+        (tmp_path / "o" / "manifest.json").mkdir(parents=True)  # a directory where a report file goes
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_csv": str(tmp_path / "cohort.csv"), "output_dir": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg), "--stage", "load"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write the report to ") and "manifest.json" in err
+
+    @pytest.mark.parametrize("out", ["nodir/g.json", "scores.csv/g.json"])
+    def test_gof_bad_out_parent_exits_two(self, tmp_path, capsys, out):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("p_clin,p_gen\n0.1,0.2\n0.3,0.4\n0.5,0.1\n")
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10",
+                     "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out {tmp_path / out}: ")
+
+    def test_gof_unwritable_out_exits_three(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("p_clin,p_gen\n" + "".join(f"{i / 31},{(7 * i) % 31 / 31}\n" for i in range(1, 31)))
+        (tmp_path / "g.json").mkdir()
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10",
+                     "--out", str(tmp_path / "g.json")]) == 3
+        assert f"data error: cannot write --out {tmp_path / 'g.json'}: " in capsys.readouterr().err
+
     def test_gof_subcommand(self, tmp_path, capsys, rng):
         rows = ["p_clin,p_gen"]
         z = rng.multivariate_normal([0, 0], [[1, 0.6], [0.6, 1]], size=150)
