@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -19,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .cohort import read_csv
 from .copulas import FAMILIES, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError, NumericError
 from .gof import parametric_bootstrap
-from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, run_pipeline
+from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, run_pipeline, write_file
 from .synth import SynthParams, write_synth
 
 
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             config = PipelineConfig.from_dict(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"[stage config] cannot read config: {exc}") from exc
@@ -92,14 +92,13 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _score_cell(path, row_no, row, column) -> float:
+def _score_cell(path, row_no, cell, column) -> float:
     """One score cell as a finite float; any other cell is a data error naming its row and column."""
-    cell = row[column]
     try:
         x = float(cell)
         if math.isfinite(x):
             return x
-    except (TypeError, ValueError):
+    except ValueError:
         pass
     raise DataError(f"{path}: row {row_no}, column {column}: {cell!r} is not a finite number")
 
@@ -107,19 +106,14 @@ def _score_cell(path, row_no, row, column) -> float:
 def _cmd_gof(args) -> int:
     if args.out and not Path(args.out).parent.is_dir():
         raise ConfigError(f"--out {args.out}: {str(Path(args.out).parent)!r} is not a directory")
-    try:
-        with open(args.scores, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"p_clin", "p_gen"} <= set(reader.fieldnames):
-                raise DataError(f"{args.scores}: needs columns p_clin and p_gen")
-            p_clin, p_gen = [], []
-            for row_no, row in enumerate(reader, start=1):
-                p_clin.append(_score_cell(args.scores, row_no, row, "p_clin"))
-                p_gen.append(_score_cell(args.scores, row_no, row, "p_gen"))
-    except OSError as exc:
-        raise DataError(f"cannot read scores: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{args.scores}: not a readable UTF-8 CSV file: {exc}") from exc
+    header, rows = read_csv(args.scores)
+    if not {"p_clin", "p_gen"} <= set(header):
+        raise DataError(f"{args.scores}: needs columns p_clin and p_gen")
+    i, j = header.index("p_clin"), header.index("p_gen")
+    p_clin, p_gen = [], []
+    for row_no, row in enumerate(rows, start=2):  # the header is row 1
+        p_clin.append(_score_cell(args.scores, row_no, row[i], "p_clin"))
+        p_gen.append(_score_cell(args.scores, row_no, row[j], "p_gen"))
     u = pseudo_observations(np.asarray(p_clin))
     v = pseudo_observations(np.asarray(p_gen))
     result = parametric_bootstrap(u, v, args.family, n_boot=args.B, replicate_size=args.m, seed=args.seed,
@@ -129,8 +123,7 @@ def _cmd_gof(args) -> int:
     print(text)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            write_file(args.out, lambda path: path.write_text(text + "\n", encoding="utf-8"))
         except OSError as exc:
             raise DataError(f"cannot write --out {args.out}: {exc}") from exc
     return 0

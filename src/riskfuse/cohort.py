@@ -154,33 +154,37 @@ def _typed_column(name: str, cells) -> Column:
     return Column(name, "categorical", np.array([None if m else c for c, m in zip(cells, missing)], dtype=object))
 
 
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and data rows of a UTF-8 CSV file; a leading byte-order mark
+    is dropped. A file that cannot be read or parsed, an empty file, duplicate
+    header names and a ragged row are each a ``DataError`` naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: file is empty")
+    header = rows.pop(0)
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate header names")
+    for row_no, row in enumerate(rows, start=2):  # the header is row 1
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")
+    return header, rows
+
+
 def load_cohort(csv_path) -> CohortTable:
-    """Load a CSV file with a header row into a typed CohortTable.
+    """Load a CSV file with a header row (see ``read_csv``) into a typed CohortTable.
 
     A column is numeric when every non-missing cell parses to a finite
     number, categorical otherwise. Empty strings and the tokens NA / NaN
     (any case, surrounding whitespace ignored) count as missing; categorical
     cells are stored stripped.
     """
-    try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{csv_path}: file is empty")
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {csv_path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{csv_path}: not a readable UTF-8 CSV file: {exc}") from exc
-
-    if len(set(header)) != len(header):
-        raise DataError(f"{csv_path}: duplicate header names")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{csv_path}: row {i + 2} has {len(row)} fields, header has {len(header)}")
-
+    header, rows = read_csv(csv_path)
     # zip(*rows) yields one column at a time, but no columns at all without rows
     columns = zip(*rows) if rows else [()] * len(header)
     return CohortTable(tuple(_typed_column(name, cells) for name, cells in zip(header, columns)), len(rows))

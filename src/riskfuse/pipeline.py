@@ -205,7 +205,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None, emit: bo
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"unknown stage {stop_after!r}; stages are {', '.join(STAGES)}")
     if emit:
-        _check_output_dir(config.output_dir)
+        check_output_dir(config.output_dir, "[stage config] output_dir")
     bundle = ReportBundle(config=config)
     for name, stage in _STAGE_TABLE:
         try:
@@ -224,25 +224,39 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None, emit: bo
     return bundle
 
 
-def _check_output_dir(out_dir):
-    """Fail before any work when ``out_dir``, or its nearest existing
-    ancestor, is not a directory. Nothing is created here: a run that fails
-    on its data leaves no output directory."""
+def check_output_dir(out_dir, label):
+    """Fail before any work when ``out_dir``, or its nearest existing ancestor,
+    is not a directory: a ``ConfigError`` naming the setting as ``label``.
+    Nothing is created here, so a run that fails leaves no output directory."""
     for path in (Path(out_dir), *Path(out_dir).parents):
         if path.exists():
             if not path.is_dir():
-                raise ConfigError(f"[stage config] output_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
+                raise ConfigError(f"{label} {str(out_dir)!r}: {str(path)!r} is not a directory")
             return
 
 
-def _write_csv(path, header, rows):
+def write_file(path, write):
+    """Write ``path`` atomically: ``write(partial)`` fills a temporary file
+    beside it, which is then renamed onto ``path``. On any exception the
+    partial file is deleted, so a failed write leaves the old file whole."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        write(partial)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _write_json(path, doc):
+def write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
 
@@ -255,23 +269,23 @@ def _scores_csv(bundle: ReportBundle, path):
             bundle.patient_ids, bundle.p_clin, bundle.p_gen, ep.y.astype(int), ep.t_months, ep.delta.astype(int)
         )
     ]
-    _write_csv(path, ["patient_id", "p_clin", "p_gen", "y", "t_months", "event"], rows)
+    write_csv(path, ["patient_id", "p_clin", "p_gen", "y", "t_months", "event"], rows)
 
 
 def _model_auc_csv(bundle: ReportBundle, path):
-    _write_csv(path, ["view", "model", "auc"], [[r.view, r.spec.family, str(r.auc)] for r in bundle.cv_records])
+    write_csv(path, ["view", "model", "auc"], [[r.view, r.spec.family, str(r.auc)] for r in bundle.cv_records])
 
 
 def _copula_fit_json(bundle: ReportBundle, path):
-    _write_json(path, {"tau": bundle.tau, "fits": [m.to_dict() for m in bundle.copula_fits]})
+    write_json(path, {"tau": bundle.tau, "fits": [m.to_dict() for m in bundle.copula_fits]})
 
 
 def _gof_json(bundle: ReportBundle, path):
-    _write_json(path, {"results": [r.to_dict() for r in bundle.gof_results], "selected": bundle.best_copula.family})
+    write_json(path, {"results": [r.to_dict() for r in bundle.gof_results], "selected": bundle.best_copula.family})
 
 
 def _strata_csv(bundle: ReportBundle, path):
-    _write_csv(path, ["patient_id", "stratum"], [list(row) for row in zip(bundle.patient_ids, bundle.strata.labels)])
+    write_csv(path, ["patient_id", "stratum"], [list(row) for row in zip(bundle.patient_ids, bundle.strata.labels)])
 
 
 def _km_curves_csv(bundle: ReportBundle, path):
@@ -279,7 +293,7 @@ def _km_curves_csv(bundle: ReportBundle, path):
     for label, curve in bundle.strata_result.curves.items():
         for t, s, d, r in zip(curve.times, curve.survival, curve.events, curve.at_risk):
             rows.append([label, str(float(t)), str(float(s)), int(d), int(r), curve.n_start])
-    _write_csv(path, ["stratum", "t", "S_hat", "d", "r", "n_start"], rows)
+    write_csv(path, ["stratum", "t", "S_hat", "d", "r", "n_start"], rows)
 
 
 def _manifest_json(bundle: ReportBundle, path):
@@ -310,7 +324,7 @@ def _manifest_json(bundle: ReportBundle, path):
             "sizes": bundle.strata_result.sizes,
             "omitted": bundle.strata_result.omitted,
         }
-    _write_json(path, manifest)
+    write_json(path, manifest)
 
 
 def _roc_svg(bundle: ReportBundle, path):
@@ -359,22 +373,14 @@ PLOT_FILES = tuple(name for name, _, _ in _PLOTS)
 def _write_reports(bundle: ReportBundle, out_dir, reports) -> list:
     """Write each report whose stage ran, and delete the others' files: a file
     left by an earlier run into ``out_dir`` would describe a different run.
-
-    Each file is written under a temporary name in ``out_dir`` and then
-    renamed onto its own, so a writer that fails leaves the old file whole."""
+    Each file is written atomically by ``write_file``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, stage, writer in reports:
         path = out_dir / name
         if stage is None or stage in bundle.stages_run:
-            partial = out_dir / f".{name}.partial"
-            try:
-                writer(bundle, partial)
-            except BaseException:
-                partial.unlink(missing_ok=True)
-                raise
-            os.replace(partial, path)
+            write_file(path, lambda partial: writer(bundle, partial))
             written.append(path)
         else:
             path.unlink(missing_ok=True)

@@ -57,13 +57,12 @@ def kaplan_meier(times, events) -> KMCurve:
     if not np.all(np.isin(events, (0, 1))):
         raise DataError("event indicators must be 0 or 1")
 
-    event_times = np.unique(times[events == 1])
+    event_times, d = np.unique(times[events == 1], return_counts=True)
     sorted_times = np.sort(times)
     n = len(times)
-    d = np.array([np.sum((times == t) & (events == 1)) for t in event_times], dtype=float)
     r = n - np.searchsorted(sorted_times, event_times, side="left").astype(float)
     surv = np.cumprod(1.0 - d / r)
-    return KMCurve(times=event_times, survival=surv, events=d.astype(int), at_risk=r.astype(int), n_start=n)
+    return KMCurve(times=event_times, survival=surv, events=d, at_risk=r.astype(int), n_start=n)
 
 
 def joint_strata(p_clin, p_gen) -> StratumAssignment:

@@ -10,17 +10,16 @@ a block of expression-like genes, survival time and status labels.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
 
 from .cohort import SURVIVAL_COLUMNS
 from .copulas import fit_family, sample
-from .errors import ConfigError
-from .pipeline import PipelineConfig
+from .errors import ConfigError, DataError
+from .pipeline import PipelineConfig, check_output_dir, write_csv, write_file, write_json
 
 
 @dataclass(frozen=True)
@@ -157,20 +156,17 @@ def default_config(csv_path: str, out_dir: str, params: SynthParams) -> dict:
 
 
 def write_synth(out_dir, params: SynthParams) -> dict:
-    """Write cohort.csv, config.json and params.json under out_dir."""
-    import pathlib
-
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write cohort.csv, config.json and params.json under out_dir, each with
+    ``write_file``; ``out_dir`` is checked before the cohort is generated."""
+    check_output_dir(out_dir, "--out")
     header, rows = generate_cohort(params)
-    csv_path = out / "cohort.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    config = default_config(str(csv_path), str(out / "report"), params)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2)
-    with open(out / "params.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(params), fh, indent=2)
+    out = Path(out_dir)
+    config = default_config(str(out / "cohort.csv"), str(out / "report"), params)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_file(out / "cohort.csv", lambda path: write_csv(path, header, rows))
+        write_file(out / "config.json", lambda path: write_json(path, config))
+        write_file(out / "params.json", lambda path: write_json(path, asdict(params)))
+    except OSError as exc:
+        raise DataError(f"cannot write the synthetic cohort to {out_dir}: {exc}") from exc
     return config

@@ -87,6 +87,11 @@ class TestLoadCohort:
         with pytest.raises(DataError, match="duplicate"):
             load_cohort(csv_dir("t.csv", "a,a\n1,2\n"))
 
+    @pytest.mark.parametrize("body", ["", "\ufeff"], ids=["empty", "bom-only"])
+    def test_empty_file_rejected(self, csv_dir, body):
+        with pytest.raises(DataError, match="t.csv: file is empty"):
+            load_cohort(csv_dir("t.csv", body))
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_cohort(tmp_path / "absent.csv")

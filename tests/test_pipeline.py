@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskfuse import cohort, folds, gof, survival, svgplot
+from riskfuse import cohort, folds, gof, survival, svgplot, synth
 from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
 from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, render_plots, run_pipeline
@@ -269,6 +269,36 @@ class TestCli:
         raw = json.loads((tmp_path / "cli" / "config.json").read_text())
         assert raw == PipelineConfig.from_dict(raw).to_dict()  # every key spelled out
 
+    @pytest.mark.parametrize("out", ["f", "f/out"])
+    def test_synth_out_under_a_file_exits_two_before_generating(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "f").write_text("a file\n")
+        monkeypatch.setattr(synth, "generate_cohort", lambda params: pytest.fail("cohort generated"))
+        assert main(["synth", "--out", str(tmp_path / out), "--n", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {str(tmp_path / out)!r}: ")
+        assert f"{str(tmp_path / 'f')!r} is not a directory" in err
+
+    def test_synth_write_failure_exits_three(self, tmp_path, capsys):
+        (tmp_path / "s" / "cohort.csv").mkdir(parents=True)  # a directory where cohort.csv goes
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n", "50"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write the synthetic cohort to {tmp_path / 's'}: ")
+        assert "cohort.csv" in err
+
+    def test_synth_failed_write_leaves_the_earlier_cohort(self, tmp_path, capsys, monkeypatch):
+        assert main(["synth", "--out", str(tmp_path), "--n", "50"]) == 0
+        before = (tmp_path / "cohort.csv").read_bytes()
+
+        def half_then_fail(path, header, rows):
+            path.write_text(",".join(header) + "\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(synth, "write_csv", half_then_fail)
+        assert main(["synth", "--out", str(tmp_path), "--n", "60"]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert (tmp_path / "cohort.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "config.json", "params.json"]
+
     def test_gof_replicates_default_to_copula_b(self):
         args = _build_parser().parse_args(["gof", "--scores", "s.csv", "--family", "gaussian"])
         assert args.B == CONFIG_SCHEMA["copula"]["B"].default
@@ -463,7 +493,35 @@ class TestCli:
         scores = tmp_path / "scores.csv"
         scores.write_text(f"p_clin,p_gen\n0.1,0.2\n0.3,0.4\n{cell},0.1\n0.7,0.9\n")
         assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 3
-        assert f"row 3, column p_clin: {cell!r} is not a finite number" in capsys.readouterr().err
+        assert f"row 4, column p_clin: {cell!r} is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0.3", "0.3,0.4,0.5"], ids=["short", "long"])
+    def test_gof_ragged_scores_exits_three(self, tmp_path, capsys, row):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"p_clin,p_gen\n0.1,0.2\n{row}\n0.5,0.1\n")
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 3
+        assert f"row 3 has {row.count(',') + 1} fields, header has 2" in capsys.readouterr().err
+
+    def test_gof_reads_a_byte_order_mark(self, tmp_path, capsys):
+        body = "p_clin,p_gen\n" + "".join(f"{i / 31},{(7 * i) % 31 / 31}\n" for i in range(1, 31))
+        outputs = []
+        for name, data in (("plain.csv", body.encode()), ("bom.csv", b"\xef\xbb\xbf" + body.encode())):
+            (tmp_path / name).write_bytes(data)
+            assert main(["gof", "--scores", str(tmp_path / name), "--family", "clayton", "--B", "10"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bom_on", ["cohort.csv", "c.json"])
+    def test_run_reads_a_byte_order_mark(self, tmp_path, bom_on):
+        # --stage endpoint: the first header, patient_id, is looked up there
+        (tmp_path / "cohort.csv").write_text("patient_id,overall_survival_months,death_from_cancer\n"
+                                             "P1,70,Living\nP2,12,Died of Disease\nP3,30,Living\n")
+        (tmp_path / "c.json").write_text(json.dumps({"input_csv": str(tmp_path / "cohort.csv"),
+                                                     "output_dir": str(tmp_path / "o")}))
+        (tmp_path / bom_on).write_bytes(b"\xef\xbb\xbf" + (tmp_path / bom_on).read_bytes())
+        assert main(["run", "--config", str(tmp_path / "c.json"), "--stage", "endpoint"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert (manifest["rows_loaded"], manifest["rows_analytic"]) == (3, 2)
 
     def test_gof_invalid_replicates_exits_four(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
