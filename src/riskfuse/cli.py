@@ -68,6 +68,8 @@ def _cmd_run(args) -> int:
             config = PipelineConfig.from_dict(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"[stage config] cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"[stage config] config {args.config} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"[stage config] config is not valid JSON: {exc}") from exc
     except ConfigError as exc:
@@ -104,6 +106,8 @@ def _score_cell(path, row_no, cell, column) -> float:
 
 
 def _cmd_gof(args) -> int:
+    copula = CONFIG_SCHEMA["copula"]
+    n_boot, m = copula["B"].read(args.B, "--B"), copula["m"].read(args.m, "--m")
     if args.out and not Path(args.out).parent.is_dir():
         raise ConfigError(f"--out {args.out}: {str(Path(args.out).parent)!r} is not a directory")
     header, rows = read_csv(args.scores)
@@ -116,8 +120,8 @@ def _cmd_gof(args) -> int:
         p_gen.append(_score_cell(args.scores, row_no, row[j], "p_gen"))
     u = pseudo_observations(np.asarray(p_clin))
     v = pseudo_observations(np.asarray(p_gen))
-    result = parametric_bootstrap(u, v, args.family, n_boot=args.B, replicate_size=args.m, seed=args.seed,
-                                  refit=CONFIG_SCHEMA["copula"]["refit"].default)
+    result = parametric_bootstrap(u, v, args.family, n_boot=n_boot, replicate_size=m, seed=args.seed,
+                                  refit=copula["refit"].default)
     payload = dict(result.to_dict(), tau=kendall_tau(u, v))
     text = json.dumps(payload, indent=2)
     print(text)

@@ -8,8 +8,8 @@ exceedance fraction (1 + #{S_b >= S}) / (B + 1).
 
 C_n at the sample points and Kendall's tau share one O(n log n) sort of the
 sample (``ranks.rank_pass``); each replicate sorts once for both its refit
-and its statistic. Queries at other points, such as a plotting grid, compare
-every sample pair with every query point, a block of queries at a time.
+and its statistic. Any other query points, such as a plotting grid, are
+counted by the same rank pass over the sample and the queries together.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau,
 from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
 from .seeding import stream_rng
-
-
-_PAIRWISE_CELLS = 1 << 20  # sample x query comparisons held in memory at once
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,10 @@ class GofResult:
 def empirical_copula(u_sample, v_sample, u, v):
     """C_n(u, v) = fraction of sample pairs dominated by (u, v) componentwise.
 
-    Queried at the sample points themselves, the counts come from one rank
-    pass; any other query points are compared with every sample pair, in
-    blocks of queries that keep the comparisons within _PAIRWISE_CELLS.
+    A query's count is its rank-pass dominance among the sample and the
+    queries together, less its dominance among the queries alone. Both count
+    ``<=`` exactly, identical pairs included, so the difference is the exact
+    number of sample pairs dominated by the query.
     """
     u_sample = np.asarray(u_sample, dtype=float)
     v_sample = np.asarray(v_sample, dtype=float)
@@ -62,20 +60,16 @@ def empirical_copula(u_sample, v_sample, u, v):
         raise DataError("sample arrays must be non-empty and equally long")
     if not (np.isfinite(u_sample).all() and np.isfinite(v_sample).all()):
         raise DataError("sample arrays must be finite")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    if u.shape == u_sample.shape and np.array_equal(u, u_sample) and np.array_equal(v, v_sample):
-        return rank_pass(u_sample, v_sample).dominance / len(u_sample)
-    uq = u.ravel()
-    vq = v.ravel()
-    counts = np.empty(len(uq), dtype=np.intp)
-    step = max(1, _PAIRWISE_CELLS // len(u_sample))
-    for lo in range(0, len(uq), step):
-        hits = u_sample[:, None] <= uq[None, lo : lo + step]
-        hits &= v_sample[:, None] <= vq[None, lo : lo + step]
-        counts[lo : lo + step] = hits.sum(axis=0)
-    out = (counts / len(u_sample)).reshape(u.shape)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    uq, vq = u.ravel(), v.ravel()
+    if not (np.isfinite(uq).all() and np.isfinite(vq).all()):
+        raise DataError("query points must be finite")
+    if uq.size == 0:
+        return np.zeros(u.shape)  # rank_pass needs at least one point
+    n = len(u_sample)
+    together = rank_pass(np.concatenate([u_sample, uq]), np.concatenate([v_sample, vq]))
+    counts = together.dominance[n:] - rank_pass(uq, vq).dominance
+    out = (counts / n).reshape(u.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -38,7 +38,7 @@ class TestEmpiricalCopula:
             )
 
     def test_query_blocks_match_one_comparison_matrix(self, rng):
-        n, q = 3000, 1000  # more comparisons than one block holds
+        n, q = 3000, 1000  # one rank pass over 4000 points against the full comparison matrix
         u, v = rng.uniform(size=n), rng.uniform(size=n)
         qu, qv = rng.uniform(size=q), rng.uniform(size=q)
         expected = ((u[:, None] <= qu[None, :]) & (v[:, None] <= qv[None, :])).sum(axis=0) / n

@@ -354,6 +354,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "[stage config]" in err
 
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"input_csv": "x.csv", "output_dir": "\xff"}')
+        assert main(["run", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [stage config] config {bad} is not UTF-8 text: ")
+
     def test_config_type_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"input_csv": "x.csv", "output_dir": "o", "copula": {"B": "many"}}')
@@ -523,11 +529,13 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert (manifest["rows_loaded"], manifest["rows_analytic"]) == (3, 2)
 
-    def test_gof_invalid_replicates_exits_four(self, tmp_path, capsys):
-        scores = tmp_path / "scores.csv"
-        scores.write_text("p_clin,p_gen\n0.1,0.2\n0.3,0.4\n0.5,0.1\n")
-        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "-1"]) == 4
-        assert "numeric error" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, bound", [("--B", "0", 1), ("--B", "-1", 1), ("--m", "1", 2)],
+                             ids=["B=0", "B=-1", "m=1"])
+    def test_gof_invalid_replicates_exits_two(self, tmp_path, capsys, flag, value, bound):
+        # the copula.B and copula.m rules of a run config, checked before the scores file is opened
+        argv = ["gof", "--scores", str(tmp_path / "absent.csv"), "--family", "gaussian", flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {flag} must be >= {bound}, got {value}\n"
 
     def test_seed_override_changes_outputs(self, tmp_path):
         out = tmp_path / "s"

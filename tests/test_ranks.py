@@ -27,9 +27,14 @@ class TestSamplePointCopula:
     def test_matches_pairwise_path_and_brute_force(self, seed, n):
         rng, u, v = tied_sample(seed, n)
         at_samples = empirical_copula(u, v, u, v)
-        # a column-shaped query is not the sample itself, so it takes the pairwise path
-        pairwise = empirical_copula(u, v, u[:, None], v[:, None]).ravel()
-        assert np.array_equal(at_samples, pairwise)
+        assert np.array_equal(at_samples, rank_pass(u, v).dominance / n)
+        # tied integer queries inside and just outside the sample's range, plus copies of sample points
+        k = int(max(u.max(), v.max()))
+        picks = rng.integers(0, n, 40)
+        qu = np.concatenate([rng.integers(-1, k + 2, 60), u[picks]]).astype(float)
+        qv = np.concatenate([rng.integers(-1, k + 2, 60), v[picks]]).astype(float)
+        matrix = ((u[:, None] <= qu[None, :]) & (v[:, None] <= qv[None, :])).sum(axis=0) / n
+        assert np.array_equal(empirical_copula(u, v, qu, qv), matrix)
         for i in rng.choice(n, size=min(n, 25), replace=False):
             assert at_samples[i] == empirical_copula_brute(u, v, u[i], v[i])
 
@@ -66,6 +71,7 @@ class TestNonFiniteInput:
             lambda: rank_pass(y, x),
             lambda: kendall_tau(y, x),
             lambda: empirical_copula(x, y, 0.5, 0.5),
+            lambda: empirical_copula(y, y, x, 0.5),
         ):
             with pytest.raises(DataError, match="finite"):
                 call()
