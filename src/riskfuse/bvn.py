@@ -31,23 +31,22 @@ _GL_W = np.array([
 
 
 def _bvnu_moderate(h, k, r):
-    """Upper-quadrant probability for |r| < 0.925 (1-D arrays of equal length).
+    """Upper-quadrant probability for |r| < 0.925: (rows, points) h and k, one r per row.
 
     The quadrature nodes depend on r alone, so their sines are taken once per
-    distinct r; a bootstrap replicate has one r for all its points.
+    row; a block of bootstrap replicates has one r per replicate.
     """
     hk = h * k
     hs = 0.5 * (h * h + k * k)
-    rho, at = np.unique(r, return_inverse=True)
-    asr = np.arcsin(rho)
-    sn_lo = np.sin(asr[:, None] * (1.0 - _GL_X) / 2.0)[at]
-    sn_hi = np.sin(asr[:, None] * (1.0 + _GL_X) / 2.0)[at]
+    asr = np.arcsin(r)[:, None]
+    sn_lo = np.sin(asr * (1.0 - _GL_X) / 2.0)[:, None, :]
+    sn_hi = np.sin(asr * (1.0 + _GL_X) / 2.0)[:, None, :]
 
     def integrand(sn):
-        return np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn))
+        return np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn))
 
     acc = np.sum(_GL_W * (integrand(sn_lo) + integrand(sn_hi)), axis=-1)
-    return acc * asr[at] / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
+    return acc * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
 
 
 def _bvnu_extreme(h, k, r):
@@ -96,7 +95,9 @@ def bivariate_normal_cdf(x, y, rho):
     """Pr(Z1 <= x, Z2 <= y) for standard bivariate normal correlation rho.
 
     Accepts scalars or broadcastable arrays; +-inf arguments take their
-    marginal limits. rho must lie strictly inside (-1, 1).
+    marginal limits. rho must lie strictly inside (-1, 1). When rho is
+    constant along the last axis (a scalar, or one value per row), each row
+    takes its quadrature nodes once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -111,26 +112,31 @@ def bivariate_normal_cdf(x, y, rho):
     x, y = np.minimum(x, y), np.maximum(x, y)
     h, k, r = np.broadcast_arrays(-x, -y, rho)
     shape = h.shape
-    h = h.astype(float).ravel()
-    k = k.astype(float).ravel()
-    r = r.astype(float).ravel()
-    out = np.empty(h.shape)
+    # rows of points that share one correlation: the last axis when rho is
+    # constant along it, single points otherwise
+    width = max(shape[-1], 1) if shape and rho.shape[-1:] in ((), (1,)) else 1
+    h = h.reshape(-1, width)
+    k = k.reshape(-1, width)
+    r = r.reshape(-1, width)[:, 0]
 
     lo = np.isposinf(h) | np.isposinf(k)  # x or y is -inf
     x_inf = np.isneginf(h) & ~lo  # x is +inf
     y_inf = np.isneginf(k) & ~lo
+    # the quadrature runs on whole rows; infinite points take their limits afterwards
     finite = ~(lo | x_inf | y_inf)
+    hf = np.where(finite, h, 0.0)
+    kf = np.where(finite, k, 0.0)
 
+    out = np.empty(h.shape)
+    mod = np.abs(r) < 0.925
+    if mod.any():
+        out[mod] = _bvnu_moderate(hf[mod], kf[mod], r[mod])
+    if not mod.all():
+        ext = ~mod
+        out[ext] = _bvnu_extreme(hf[ext], kf[ext], r[ext, None])
     out[lo] = 0.0
     out[x_inf] = ndtr(-k[x_inf])
     out[y_inf] = ndtr(-h[y_inf])
-
-    mod = finite & (np.abs(r) < 0.925)
-    ext = finite & ~mod
-    if mod.any():
-        out[mod] = _bvnu_moderate(h[mod], k[mod], r[mod])
-    if ext.any():
-        out[ext] = _bvnu_extreme(h[ext], k[ext], r[ext])
 
     out = np.clip(out, 0.0, 1.0).reshape(shape)
     return float(out) if out.ndim == 0 else out

@@ -86,6 +86,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    for flag in ("tau", "rho"):
+        value = getattr(args, flag)
+        if value is not None and not -1.0 < value < 1.0:
+            raise ConfigError(f"--{flag} must lie strictly between -1 and 1, got {value!r}")
     chosen = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams) if hasattr(args, f.name)}
     if args.tau is None:  # from --rho when given, else the SynthParams default
         chosen["tau"] = SynthParams.tau if args.rho is None else float(2.0 / np.pi * np.arcsin(args.rho))

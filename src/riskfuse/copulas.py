@@ -90,55 +90,76 @@ def _clayton_cdf(u, v, theta):
     return np.exp(-np.log1p(s) / theta)
 
 
+# numpy answers x ** 2.0, x ** 0.5 and x ** -1.0 by square, sqrt and reciprocal, not pow
+_FAST_EXPONENTS = (2.0, 0.5, -1.0)
+
+
+def _power(x, p):
+    """x ** p for a float p, or a column p of one exponent per row of x.
+
+    Each row gets the bits of ``x[row] ** float(p[row])``: pow differs from
+    numpy's shortcuts in the last bit, so rows with such an exponent are
+    raised one at a time.
+    """
+    out = x ** p
+    if np.ndim(p):
+        for row in np.flatnonzero(np.isin(p[:, 0], _FAST_EXPONENTS)):
+            out[row] = x[row] ** float(p[row, 0])
+    return out
+
+
 def _gumbel_cdf(u, v, theta):
     a = -np.log(u)
     b = -np.log(v)
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)
-    inner = hi * (1.0 + (lo / hi) ** theta) ** (1.0 / theta)
+    inner = hi * _power(1.0 + _power(lo / hi, theta), 1.0 / theta)
     return np.exp(-inner)
 
 
 def copula_cdf(model: CopulaModel, u, v):
-    """C(u, v) for the fitted family; boundaries take their exact limits."""
+    """C(u, v) for the fitted family; boundaries take their exact limits.
+
+    ``model.param`` may also be a column of parameters, one per row of
+    (rows, n) arrays u and v, so a block of bootstrap replicates is scored in
+    one call; only the family and the parameter are read.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any((u < 0) | (u > 1) | (v < 0) | (v > 1)):
         raise NumericError("copula arguments must lie in [0, 1]")
-    u, v = np.broadcast_arrays(u, v)
-    shape = u.shape
-    u = u.ravel().copy()
-    v = v.ravel().copy()
-    out = np.empty(u.shape)
+    param = model.param
+    if model.family == "gaussian":
+        if not np.all((-1.0 < param) & (param < 1.0)):
+            raise NumericError("gaussian copula requires |rho| < 1")
+    elif model.family == "clayton":
+        if np.any(param <= 0):
+            raise NumericError("clayton copula requires theta > 0")
+    elif model.family == "gumbel":
+        if np.any(param < 1.0):
+            raise NumericError("gumbel copula requires theta >= 1")
+    else:
+        raise NumericError(f"unknown copula family {model.family!r}")
 
+    u, v = np.broadcast_arrays(u, v)
     zero = (u == 0.0) | (v == 0.0)
     u_one = (v == 1.0) & ~zero
     v_one = (u == 1.0) & ~zero & ~u_one
     interior = ~(zero | u_one | v_one)
-    out[zero] = 0.0
-    out[u_one] = u[u_one]
-    out[v_one] = v[v_one]
-
-    ui, vi = u[interior], v[interior]
+    # the family formula runs on every point so that a block keeps its rows;
+    # boundary points are evaluated at (1/2, 1/2) and replaced by their limits
+    ui = np.where(interior, u, 0.5)
+    vi = np.where(interior, v, 0.5)
     if model.family == "gaussian":
-        if not -1.0 < model.param < 1.0:
-            raise NumericError("gaussian copula requires |rho| < 1")
-        vals = bivariate_normal_cdf(ndtri(ui), ndtri(vi), model.param)
+        vals = bivariate_normal_cdf(ndtri(ui), ndtri(vi), param)
     elif model.family == "clayton":
-        if model.param <= 0:
-            raise NumericError("clayton copula requires theta > 0")
-        vals = _clayton_cdf(ui, vi, model.param)
-    elif model.family == "gumbel":
-        if model.param < 1.0:
-            raise NumericError("gumbel copula requires theta >= 1")
-        vals = _gumbel_cdf(ui, vi, model.param)
+        vals = _clayton_cdf(ui, vi, param)
     else:
-        raise NumericError(f"unknown copula family {model.family!r}")
+        vals = _gumbel_cdf(ui, vi, param)
 
     # Frechet-Hoeffding envelope; quadrature round-off never escapes it
     vals = np.clip(vals, np.maximum(ui + vi - 1.0, 0.0), np.minimum(ui, vi))
-    out[interior] = vals
-    out = out.reshape(shape)
+    out = np.where(zero, 0.0, np.where(u_one, u, np.where(v_one, v, vals)))
     return float(out) if out.ndim == 0 else out
 
 

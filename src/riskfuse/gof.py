@@ -6,15 +6,26 @@ samples from the fitted copula, re-ranking them, refitting the parameter by
 tau-inversion, and recomputing the statistic; the p-value is the smoothed
 exceedance fraction (1 + #{S_b >= S}) / (B + 1).
 
-C_n at the sample points and Kendall's tau share one O(n log n) sort of the
-sample (``ranks.rank_pass``); each replicate sorts once for both its refit
-and its statistic. Any other query points, such as a plotting grid, are
-counted by the same rank pass over the sample and the queries together.
+C_n at the sample points and Kendall's tau share one O(n log n) ordering of
+the sample (``ranks.rank_pass``). Any other query points, such as a plotting
+grid, are counted by the same rank pass over the sample and the queries
+together.
+
+The bootstrap works on blocks of replicates. Each replicate still draws from
+its own RNG stream, and the draws of consecutive replicates are stacked into
+a (rows, m) block. The pseudo-observations, the rank pass, the refit (one
+parameter per row), the fitted copula and the per-row mean then run once per
+block, so numpy's fixed cost per call is paid once for many replicates
+instead of once per replicate. Every step works row by row, so each
+statistic has the bits a replicate scored on its own would get. A block holds
+at most _BLOCK_POINTS points, or one replicate if m is larger, because the
+Gaussian quadrature keeps ten values per point and larger blocks cost more
+memory than they save time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +33,12 @@ from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau,
 from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
 from .seeding import stream_rng
+
+# points per bootstrap block. The Gaussian quadrature keeps (rows, m, 10)
+# temporaries, so peak memory grows with the block: on `fuse gof` at n = 1783
+# it was 4% above one replicate at a time at 8,192 points, 9% at 16,384 and
+# 21% at 32,768, while blocks beyond 16,384 points were no faster
+_BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -73,30 +90,23 @@ def empirical_copula(u_sample, v_sample, u, v):
     return float(out) if out.ndim == 0 else out
 
 
-def cvm_statistic(u, v, model: CopulaModel, ranks: RankPass | None = None) -> float:
+def cvm_statistic(u, v, model: CopulaModel, ranks: RankPass | None = None):
     """Mean squared gap between empirical and fitted copula at the sample points.
 
     ``ranks`` is the sample's ``rank_pass`` when the caller already has it.
+    A (rows, n) block gives one statistic per row, with ``model.param`` a
+    float or a column of one parameter per row.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if len(u) != len(v) or len(u) < 2:
+    if u.shape != v.shape or u.ndim not in (1, 2) or u.shape[-1] < 2:
         raise DataError("statistic needs at least two aligned pairs")
     if ranks is None:
         ranks = rank_pass(u, v)
-    emp = ranks.dominance / len(u)
+    emp = ranks.dominance / u.shape[-1]
     fit = copula_cdf(model, u, v)
-    return float(np.mean((emp - fit) ** 2))
-
-
-def _one_replicate(model_hat, family, m, seed, b, refit):
-    rng = stream_rng(seed, FAMILIES.index(family), b)
-    u_rep, v_rep = sample(model_hat, m, rng)
-    u_rep = pseudo_observations(u_rep)
-    v_rep = pseudo_observations(v_rep)
-    ranks = rank_pass(u_rep, v_rep)
-    model_b = fit_family(family, ranks.tau()) if refit else model_hat
-    return cvm_statistic(u_rep, v_rep, model_b, ranks)
+    stat = np.mean((emp - fit) ** 2, axis=-1)
+    return float(stat) if stat.ndim == 0 else stat
 
 
 def parametric_bootstrap(
@@ -131,7 +141,19 @@ def parametric_bootstrap(
     degenerate = family == "clayton" and tau_hat <= 0
     stat = cvm_statistic(u, v, model_hat)
 
-    reps = np.array([_one_replicate(model_hat, family, m, seed, b, refit) for b in range(n_boot)])
+    stream = FAMILIES.index(family)
+    rows = max(1, _BLOCK_POINTS // m)
+    reps = np.empty(n_boot)
+    for first in range(0, n_boot, rows):
+        draws = [sample(model_hat, m, stream_rng(seed, stream, b)) for b in range(first, min(first + rows, n_boot))]
+        u_rep = pseudo_observations(np.array([u_b for u_b, _ in draws]))
+        v_rep = pseudo_observations(np.array([v_b for _, v_b in draws]))
+        ranks = rank_pass(u_rep, v_rep)
+        model = model_hat
+        if refit:
+            params = [fit_family(family, tau).param for tau in ranks.tau().tolist()]
+            model = replace(model_hat, param=np.array(params)[:, None])
+        reps[first : first + len(draws)] = cvm_statistic(u_rep, v_rep, model, ranks)
 
     p_value = (1.0 + float(np.sum(reps >= stat))) / (n_boot + 1.0)
     return GofResult(

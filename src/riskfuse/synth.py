@@ -55,6 +55,8 @@ def generate_cohort(params: SynthParams):
     """Return (header, rows) for the synthetic cohort CSV."""
     if params.n < 20:
         raise ConfigError("synthetic cohort needs n >= 20")
+    if params.n_genes < 1:
+        raise ConfigError(f"synthetic cohort needs --genes >= 1, got {params.n_genes}")
     rng = np.random.default_rng(params.seed)
 
     model = fit_family(params.copula, params.tau)

@@ -14,10 +14,13 @@ from scipy.special import ndtr
 from riskfuse import trees
 from riskfuse.bvn import _GL_W, _GL_X, _TWOPI
 from riskfuse.cohort import MISSING_TOKENS, CohortTable, Column
+from riskfuse.copulas import FAMILIES, fit_family, pseudo_observations, sample
 from riskfuse.errors import DataError
 from riskfuse.folds import stratified_kfold
+from riskfuse.gof import cvm_statistic
 from riskfuse.linear import ElasticNetLogistic, lambda_grid
 from riskfuse.metrics import roc_auc
+from riskfuse.ranks import rank_pass
 from riskfuse.seeding import hash_seed, stream_rng
 
 
@@ -96,6 +99,20 @@ def bvnu_moderate_pointwise(h, k, r):
 
     acc = np.sum(_GL_W * (integrand(sn_lo) + integrand(sn_hi)), axis=-1)
     return acc * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
+
+
+def bootstrap_replicate(model_hat, family, m, seed, b, refit):
+    """One parametric-bootstrap statistic, drawn, ranked, refitted and scored on its own.
+
+    The per-replicate loop that the block bootstrap replaced.
+    """
+    rng = stream_rng(seed, FAMILIES.index(family), b)
+    u_rep, v_rep = sample(model_hat, m, rng)
+    u_rep = pseudo_observations(u_rep)
+    v_rep = pseudo_observations(v_rep)
+    ranks = rank_pass(u_rep, v_rep)
+    model_b = fit_family(family, ranks.tau()) if refit else model_hat
+    return cvm_statistic(u_rep, v_rep, model_b, ranks)
 
 
 def average_ranks_brute(x):

@@ -74,6 +74,16 @@ def test_moderate_nodes_per_distinct_rho_match_pointwise(n):
     h, k = rng.uniform(-4, 4, (2, n))
     for rho in np.linspace(-0.92, 0.92, 20):
         r = np.full(n, rho)
-        assert np.array_equal(_bvnu_moderate(h, k, r), bvnu_moderate_pointwise(h, k, r))
-    r = rng.choice(np.linspace(-0.92, 0.92, 7), n)
-    assert np.array_equal(_bvnu_moderate(h, k, r), bvnu_moderate_pointwise(h, k, r))
+        assert np.array_equal(_bvnu_moderate(h[None], k[None], r[:1])[0], bvnu_moderate_pointwise(h, k, r))
+    r = rng.choice(np.linspace(-0.92, 0.92, 7), n)  # a correlation per point: each point is a row
+    assert np.array_equal(_bvnu_moderate(h[:, None], k[:, None], r)[:, 0], bvnu_moderate_pointwise(h, k, r))
+
+
+def test_rows_with_one_correlation_each_match_one_call_per_row():
+    rng = np.random.default_rng(5)
+    rho = np.array([-0.99, -0.93, -0.5, 0.0, 0.3, 0.924, 0.925, 0.97])[:, None]  # both branches
+    x, y = rng.uniform(-4, 4, (2, len(rho), 37))
+    x[1, 3], y[2, 5], x[6, 0], y[6, 0] = np.inf, -np.inf, np.inf, np.inf
+    block = bivariate_normal_cdf(x, y, rho)
+    for row in range(len(rho)):
+        assert np.array_equal(block[row], bivariate_normal_cdf(x[row], y[row], rho[row, 0]))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from riskfuse.copulas import fit_clayton, fit_gaussian, fit_gumbel, pseudo_observations, sample
+from riskfuse.copulas import fit_clayton, fit_family, fit_gaussian, fit_gumbel, kendall_tau, pseudo_observations, sample
 from riskfuse.errors import DataError, NumericError
 from riskfuse.gof import (
+    _BLOCK_POINTS,
     GofResult,
     cvm_statistic,
     empirical_copula,
@@ -11,7 +12,7 @@ from riskfuse.gof import (
     select_best_copula,
 )
 
-from oracles import empirical_copula_brute
+from oracles import bootstrap_replicate, empirical_copula_brute
 
 
 class TestEmpiricalCopula:
@@ -133,6 +134,37 @@ class TestParametricBootstrap:
             u, v = pseudo_observations(u), pseudo_observations(v)
             alt_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, replicate_size=None, seed=i, refit=True).p_value)
         assert np.median(alt_ps) < np.median(null_ps)
+
+
+def _observed(tau, n, seed, decimals=None):
+    x, y = sample(fit_gaussian(tau), n, seed=seed)
+    if decimals is not None:  # tied observed margins
+        x, y = np.round(x, decimals), np.round(y, decimals)
+    return pseudo_observations(x), pseudo_observations(y)
+
+
+class TestBlockBootstrapMatchesOneReplicateAtATime:
+    """Every block replicate has the bits of the same replicate drawn, ranked, refitted and scored alone."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "clayton", "gumbel"])
+    @pytest.mark.parametrize("case", [
+        # tau, n, rounding, B, m, refit
+        (0.4, 300, None, 3 * (_BLOCK_POINTS // 300) + 5, None, True),  # three full blocks and a partial one
+        (0.4, 300, None, 40, 64, False),  # replicate size other than n, parameter not refitted
+        (0.4, 150, 2, 60, None, True),  # tied observed margins
+        (0.8, 200, None, 30, None, True),  # Gaussian replicate rho above 0.925: the extreme quadrature
+        (-0.3, 120, None, 30, None, True),  # tau <= 0: Clayton at its floor, Gumbel at theta = 1
+        (0.4, 150, 2, 70, 16, True),  # some replicates have tau exactly 1/2, so Gumbel theta is exactly 2
+        (0.4, 50, None, 30, 2, False),  # the smallest replicate
+        (0.4, 50, None, 2, _BLOCK_POINTS + 1, True),  # a replicate larger than a block
+    ], ids=["blocks", "m-no-refit", "tied", "extreme-rho", "tau-nonpositive", "gumbel-theta-2", "m2", "m-over-block"])
+    def test_replicates_equal_the_oracle(self, family, case):
+        tau, n, decimals, n_boot, m, refit = case
+        u, v = _observed(tau, n, seed=n, decimals=decimals)
+        res = parametric_bootstrap(u, v, family, n_boot=n_boot, replicate_size=m, seed=3, refit=refit)
+        model_hat = fit_family(family, kendall_tau(u, v))
+        expected = [bootstrap_replicate(model_hat, family, m or n, 3, b, refit) for b in range(n_boot)]
+        assert np.array_equal(res.replicates, expected)
 
 
 class TestSelectBestCopula:

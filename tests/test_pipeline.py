@@ -278,6 +278,18 @@ class TestCli:
         assert err.startswith(f"config error: --out {str(tmp_path / out)!r}: ")
         assert f"{str(tmp_path / 'f')!r} is not a directory" in err
 
+    @pytest.mark.parametrize("flag, value", [("--rho", "2"), ("--rho", "-1"), ("--tau", "1.5"), ("--tau", "nan")])
+    def test_synth_dependence_out_of_range_exits_two_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                                       flag, value):
+        monkeypatch.setattr(synth, "generate_cohort", lambda params: pytest.fail("cohort generated"))
+        assert main(["synth", "--out", str(tmp_path / "s"), flag, value]) == 2
+        assert capsys.readouterr().err == f"config error: {flag} must lie strictly between -1 and 1, got {float(value)!r}\n"
+
+    def test_synth_without_genes_exits_two(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n", "30", "--genes", "0"]) == 2
+        assert capsys.readouterr().err == "config error: synthetic cohort needs --genes >= 1, got 0\n"
+        assert not (tmp_path / "s" / "cohort.csv").exists()
+
     def test_synth_write_failure_exits_three(self, tmp_path, capsys):
         (tmp_path / "s" / "cohort.csv").mkdir(parents=True)  # a directory where cohort.csv goes
         assert main(["synth", "--out", str(tmp_path / "s"), "--n", "50"]) == 3

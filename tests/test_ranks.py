@@ -60,6 +60,34 @@ class TestAverageRanks:
         assert np.array_equal(average_ranks(x), average_ranks_brute(x))
 
 
+class TestRowsOfABlock:
+    """Each row of a (rows, n) block gets exactly what a 1-D call on that row gets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 300))
+    def test_rows_match_one_dimensional_calls(self, seed, rows, n):
+        # tied rows with copied identical pairs, then one row tied throughout in both margins
+        u, v = np.array([tied_sample(seed + r, n)[1:] for r in range(rows + 1)]).transpose(1, 0, 2)
+        u[-1], v[-1] = 2.0, 5.0
+        ranks = rank_pass(u, v)
+        for r in range(rows + 1):
+            assert np.array_equal(average_ranks(u)[r], average_ranks(u[r]))
+            one = rank_pass(u[r], v[r])
+            assert np.array_equal(ranks.dominance[r], one.dominance)
+            assert [ranks.discordant[r], ranks.ties_u[r], ranks.ties_v[r], ranks.ties_uv[r]] == list(one[1:])
+            if n >= 2:
+                assert ranks.tau()[r] == one.tau()
+
+    def test_two_identical_pairs(self):
+        u = np.array([[0.3, 0.3], [0.1, 0.7]])
+        v = np.array([[0.6, 0.6], [0.9, 0.2]])
+        ranks = rank_pass(u, v)
+        assert ranks.dominance.tolist() == [[2, 2], [1, 1]]
+        assert ranks.discordant.tolist() == [0, 1]
+        assert ranks.ties_uv.tolist() == [1, 0]
+        assert ranks.tau().tolist() == [0.0, -1.0]
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rank_consumers_raise_data_error(self, bad):
