@@ -13,14 +13,14 @@ together.
 
 The bootstrap works on blocks of replicates. Each replicate still draws from
 its own RNG stream, and the draws of consecutive replicates are stacked into
-a (rows, m) block. The pseudo-observations, the rank pass, the refit (one
-parameter per row), the fitted copula and the per-row mean then run once per
-block, so numpy's fixed cost per call is paid once for many replicates
-instead of once per replicate. Every step works row by row, so each
-statistic has the bits a replicate scored on its own would get. A block holds
-at most _BLOCK_POINTS points, or one replicate if m is larger, because the
-Gaussian quadrature keeps ten values per point and larger blocks cost more
-memory than they save time.
+a (rows, m) block. The rank pass (whose margin ranks are also the
+pseudo-observations), the refit (one parameter per row), the fitted copula
+and the per-row mean then run once per block, so numpy's fixed cost per call
+is paid once for many replicates instead of once per replicate. Every step
+works row by row, so each statistic has the bits a replicate scored on its
+own would get. A block holds at most _BLOCK_POINTS points, or one replicate
+if m is larger, because the Gaussian quadrature keeps ten values per point
+and larger blocks cost more memory than they save time.
 """
 
 from __future__ import annotations
@@ -29,15 +29,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau, pseudo_observations, sample
+from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau, sample
+from .copulas import pseudo_observations  # noqa: F401  perfbench/tracer.py wraps this name here
 from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
 from .seeding import stream_rng
 
 # points per bootstrap block. The Gaussian quadrature keeps (rows, m, 10)
 # temporaries, so peak memory grows with the block: on `fuse gof` at n = 1783
-# it was 4% above one replicate at a time at 8,192 points, 9% at 16,384 and
-# 21% at 32,768, while blocks beyond 16,384 points were no faster
+# it was 4% above one replicate at a time at 8,192 points, 10% at 16,384 and
+# 22% at 32,768, while larger blocks were no faster
 _BLOCK_POINTS = 8192
 
 
@@ -146,9 +147,9 @@ def parametric_bootstrap(
     reps = np.empty(n_boot)
     for first in range(0, n_boot, rows):
         draws = [sample(model_hat, m, stream_rng(seed, stream, b)) for b in range(first, min(first + rows, n_boot))]
-        u_rep = pseudo_observations(np.array([u_b for u_b, _ in draws]))
-        v_rep = pseudo_observations(np.array([v_b for _, v_b in draws]))
-        ranks = rank_pass(u_rep, v_rep)
+        # ranking the draws gives the counts of their pseudo-observations too
+        ranks = rank_pass(np.array([u_b for u_b, _ in draws]), np.array([v_b for _, v_b in draws]))
+        u_rep, v_rep = ranks.pseudo_observations()
         model = model_hat
         if refit:
             params = [fit_family(family, tau).param for tau in ranks.tau().tolist()]

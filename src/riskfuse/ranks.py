@@ -123,6 +123,8 @@ class RankPass(NamedTuple):
     ties_u: int | np.ndarray
     ties_v: int | np.ndarray
     ties_uv: int | np.ndarray
+    ranks_u: np.ndarray  # average_ranks of u, in sample order
+    ranks_v: np.ndarray
 
     def tau(self):
         """Kendall's tau-a: tied pairs count zero against all pairs."""
@@ -131,6 +133,11 @@ class RankPass(NamedTuple):
             raise DataError("Kendall's tau needs at least two pairs")
         n0 = n * (n - 1) // 2
         return (n0 - self.ties_u - self.ties_v + self.ties_uv - 2 * self.discordant) / n0
+
+    def pseudo_observations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both margins as ``pseudo_observations`` maps them, from the ranks already taken."""
+        n = self.dominance.shape[-1]
+        return self.ranks_u / (n + 1.0), self.ranks_v / (n + 1.0)
 
 
 def rank_pass(u, v) -> RankPass:
@@ -148,9 +155,11 @@ def rank_pass(u, v) -> RankPass:
     _require_finite(u, "u")
     _require_finite(v, "v")
 
+    ranks_u = average_ranks(np.atleast_2d(u))
+    ranks_v = average_ranks(np.atleast_2d(v))
     # twice the average ranks: integers that order and tie exactly as the values do
-    ru = (2.0 * average_ranks(np.atleast_2d(u))).astype(np.intp)
-    rv = (2.0 * average_ranks(np.atleast_2d(v))).astype(np.intp)
+    ru = (2.0 * ranks_u).astype(np.intp)
+    rv = (2.0 * ranks_v).astype(np.intp)
     pos = np.arange(n)
     order = np.argsort(ru * (2 * n + 1) + rv, axis=-1)  # lexicographic by (u, v)
     us = np.take_along_axis(ru, order, axis=-1)
@@ -172,8 +181,8 @@ def rank_pass(u, v) -> RankPass:
 
     counts = (n * (n - 1) // 2 - earlier.sum(axis=-1), _tied_pairs(new_u), _tied_pairs(new_v), _tied_pairs(new_uv))
     if u.ndim == 1:
-        return RankPass(dominance[0], *(int(c[0]) for c in counts))
-    return RankPass(dominance, *counts)
+        return RankPass(dominance[0], *(int(c[0]) for c in counts), ranks_u[0], ranks_v[0])
+    return RankPass(dominance, *counts, ranks_u, ranks_v)
 
 
 def kendall_tau(u, v) -> float:

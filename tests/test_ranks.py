@@ -74,7 +74,9 @@ class TestRowsOfABlock:
             assert np.array_equal(average_ranks(u)[r], average_ranks(u[r]))
             one = rank_pass(u[r], v[r])
             assert np.array_equal(ranks.dominance[r], one.dominance)
-            assert [ranks.discordant[r], ranks.ties_u[r], ranks.ties_v[r], ranks.ties_uv[r]] == list(one[1:])
+            assert [ranks.discordant[r], ranks.ties_u[r], ranks.ties_v[r], ranks.ties_uv[r]] == list(one[1:5])
+            assert np.array_equal(one.ranks_u, average_ranks(u[r])) and np.array_equal(one.ranks_v, average_ranks(v[r]))
+            assert np.array_equal(ranks.ranks_u[r], one.ranks_u) and np.array_equal(ranks.ranks_v[r], one.ranks_v)
             if n >= 2:
                 assert ranks.tau()[r] == one.tau()
 
