@@ -6,6 +6,7 @@ naive and separate from the implementation it checks.
 
 import csv
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate
@@ -18,7 +19,7 @@ from riskfuse.copulas import FAMILIES, fit_family, pseudo_observations, sample
 from riskfuse.errors import DataError
 from riskfuse.folds import stratified_kfold
 from riskfuse.gof import cvm_statistic
-from riskfuse.linear import ElasticNetLogistic, lambda_grid
+from riskfuse.linear import _WEIGHT_FLOOR, ElasticNetLogistic, _sigmoid, lambda_grid
 from riskfuse.metrics import roc_auc
 from riskfuse.ranks import rank_pass
 from riskfuse.seeding import hash_seed, stream_rng
@@ -363,4 +364,82 @@ class GradientBoostingOracle(trees.GradientBoosting):
             score = score + self.learning_rate * tree.predict(X)
             self.trees_.append(tree)
             self.train_losses_.append(self._mean_logloss(y, score))
+        return self
+
+
+# The elastic-net solver the covariance updates replaced: every coordinate
+# visit takes an n-length dot with the working residual and, when the
+# coefficient moves, updates that residual. Kept as it was.
+
+
+def _soft_threshold(x, t):
+    return np.sign(x) * max(abs(x) - t, 0.0)
+
+
+class ElasticNetLogisticOracle(ElasticNetLogistic):
+    """ElasticNetLogistic keeping the working residual r itself up to date."""
+
+    def fit(self, X, y, start=None):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n, p = X.shape
+        if start is None:
+            w = np.zeros(p)
+            prev = float(np.clip(np.mean(y), 1e-12, 1 - 1e-12))
+            b = float(np.log(prev / (1 - prev)))
+        else:
+            w = np.array(start[0], dtype=float)
+            b = float(start[1])
+
+        obj = self._objective(X, y, w, b)
+        best_obj, best_w, best_b = obj, w.copy(), b
+        sweeps = 0
+        self.converged_ = False
+        l1 = self.lam * self.alpha
+        l2 = self.lam * (1 - self.alpha)
+
+        while sweeps < self.max_iter:
+            z = X @ w + b
+            pvec = _sigmoid(z)
+            wt = np.clip(pvec * (1 - pvec), _WEIGHT_FLOOR, None)
+            zwork = z + (y - pvec) / wt
+            wtX = wt[:, None] * X
+            wx2 = (wtX * X).mean(axis=0)
+            swt = float(np.sum(wt))
+            r = zwork - z  # residual of the working response
+
+            # a few cyclic sweeps on the current quadratic approximation
+            for _ in range(5):
+                sweeps += 1
+                delta = 0.0
+                for j in range(p):
+                    rho = float(wtX[:, j] @ r) / n + wx2[j] * w[j]
+                    denom = wx2[j] + l2
+                    new = 0.0 if denom == 0.0 else _soft_threshold(rho, l1) / denom
+                    if new != w[j]:
+                        r -= X[:, j] * (new - w[j])
+                        delta = max(delta, abs(new - w[j]))
+                        w[j] = new
+                db = float(wt @ r) / swt
+                if db != 0.0:
+                    b += db
+                    r -= db
+                    delta = max(delta, abs(db))
+                if delta < 1e-12 or sweeps >= self.max_iter:
+                    break
+
+            new_obj = self._objective(X, y, w, b)
+            if new_obj < best_obj:
+                best_obj, best_w, best_b = new_obj, w.copy(), b
+            rel = abs(obj - new_obj) / max(1.0, abs(obj))
+            obj = new_obj
+            if rel < self.tol:
+                self.converged_ = True
+                break
+
+        if not self.converged_:
+            warnings.warn("elastic-net logistic regression did not converge; returning best iterate")
+        self.coef_ = best_w
+        self.intercept_ = best_b
+        self.n_iter_ = sweeps
         return self

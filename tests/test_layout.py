@@ -3,7 +3,9 @@
 produce, so an encoding, a check or an atomic rename is fixed in one place.
 
 The benchmark's tracer wraps functions at the names their callers bind, so a
-renamed import breaks every traced run; one traced ``fuse gof`` checks them."""
+renamed import breaks every traced run; one traced ``fuse gof`` checks them,
+and one traced ``fuse run --stage scores`` checks the counts read off the
+elastic-net models."""
 
 import ast
 import json
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import riskfuse
+from riskfuse.synth import SynthParams, write_synth
 
 SRC = Path(riskfuse.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -59,17 +62,32 @@ def test_one_reader_and_one_writer():
     assert problems == []
 
 
+def _traced_spans(tmp_path, *fuse_args):
+    """Run one fuse command under the benchmark's tracer; its spans as
+    ``[name, start, end, parent, attrs]``."""
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, str(TRACER), "--spans", str(spans), "--", *fuse_args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(spans.read_text())
+
+
 def test_traced_gof_records_the_bootstrap_spans(tmp_path):
     rng = np.random.default_rng(4)
     scores = tmp_path / "scores.csv"
     scores.write_text("p_clin,p_gen\n" + "".join(f"{a!r},{b!r}\n" for a, b in rng.random((30, 2)).tolist()))
-    spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, str(TRACER), "--spans", str(spans), "--",
-         "gof", "--scores", str(scores), "--family", "clayton", "--B", "5"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    names = {span[0] for span in json.loads(spans.read_text())}
+    spans = _traced_spans(tmp_path, "gof", "--scores", str(scores), "--family", "clayton", "--B", "5")
+    names = {span[0] for span in spans}
     assert {"gof.parametric_bootstrap", "copulas.sample"} <= names
+
+
+def test_traced_scores_read_sweeps_and_convergence_off_each_fit(tmp_path):
+    # the tracer's linear.sweeps and linear.nonconverged come from n_iter_ and converged_
+    write_synth(tmp_path / "cohort", SynthParams(n=120, n_genes=8, seed=3))
+    spans = _traced_spans(tmp_path, "run", "--config", str(tmp_path / "cohort" / "config.json"), "--stage", "scores")
+    fits = [attrs for name, _, _, _, attrs in spans if name == "linear.fit"]
+    assert fits
+    assert all(type(a["sweeps"]) is int and a["sweeps"] >= 1 and type(a["converged"]) is bool for a in fits)

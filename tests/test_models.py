@@ -13,7 +13,7 @@ from riskfuse.seeding import stream_rng
 from riskfuse import trees
 from riskfuse.trees import GradientBoosting, RandomForest
 
-from oracles import GradientBoostingOracle, RandomForestOracle, lambda_search_cold
+from oracles import ElasticNetLogisticOracle, GradientBoostingOracle, RandomForestOracle, lambda_search_cold
 
 _CLASSES = {"elastic_net_lr": ElasticNetLogistic, "random_forest": RandomForest, "gradient_boosting": GradientBoosting}
 
@@ -145,6 +145,66 @@ class TestElasticNetPath:
         assert np.array_equal(model.coef_, reference.coef_)
         assert model.intercept_ == reference.intercept_
         assert sum(sweeps[:-1]) < cold_sweeps  # the last fit is the final refit on all rows
+
+
+def _enet_design(seed, n, p):
+    """Columns on scales 0.1-3, a 0/1 flag at times, and labels of both classes
+    from a sparse logistic model."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 3.0, p)
+    if rng.random() < 0.3:
+        X[:, 0] = rng.random(n) < 0.2
+    beta = rng.normal(0.0, 1.0, p) * (rng.random(p) < 0.3)
+    y = (rng.random(n) < 1 / (1 + np.exp(-X @ beta))).astype(float)
+    y[:2] = 0.0, 1.0
+    return X, y
+
+
+def _kkt_residual(model, X, y):
+    """Largest violation of the elastic-net optimality conditions: the loss
+    gradient within lam*alpha of zero where a coefficient is 0, and the
+    stationarity equation where it is not."""
+    w = model.coef_
+    grad = X.T @ (y - model.predict_proba(X)) / len(y)
+    l1, l2 = model.lam * model.alpha, model.lam * (1 - model.alpha)
+    return float(np.max(np.where(w == 0, np.abs(grad) - l1, np.abs(grad - l2 * w - l1 * np.sign(w)))))
+
+
+class TestCovarianceUpdates:
+    """The covariance-update solver against the residual-update solver it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 300), st.integers(1, 30),
+           st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 9))
+    def test_matches_the_residual_update_oracle(self, seed, n, p, alpha, grid_index):
+        X, y = _enet_design(seed, n, p)
+        lam = lambda_grid(X, y, alpha, n_points=10)[grid_index]
+        model = build("elastic_net_lr", lam=lam, alpha=alpha).fit(X, y)
+        oracle = ElasticNetLogisticOracle(lam=lam, alpha=alpha, max_iter=model.max_iter, tol=model.tol).fit(X, y)
+        obj = model._objective(X, y, model.coef_, model.intercept_)
+        expected = oracle._objective(X, y, oracle.coef_, oracle.intercept_)
+        assert obj == pytest.approx(expected, rel=1e-12, abs=0)
+        # The best-iterate rule compares objectives that agree to about 1e-16,
+        # which pins the coefficients only to about sqrt(eps): 1.6e-8 was seen.
+        assert np.max(np.abs(model.predict_proba(X) - oracle.predict_proba(X))) <= 1e-7
+        # a relative objective change below tol bounds the gradient at about sqrt(tol)
+        for fitted in (model, oracle):
+            if fitted.converged_:
+                assert _kkt_residual(fitted, X, y) <= np.sqrt(fitted.tol)
+
+    @pytest.mark.parametrize("solver", [ElasticNetLogistic, ElasticNetLogisticOracle])
+    @pytest.mark.parametrize("start", [None, "nonzero"])
+    def test_zero_column_lasso_keeps_its_coefficient_at_zero(self, rng, solver, start):
+        # alpha = 1 leaves no ridge term, so the all-zero column has denom == 0
+        X = rng.standard_normal((150, 4))
+        X[:, 2] = 0.0
+        y = (rng.uniform(size=150) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+        if start is not None:
+            start = (np.array([0.1, 0.0, 0.3, -0.2]), 0.0)
+        model = solver(lam=0.01, alpha=1.0, max_iter=10000, tol=1e-8).fit(X, y, start)
+        assert model.converged_
+        assert model.coef_[2] == 0.0
+        assert np.isfinite(model.coef_).all() and model.coef_[0] != 0.0
 
 
 class TestRandomForest:
