@@ -177,10 +177,11 @@ def _solve_gumbel_inner(t, theta):
     t = np.clip(t, K(lo), K(hi))
     w = np.clip(t, lo, hi)
     for _ in range(100):
-        f = K(w) - t
+        log_w = np.log(w)
+        f = w - w * log_w / theta - t
         lo = np.where(f < 0, w, lo)
         hi = np.where(f > 0, w, hi)
-        deriv = 1.0 - (np.log(w) + 1.0) / theta
+        deriv = 1.0 - (log_w + 1.0) / theta
         step = f / deriv
         w_new = w - step
         bad = (w_new <= lo) | (w_new >= hi) | ~np.isfinite(w_new)
