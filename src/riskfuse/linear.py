@@ -9,10 +9,10 @@ Tibshirani 2010, J. Stat. Softw. 33(1), section 2.2). Each IRLS step builds
 the p x p weighted Gram matrix G = X'WX / n and q = X'(y - p) / n (X'W times
 the working residual, over n) once; a visit to coordinate j reads q[j], and a
 move of size d updates q by -d * G[:, j], so a visit costs O(p) instead of
-O(n), and the working residual is never formed. This solver replaced one that updated the n-length residual
-on every move (kept in tests/oracles.py): the two agree to a few ulps, so
-out-of-fold probabilities, and the strata medians taken from them, moved in
-their last bits while every selection stayed the same.
+O(n) and the working residual is never formed. The residual-update solver
+this replaced (the test oracle in tests/oracles.py) sums in another order, so
+out-of-fold probabilities, and the strata medians taken from them, differ
+from it in their last bits while every selection is the same.
 """
 
 from __future__ import annotations

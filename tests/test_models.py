@@ -193,14 +193,12 @@ class TestCovarianceUpdates:
                 assert _kkt_residual(fitted, X, y) <= np.sqrt(fitted.tol)
 
     @pytest.mark.parametrize("solver", [ElasticNetLogistic, ElasticNetLogisticOracle])
-    @pytest.mark.parametrize("start", [None, "nonzero"])
+    @pytest.mark.parametrize("start", [None, ([0.1, 0.0, 0.3, -0.2], 0.0)], ids=["cold", "warm"])
     def test_zero_column_lasso_keeps_its_coefficient_at_zero(self, rng, solver, start):
         # alpha = 1 leaves no ridge term, so the all-zero column has denom == 0
         X = rng.standard_normal((150, 4))
         X[:, 2] = 0.0
         y = (rng.uniform(size=150) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
-        if start is not None:
-            start = (np.array([0.1, 0.0, 0.3, -0.2]), 0.0)
         model = solver(lam=0.01, alpha=1.0, max_iter=10000, tol=1e-8).fit(X, y, start)
         assert model.converged_
         assert model.coef_[2] == 0.0
