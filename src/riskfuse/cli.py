@@ -90,6 +90,11 @@ def _cmd_synth(args) -> int:
         value = getattr(args, flag)
         if value is not None and not -1.0 < value < 1.0:
             raise ConfigError(f"--{flag} must lie strictly between -1 and 1, got {value!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for flag, value in (("--hazard-ratio", args.hazard_ratio_both), ("--single-ratio", args.hazard_ratio_single)):
+        if not value > 0:
+            raise ConfigError(f"{flag} must be > 0, got {value!r}")
     chosen = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams) if hasattr(args, f.name)}
     if args.tau is None:  # from --rho when given, else the SynthParams default
         chosen["tau"] = SynthParams.tau if args.rho is None else float(2.0 / np.pi * np.arcsin(args.rho))
@@ -131,7 +136,7 @@ def _cmd_gof(args) -> int:
     print(text)
     if args.out:
         try:
-            write_file(args.out, lambda path: path.write_text(text + "\n", encoding="utf-8"))
+            write_file(args.out, text + "\n")
         except OSError as exc:
             raise DataError(f"cannot write --out {args.out}: {exc}") from exc
     return 0

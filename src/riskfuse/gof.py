@@ -124,7 +124,8 @@ def parametric_bootstrap(
     Replicates are ``replicate_size`` pairs, or the sample size when that is
     None; each uses its own RNG stream keyed by (seed, family, replicate).
     A non-positive tau pins Clayton at its parameter floor; the fit still
-    runs and is flagged degenerate.
+    runs and is flagged degenerate. A refitted replicate with tau +-1, likely
+    at a small ``replicate_size``, raises a ``NumericError`` naming it.
     """
     if n_boot < 1:
         raise NumericError("bootstrap requires at least one replicate")
@@ -152,7 +153,13 @@ def parametric_bootstrap(
         u_rep, v_rep = ranks.pseudo_observations()
         model = model_hat
         if refit:
-            params = [fit_family(family, tau).param for tau in ranks.tau().tolist()]
+            params = []
+            for b, tau in enumerate(ranks.tau().tolist(), start=first):
+                try:
+                    params.append(fit_family(family, tau).param)
+                except NumericError as exc:  # a small replicate can be perfectly ordered
+                    raise NumericError(f"{family} bootstrap replicate {b + 1} of {n_boot} (m = {m} pairs) has "
+                                       f"Kendall tau {tau!r}: {exc}; a larger m avoids it") from exc
             model = replace(model_hat, param=np.array(params)[:, None])
         reps[first : first + len(draws)] = cvm_statistic(u_rep, v_rep, model, ranks)
 

@@ -8,11 +8,15 @@ in fields of the ``ReportBundle``. The loop in ``run_pipeline`` is the one
 place that runs stages, records ``stages_run``, stops after ``stop_after``
 and tags errors: a ``FuseError`` from stage NAME re-raises as the same class
 prefixed ``[stage NAME]``, which the CLI maps to an exit code.
+
+Each report is a function from the bundle to its file's text, and
+``write_file`` writes every file the package produces.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import platform
@@ -235,33 +239,30 @@ def check_output_dir(out_dir, label):
             return
 
 
-def write_file(path, write):
-    """Write ``path`` atomically: ``write(partial)`` fills a temporary file
-    beside it, which is then renamed onto ``path``. On any exception the
-    partial file is deleted, so a failed write leaves the old file whole."""
+def write_file(path, text: str):
+    """Write ``text`` to ``path`` as UTF-8, newlines untranslated, through a
+    temporary file beside it that is then renamed onto ``path``. On any
+    exception the partial file is deleted, so the old file stays whole."""
     path = Path(path)
     partial = path.with_name(f".{path.name}.partial")
     try:
-        write(partial)
+        partial.write_text(text, encoding="utf-8", newline="")
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
-def write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV text, each line ended by ``\\r\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def _scores_csv(bundle: ReportBundle, path):
+def _scores_csv(bundle: ReportBundle) -> str:
     ep = bundle.endpoint
     rows = [
         [pid, str(pc), str(pg), int(yy), str(tt), int(dd)]
@@ -269,34 +270,34 @@ def _scores_csv(bundle: ReportBundle, path):
             bundle.patient_ids, bundle.p_clin, bundle.p_gen, ep.y.astype(int), ep.t_months, ep.delta.astype(int)
         )
     ]
-    write_csv(path, ["patient_id", "p_clin", "p_gen", "y", "t_months", "event"], rows)
+    return csv_text(["patient_id", "p_clin", "p_gen", "y", "t_months", "event"], rows)
 
 
-def _model_auc_csv(bundle: ReportBundle, path):
-    write_csv(path, ["view", "model", "auc"], [[r.view, r.spec.family, str(r.auc)] for r in bundle.cv_records])
+def _model_auc_csv(bundle: ReportBundle) -> str:
+    return csv_text(["view", "model", "auc"], [[r.view, r.spec.family, str(r.auc)] for r in bundle.cv_records])
 
 
-def _copula_fit_json(bundle: ReportBundle, path):
-    write_json(path, {"tau": bundle.tau, "fits": [m.to_dict() for m in bundle.copula_fits]})
+def _copula_fit_json(bundle: ReportBundle) -> str:
+    return json.dumps({"tau": bundle.tau, "fits": [m.to_dict() for m in bundle.copula_fits]}, indent=2)
 
 
-def _gof_json(bundle: ReportBundle, path):
-    write_json(path, {"results": [r.to_dict() for r in bundle.gof_results], "selected": bundle.best_copula.family})
+def _gof_json(bundle: ReportBundle) -> str:
+    return json.dumps({"results": [r.to_dict() for r in bundle.gof_results], "selected": bundle.best_copula.family}, indent=2)
 
 
-def _strata_csv(bundle: ReportBundle, path):
-    write_csv(path, ["patient_id", "stratum"], [list(row) for row in zip(bundle.patient_ids, bundle.strata.labels)])
+def _strata_csv(bundle: ReportBundle) -> str:
+    return csv_text(["patient_id", "stratum"], [list(row) for row in zip(bundle.patient_ids, bundle.strata.labels)])
 
 
-def _km_curves_csv(bundle: ReportBundle, path):
+def _km_curves_csv(bundle: ReportBundle) -> str:
     rows = []
     for label, curve in bundle.strata_result.curves.items():
         for t, s, d, r in zip(curve.times, curve.survival, curve.events, curve.at_risk):
             rows.append([label, str(float(t)), str(float(s)), int(d), int(r), curve.n_start])
-    write_csv(path, ["stratum", "t", "S_hat", "d", "r", "n_start"], rows)
+    return csv_text(["stratum", "t", "S_hat", "d", "r", "n_start"], rows)
 
 
-def _manifest_json(bundle: ReportBundle, path):
+def _manifest_json(bundle: ReportBundle) -> str:
     manifest = {
         "tool": {"name": "riskfuse", "version": __version__},
         "environment": {
@@ -324,75 +325,56 @@ def _manifest_json(bundle: ReportBundle, path):
             "sizes": bundle.strata_result.sizes,
             "omitted": bundle.strata_result.omitted,
         }
-    write_json(path, manifest)
+    return json.dumps(manifest, indent=2)
 
 
-def _roc_svg(bundle: ReportBundle, path):
+def _roc_svg(bundle: ReportBundle) -> str:
     y = bundle.endpoint.y.astype(int)
     curves = {}
     for view in ("clinical", "genomic"):
         scores = bundle.p_clin if view == "clinical" else bundle.p_gen
         fpr, tpr = roc_points(scores, y)
         curves[view] = (fpr, tpr, bundle.best[view].auc)
-    svgplot.render_roc(path, curves)
-
-
-def _score_hist_svg(bundle: ReportBundle, path):
-    svgplot.render_score_hist(path, bundle.p_clin, bundle.p_gen)
-
-
-def _score_scatter_svg(bundle: ReportBundle, path):
-    svgplot.render_scatter(path, bundle.p_clin, bundle.p_gen, bundle.endpoint.y.astype(int))
-
-
-def _copula_heat_svg(bundle: ReportBundle, path):
-    svgplot.render_copula_heat(path, bundle.pseudo_u, bundle.pseudo_v, bundle.best_copula.model)
-
-
-def _copula_contours_svg(bundle: ReportBundle, path):
-    svgplot.render_copula_contours(path, bundle.pseudo_u, bundle.pseudo_v, bundle.best_copula.model)
-
-
-def _km_svg(bundle: ReportBundle, path):
-    svgplot.render_km(path, bundle.strata_result.curves, bundle.strata_result.omitted)
+    return svgplot.render_roc(curves)
 
 
 # Report files in the order they are written: (name, the stage whose results
-# the file shows, or None for a file every run writes, writer).
+# the file shows, or None for a file every run writes, the file's text).
 _TABLES = (("scores.csv", "scores", _scores_csv), ("model_auc.csv", "scores", _model_auc_csv),
            ("copula_fit.json", "copula", _copula_fit_json), ("gof.json", "gof", _gof_json),
            ("strata.csv", "strata", _strata_csv), ("km_curves.csv", "strata", _km_curves_csv),
            ("manifest.json", None, _manifest_json))
-_PLOTS = (("roc.svg", "scores", _roc_svg), ("score_hist.svg", "scores", _score_hist_svg),
-          ("score_scatter.svg", "scores", _score_scatter_svg), ("copula_heat.svg", "gof", _copula_heat_svg),
-          ("copula_contours.svg", "gof", _copula_contours_svg), ("km.svg", "strata", _km_svg))
+_PLOTS = (("roc.svg", "scores", _roc_svg),
+          ("score_hist.svg", "scores", lambda b: svgplot.render_score_hist(b.p_clin, b.p_gen)),
+          ("score_scatter.svg", "scores", lambda b: svgplot.render_scatter(b.p_clin, b.p_gen, b.endpoint.y.astype(int))),
+          ("copula_heat.svg", "gof", lambda b: svgplot.render_copula_heat(b.pseudo_u, b.pseudo_v, b.best_copula.model)),
+          ("copula_contours.svg", "gof",
+           lambda b: svgplot.render_copula_contours(b.pseudo_u, b.pseudo_v, b.best_copula.model)),
+          ("km.svg", "strata", lambda b: svgplot.render_km(b.strata_result.curves, b.strata_result.omitted)))
 TABLE_FILES = tuple(name for name, _, _ in _TABLES)
 PLOT_FILES = tuple(name for name, _, _ in _PLOTS)
 
 
-def _write_reports(bundle: ReportBundle, out_dir, reports) -> list:
-    """Write each report whose stage ran, and delete the others' files: a file
-    left by an earlier run into ``out_dir`` would describe a different run.
-    Each file is written atomically by ``write_file``."""
+def _write_reports(bundle: ReportBundle, out_dir, reports):
+    """Write each report whose stage ran, recording it in
+    ``bundle.written_files``, and delete the others' files: a file left by an
+    earlier run into ``out_dir`` would describe a different run."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, stage, writer in reports:
+    for name, stage, report in reports:
         path = out_dir / name
         if stage is None or stage in bundle.stages_run:
-            write_file(path, lambda partial: writer(bundle, partial))
-            written.append(path)
+            write_file(path, report(bundle))
+            bundle.written_files.append(str(path))
         else:
             path.unlink(missing_ok=True)
-    bundle.written_files.extend(str(p) for p in written)
-    return written
 
 
-def emit_tables(bundle: ReportBundle, out_dir) -> list:
+def emit_tables(bundle: ReportBundle, out_dir):
     """Write the machine-readable report files for everything computed."""
-    return _write_reports(bundle, out_dir, _TABLES)
+    _write_reports(bundle, out_dir, _TABLES)
 
 
-def render_plots(bundle: ReportBundle, out_dir) -> list:
+def render_plots(bundle: ReportBundle, out_dir):
     """Write the SVG figures for everything computed."""
-    return _write_reports(bundle, out_dir, _PLOTS)
+    _write_reports(bundle, out_dir, _PLOTS)

@@ -1,6 +1,7 @@
 """Self-contained SVG charts: no external resources, deterministic output.
 
-Each figure is assembled from primitive shapes with a fixed margin layout.
+Each ``render_*`` returns its figure as an SVG document string, assembled
+from primitive shapes with a fixed margin layout; the caller writes it.
 Kaplan-Meier curves use right-continuous steps (horizontal then vertical);
 copula surfaces render as a pair of colored lattices or as marching-squares
 contour lines over the pseudo-observation scatter.
@@ -15,6 +16,10 @@ from .copulas import copula_cdf
 
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
+HIST_BINS = 30  # per score panel, over [0, 1]
+HEAT_GRID = 50  # lattice cells per axis of each copula heat panel
+CONTOUR_GRID = 60  # interior grid points per axis under the copula contours
+CONTOUR_LEVELS = np.arange(0.1, 1.0, 0.1)
 
 
 def _esc(text: str) -> str:
@@ -92,11 +97,6 @@ def _document(width, height, body) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def _write(path, content):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
-
-
 def _legend(entries, x, y):
     parts = []
     for i, (label, color) in enumerate(entries):
@@ -106,7 +106,7 @@ def _legend(entries, x, y):
     return parts
 
 
-def render_roc(path, curves):
+def render_roc(curves) -> str:
     """curves: ordered {label: (fpr, tpr, auc)}. Diagonal drawn dashed."""
     axes = Axes((0, 1), (0, 1), 70, 40, 420, 420)
     body = axes.frame("ROC for 5-year outcome", "false positive rate", "true positive rate")
@@ -122,14 +122,14 @@ def render_roc(path, curves):
         )
         legend.append((f"{label} (AUC {auc_val:.3f})", color))
     body += _legend(legend, axes.left + 230, axes.top + 360)
-    _write(path, _document(540, 520, body))
+    return _document(540, 520, body)
 
 
-def render_score_hist(path, p_clin, p_gen, bins=30):
+def render_score_hist(p_clin, p_gen) -> str:
     panels = [("clinical risk score", np.asarray(p_clin)), ("genomic risk score", np.asarray(p_gen))]
     body = []
     for i, (label, scores) in enumerate(panels):
-        counts, edges = np.histogram(scores, bins=bins, range=(0.0, 1.0))
+        counts, edges = np.histogram(scores, bins=HIST_BINS, range=(0.0, 1.0))
         top = float(counts.max() or 1)
         axes = Axes((0, 1), (0, top), 70 + i * 460, 40, 380, 380)
         body += axes.frame(label, "score", "patients", n_ticks=5)
@@ -145,10 +145,10 @@ def render_score_hist(path, p_clin, p_gen, bins=30):
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" fill="{color}" '
                 'fill-opacity="0.75" stroke="#ffffff" stroke-width="0.5"/>'
             )
-    _write(path, _document(980, 500, body))
+    return _document(980, 500, body)
 
 
-def render_scatter(path, p_clin, p_gen, y):
+def render_scatter(p_clin, p_gen, y) -> str:
     axes = Axes((0, 1), (0, 1), 70, 40, 420, 420)
     body = axes.frame("clinical vs genomic risk", "clinical score", "genomic score")
     y = np.asarray(y)
@@ -158,12 +158,12 @@ def render_scatter(path, p_clin, p_gen, y):
                 f'<circle cx="{axes.px(xc):.2f}" cy="{axes.py(yc):.2f}" r="2.4" fill="{color}" fill-opacity="0.55"/>'
             )
     body += _legend([("survived 5y", "#1f77b4"), ("event by 5y", "#d62728")], axes.left + 270, axes.top + 20)
-    _write(path, _document(540, 520, body))
+    return _document(540, 520, body)
 
 
-def copula_lattice(u, v, model, grid_size=50):
-    """Empirical and fitted copula on the lattice (i/G, j/G), i,j = 1..G."""
-    g = np.arange(1, grid_size + 1) / grid_size
+def copula_lattice(u, v, model):
+    """Empirical and fitted copula on the lattice (i/G, j/G), i,j = 1..G, G = HEAT_GRID."""
+    g = np.arange(1, HEAT_GRID + 1) / HEAT_GRID
     gu, gv = np.meshgrid(g, g, indexing="ij")
     emp = empirical_copula(u, v, gu.ravel(), gv.ravel()).reshape(gu.shape)
     fit = copula_cdf(model, gu.ravel(), gv.ravel()).reshape(gu.shape)
@@ -178,24 +178,24 @@ def _ramp(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_copula_heat(path, u, v, model, grid_size=50):
-    g, emp, fit = copula_lattice(u, v, model, grid_size)
+def render_copula_heat(u, v, model) -> str:
+    g, emp, fit = copula_lattice(u, v, model)
     panels = [("empirical copula", emp), (f"fitted {model.family} copula", fit)]
     body = []
     for i, (label, z) in enumerate(panels):
         axes = Axes((0, 1), (0, 1), 70 + i * 460, 40, 380, 380)
-        cell_w = axes.width / grid_size
-        cell_h = axes.height / grid_size
-        for a in range(grid_size):
-            for b in range(grid_size):
-                x = axes.px(a / grid_size)
-                y = axes.py((b + 1) / grid_size)
+        cell_w = axes.width / HEAT_GRID
+        cell_h = axes.height / HEAT_GRID
+        for a in range(HEAT_GRID):
+            for b in range(HEAT_GRID):
+                x = axes.px(a / HEAT_GRID)
+                y = axes.py((b + 1) / HEAT_GRID)
                 body.append(
                     f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}" '
                     f'fill="{_ramp(float(z[a, b]))}"/>'
                 )
         body += axes.frame(label, "u (clinical rank)", "v (genomic rank)", n_ticks=5)
-    _write(path, _document(980, 500, body))
+    return _document(980, 500, body)
 
 
 def _marching_squares(g, z, level):
@@ -236,17 +236,15 @@ def _marching_squares(g, z, level):
     return segs
 
 
-def render_copula_contours(path, u, v, model, levels=None, grid_size=60):
-    if levels is None:
-        levels = np.arange(0.1, 1.0, 0.1)
+def render_copula_contours(u, v, model) -> str:
     axes = Axes((0, 1), (0, 1), 70, 40, 420, 420)
     body = axes.frame(f"{model.family} copula contours", "u (clinical rank)", "v (genomic rank)")
     for xc, yc in zip(np.asarray(u), np.asarray(v)):
         body.append(f'<circle cx="{axes.px(xc):.2f}" cy="{axes.py(yc):.2f}" r="1.8" fill="#888888" fill-opacity="0.5"/>')
-    g = np.arange(1, grid_size + 1) / (grid_size + 1)
+    g = np.arange(1, CONTOUR_GRID + 1) / (CONTOUR_GRID + 1)
     gu, gv = np.meshgrid(g, g, indexing="ij")
     z = copula_cdf(model, gu.ravel(), gv.ravel()).reshape(gu.shape)
-    for level in levels:
+    for level in CONTOUR_LEVELS:
         path_cmds = []
         for (x1, y1), (x2, y2) in _marching_squares(g, z, level):
             path_cmds.append(
@@ -254,7 +252,7 @@ def render_copula_contours(path, u, v, model, levels=None, grid_size=60):
             )
         if path_cmds:
             body.append(f'<path d="{" ".join(path_cmds)}" stroke="#1f3f8f" stroke-width="1.3" fill="none"/>')
-    _write(path, _document(540, 520, body))
+    return _document(540, 520, body)
 
 
 def km_step_points(axes, curve):
@@ -271,7 +269,7 @@ def km_step_points(axes, curve):
     return axes.points(xs, ys)
 
 
-def render_km(path, curves, omitted=None):
+def render_km(curves, omitted=None) -> str:
     """curves: ordered {stratum label: KMCurve}; omitted strata listed below."""
     t_max = max((float(c.times[-1]) if len(c.times) else 0.0) for c in curves.values())
     t_max = max(t_max * 1.05, 1.0)
@@ -291,4 +289,4 @@ def render_km(path, curves, omitted=None):
             f'<text x="{axes.left}" y="{axes.top + axes.height + 50}" font-size="11" {_FONT}>'
             f"omitted (below size threshold): {_esc(note)}</text>"
         )
-    _write(path, _document(680, 530, body))
+    return _document(680, 530, body)

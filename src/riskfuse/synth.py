@@ -10,6 +10,7 @@ a block of expression-like genes, survival time and status labels.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from scipy.special import ndtri
 from .cohort import SURVIVAL_COLUMNS
 from .copulas import fit_family, sample
 from .errors import ConfigError, DataError
-from .pipeline import PipelineConfig, check_output_dir, write_csv, write_file, write_json
+from .pipeline import PipelineConfig, check_output_dir, csv_text, write_file
 
 
 @dataclass(frozen=True)
@@ -166,9 +167,9 @@ def write_synth(out_dir, params: SynthParams) -> dict:
     config = default_config(str(out / "cohort.csv"), str(out / "report"), params)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_file(out / "cohort.csv", lambda path: write_csv(path, header, rows))
-        write_file(out / "config.json", lambda path: write_json(path, config))
-        write_file(out / "params.json", lambda path: write_json(path, asdict(params)))
+        write_file(out / "cohort.csv", csv_text(header, rows))
+        write_file(out / "config.json", json.dumps(config, indent=2))
+        write_file(out / "params.json", json.dumps(asdict(params), indent=2))
     except OSError as exc:
         raise DataError(f"cannot write the synthetic cohort to {out_dir}: {exc}") from exc
     return config

@@ -120,6 +120,27 @@ class TestParametricBootstrap:
         assert res.degenerate_fit
         assert res.model.param == 1e-6
 
+    @pytest.mark.parametrize("family, m, seed, n_boot", [
+        ("gaussian", 2, 3, 50), ("clayton", 2, 3, 50), ("gumbel", 2, 3, 50),
+        ("gumbel", 8, 0, 1300),  # the first such replicate is 1230, in the second block of 8192 // 8
+    ], ids=["gaussian-m2", "clayton-m2", "gumbel-m2", "gumbel-m8-second-block"])
+    def test_perfectly_ordered_replicate_is_named(self, family, m, seed, n_boot):
+        # a small replicate can have tau +-1, which no family inverts
+        u, v = _observed(0.4, 120, seed=9)
+        model_hat = fit_family(family, kendall_tau(u, v))
+        first_bad = None
+        for b in range(n_boot):
+            try:
+                bootstrap_replicate(model_hat, family, m, seed, b, refit=True)
+            except NumericError:
+                first_bad = b
+                break
+        assert first_bad is not None
+        with pytest.raises(NumericError, match=rf"^{family} bootstrap replicate {first_bad + 1} of {n_boot} "
+                                               rf"\(m = {m} pairs\) has Kendall tau -?1\.0: {family} fit requires "
+                                               r".*; a larger m avoids it$"):
+            parametric_bootstrap(u, v, family, n_boot=n_boot, replicate_size=m, seed=seed, refit=True)
+
     def test_power_direction_clayton_vs_gaussian_null(self):
         # data from the lower-tail family should look worse under the
         # symmetric model than symmetric data does

@@ -3,13 +3,14 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riskfuse import cohort, folds, gof, survival, svgplot, synth
+from riskfuse import cohort, folds, gof, survival, synth
 from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
 from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, render_plots, run_pipeline
@@ -32,6 +33,17 @@ def synth_run(tmp_path_factory):
     config = PipelineConfig.from_dict(cfg)
     bundle = run_pipeline(config)
     return cfg, config, bundle
+
+
+def _half_then_fail(write_text, only):
+    """A ``Path.write_text`` that writes half the text of the file named
+    ``only`` (under its temporary name) and then fails as a full disk does."""
+    def write(path, text, *args, **kwargs):
+        if only not in path.name:
+            return write_text(path, text, *args, **kwargs)
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+    return write
 
 
 class TestConfigValidation:
@@ -167,12 +179,8 @@ class TestOutputs:
         render_plots(bundle, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        def broken_km(path, *args):
-            Path(path).write_text("<svg")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(svgplot, "render_km", broken_km)
-        with pytest.raises(OSError, match="disk full"):
+        monkeypatch.setattr(Path, "write_text", _half_then_fail(Path.write_text, only="km.svg"))
+        with pytest.raises(OSError, match="No space left on device"):
             render_plots(bundle, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -278,12 +286,22 @@ class TestCli:
         assert err.startswith(f"config error: --out {str(tmp_path / out)!r}: ")
         assert f"{str(tmp_path / 'f')!r} is not a directory" in err
 
-    @pytest.mark.parametrize("flag, value", [("--rho", "2"), ("--rho", "-1"), ("--tau", "1.5"), ("--tau", "nan")])
-    def test_synth_dependence_out_of_range_exits_two_before_generating(self, tmp_path, capsys, monkeypatch,
-                                                                       flag, value):
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--rho", "2", "must lie strictly between -1 and 1, got 2.0"),
+        ("--rho", "-1", "must lie strictly between -1 and 1, got -1.0"),
+        ("--tau", "1.5", "must lie strictly between -1 and 1, got 1.5"),
+        ("--tau", "nan", "must lie strictly between -1 and 1, got nan"),
+        ("--seed", "-1", "must be >= 0, got -1"),
+        ("--hazard-ratio", "-1", "must be > 0, got -1.0"),
+        ("--hazard-ratio", "nan", "must be > 0, got nan"),
+        ("--single-ratio", "0", "must be > 0, got 0.0"),
+    ], ids=["rho=2", "rho=-1", "tau=1.5", "tau=nan", "seed=-1", "hazard-ratio=-1", "hazard-ratio=nan",
+            "single-ratio=0"])
+    def test_synth_out_of_range_exits_two_before_generating(self, tmp_path, capsys, monkeypatch, flag, value, rule):
         monkeypatch.setattr(synth, "generate_cohort", lambda params: pytest.fail("cohort generated"))
         assert main(["synth", "--out", str(tmp_path / "s"), flag, value]) == 2
-        assert capsys.readouterr().err == f"config error: {flag} must lie strictly between -1 and 1, got {float(value)!r}\n"
+        assert capsys.readouterr().err == f"config error: {flag} {rule}\n"
+        assert not (tmp_path / "s").exists()
 
     def test_synth_without_genes_exits_two(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "s"), "--n", "30", "--genes", "0"]) == 2
@@ -301,11 +319,7 @@ class TestCli:
         assert main(["synth", "--out", str(tmp_path), "--n", "50"]) == 0
         before = (tmp_path / "cohort.csv").read_bytes()
 
-        def half_then_fail(path, header, rows):
-            path.write_text(",".join(header) + "\n")
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(synth, "write_csv", half_then_fail)
+        monkeypatch.setattr(Path, "write_text", _half_then_fail(Path.write_text, only="cohort.csv"))
         assert main(["synth", "--out", str(tmp_path), "--n", "60"]) == 3
         assert "No space left on device" in capsys.readouterr().err
         assert (tmp_path / "cohort.csv").read_bytes() == before
@@ -528,6 +542,18 @@ class TestCli:
             assert main(["gof", "--scores", str(tmp_path / name), "--family", "clayton", "--B", "10"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_gof_perfectly_ordered_replicate_exits_four(self, tmp_path, capsys):
+        # two pairs are always ordered, so replicate 1 has tau +-1, which the gaussian fit cannot invert
+        rows = "".join(f"{i / 31},{(7 * i) % 31 / 31}\n" for i in range(1, 31))
+        (tmp_path / "s.csv").write_text("p_clin,p_gen\n" + rows)
+        argv = ["gof", "--scores", str(tmp_path / "s.csv"), "--family", "gaussian", "--B", "10", "--m", "2",
+                "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric error: gaussian bootstrap replicate 1 of 10 \(m = 2 pairs\) has Kendall tau "
+                            r"-?1\.0: gaussian fit requires \|tau\| < 1; a larger m avoids it\n", err), err
+        assert not (tmp_path / "g.json").exists()
 
     @pytest.mark.parametrize("bom_on", ["cohort.csv", "c.json"])
     def test_run_reads_a_byte_order_mark(self, tmp_path, bom_on):

@@ -9,9 +9,8 @@ from riskfuse.survival import kaplan_meier
 from riskfuse import svgplot
 
 
-def svg_root(path):
-    tree = ET.parse(path)
-    return tree.getroot()
+def svg_root(doc):
+    return ET.fromstring(doc)
 
 
 def all_elements(root):
@@ -20,8 +19,8 @@ def all_elements(root):
         yield from all_elements(child)
 
 
-def assert_self_contained(path):
-    root = svg_root(path)
+def assert_self_contained(doc):
+    root = svg_root(doc)
     for el in all_elements(root):
         tag = el.tag.split("}")[-1]
         assert tag not in ("image", "script", "use", "link", "foreignObject")
@@ -29,8 +28,8 @@ def assert_self_contained(path):
             assert "href" not in attr.lower()
 
 
-def first_polyline_points(path):
-    root = svg_root(path)
+def first_polyline_points(doc):
+    root = svg_root(doc)
     for el in all_elements(root):
         if el.tag.split("}")[-1] == "polyline":
             pts = el.attrib["points"].split()
@@ -38,67 +37,59 @@ def first_polyline_points(path):
     raise AssertionError("no polyline found")
 
 
-def test_roc_polyline_spans_corners(tmp_path, rng):
+def test_roc_polyline_spans_corners(rng):
     scores = rng.uniform(size=60)
     y = (rng.uniform(size=60) < 0.5).astype(int)
     y[0], y[1] = 0, 1
     fpr, tpr = roc_points(scores, y)
-    path = tmp_path / "roc.svg"
-    svgplot.render_roc(path, {"clinical": (fpr, tpr, 0.5)})
-    pts = first_polyline_points(path)
+    doc = svgplot.render_roc({"clinical": (fpr, tpr, 0.5)})
+    pts = first_polyline_points(doc)
     axes = svgplot.Axes((0, 1), (0, 1), 70, 40, 420, 420)
     assert pts[0] == (pytest.approx(axes.px(0.0), abs=0.01), pytest.approx(axes.py(0.0), abs=0.01))
     assert pts[-1] == (pytest.approx(axes.px(1.0), abs=0.01), pytest.approx(axes.py(1.0), abs=0.01))
-    assert_self_contained(path)
+    assert_self_contained(doc)
 
 
-def test_km_steps_are_horizontal_then_vertical(tmp_path):
+def test_km_steps_are_horizontal_then_vertical():
     curve = kaplan_meier([5, 10, 10, 15, 20], [1, 1, 1, 0, 1])
-    path = tmp_path / "km.svg"
-    svgplot.render_km(path, {"low_low": curve})
-    pts = first_polyline_points(path)
+    doc = svgplot.render_km({"low_low": curve})
+    pts = first_polyline_points(doc)
     assert len(pts) >= 2 * len(curve.times)
     for (x1, y1), (x2, y2) in zip(pts[:-1], pts[1:]):
         assert x1 == pytest.approx(x2, abs=1e-9) or y1 == pytest.approx(y2, abs=1e-9)
     # first move away from (0, 1) must be horizontal: survival stays 1 until
     # the first event
     assert pts[0][1] == pytest.approx(pts[1][1])
-    assert_self_contained(path)
+    assert_self_contained(doc)
 
 
 def test_copula_lattice_top_right_cell(rng):
     model = fit_gaussian(0.43)
     u, v = sample(model, 300, seed=2)
-    g, emp, fit = svgplot.copula_lattice(u, v, model, grid_size=50)
+    g, emp, fit = svgplot.copula_lattice(u, v, model)
     assert g[-1] == 1.0
     assert emp[-1, -1] == pytest.approx(1.0, abs=1.0 / 300.0)
     assert fit[-1, -1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_heat_and_contours_and_hist_are_valid_xml(tmp_path, rng):
+def test_heat_and_contours_and_hist_are_valid_xml(rng):
     model = fit_gaussian(0.43)
     u, v = sample(model, 150, seed=2)
-    heat = tmp_path / "heat.svg"
-    svgplot.render_copula_heat(heat, u, v, model, grid_size=20)
-    contours = tmp_path / "contours.svg"
-    svgplot.render_copula_contours(contours, u, v, model, grid_size=25)
-    hist = tmp_path / "hist.svg"
-    svgplot.render_score_hist(hist, rng.uniform(size=80), rng.uniform(size=80))
-    scatter = tmp_path / "scatter.svg"
-    svgplot.render_scatter(scatter, rng.uniform(size=80), rng.uniform(size=80), rng.integers(0, 2, 80))
-    for path in (heat, contours, hist, scatter):
-        assert_self_contained(path)
+    heat = svgplot.render_copula_heat(u, v, model)
+    contours = svgplot.render_copula_contours(u, v, model)
+    hist = svgplot.render_score_hist(rng.uniform(size=80), rng.uniform(size=80))
+    scatter = svgplot.render_scatter(rng.uniform(size=80), rng.uniform(size=80), rng.integers(0, 2, 80))
+    for doc in (heat, contours, hist, scatter):
+        assert_self_contained(doc)
 
 
-def test_heat_has_two_panels_of_cells(tmp_path, rng):
+def test_heat_has_two_panels_of_cells(rng):
     model = fit_gaussian(0.3)
     u, v = sample(model, 100, seed=5)
-    path = tmp_path / "heat.svg"
-    svgplot.render_copula_heat(path, u, v, model, grid_size=10)
-    root = svg_root(path)
+    root = svg_root(svgplot.render_copula_heat(u, v, model))
     cells = [el for el in all_elements(root) if el.tag.split("}")[-1] == "rect" and "fill-opacity" not in el.attrib]
-    # background + frame rects plus 2 * 10 * 10 lattice cells
-    assert len(cells) >= 200
+    # background + frame rects plus 2 * HEAT_GRID**2 lattice cells
+    assert len(cells) >= 2 * svgplot.HEAT_GRID**2
 
 
 def test_marching_squares_on_known_saddle():
