@@ -93,8 +93,8 @@ def _cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     for flag, value in (("--hazard-ratio", args.hazard_ratio_both), ("--single-ratio", args.hazard_ratio_single)):
-        if not value > 0:
-            raise ConfigError(f"{flag} must be > 0, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
     chosen = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams) if hasattr(args, f.name)}
     if args.tau is None:  # from --rho when given, else the SynthParams default
         chosen["tau"] = SynthParams.tau if args.rho is None else float(2.0 / np.pi * np.arcsin(args.rho))

@@ -35,9 +35,11 @@ def synth_run(tmp_path_factory):
     return cfg, config, bundle
 
 
-def _half_then_fail(write_text, only):
+def _half_then_fail(only):
     """A ``Path.write_text`` that writes half the text of the file named
     ``only`` (under its temporary name) and then fails as a full disk does."""
+    write_text = Path.write_text
+
     def write(path, text, *args, **kwargs):
         if only not in path.name:
             return write_text(path, text, *args, **kwargs)
@@ -179,7 +181,7 @@ class TestOutputs:
         render_plots(bundle, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        monkeypatch.setattr(Path, "write_text", _half_then_fail(Path.write_text, only="km.svg"))
+        monkeypatch.setattr(Path, "write_text", _half_then_fail("km.svg"))
         with pytest.raises(OSError, match="No space left on device"):
             render_plots(bundle, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -292,11 +294,12 @@ class TestCli:
         ("--tau", "1.5", "must lie strictly between -1 and 1, got 1.5"),
         ("--tau", "nan", "must lie strictly between -1 and 1, got nan"),
         ("--seed", "-1", "must be >= 0, got -1"),
-        ("--hazard-ratio", "-1", "must be > 0, got -1.0"),
-        ("--hazard-ratio", "nan", "must be > 0, got nan"),
-        ("--single-ratio", "0", "must be > 0, got 0.0"),
+        ("--hazard-ratio", "-1", "must be finite and > 0, got -1.0"),
+        ("--hazard-ratio", "nan", "must be finite and > 0, got nan"),
+        ("--hazard-ratio", "inf", "must be finite and > 0, got inf"),
+        ("--single-ratio", "0", "must be finite and > 0, got 0.0"),
     ], ids=["rho=2", "rho=-1", "tau=1.5", "tau=nan", "seed=-1", "hazard-ratio=-1", "hazard-ratio=nan",
-            "single-ratio=0"])
+            "hazard-ratio=inf", "single-ratio=0"])
     def test_synth_out_of_range_exits_two_before_generating(self, tmp_path, capsys, monkeypatch, flag, value, rule):
         monkeypatch.setattr(synth, "generate_cohort", lambda params: pytest.fail("cohort generated"))
         assert main(["synth", "--out", str(tmp_path / "s"), flag, value]) == 2
@@ -319,7 +322,7 @@ class TestCli:
         assert main(["synth", "--out", str(tmp_path), "--n", "50"]) == 0
         before = (tmp_path / "cohort.csv").read_bytes()
 
-        monkeypatch.setattr(Path, "write_text", _half_then_fail(Path.write_text, only="cohort.csv"))
+        monkeypatch.setattr(Path, "write_text", _half_then_fail("cohort.csv"))
         assert main(["synth", "--out", str(tmp_path), "--n", "60"]) == 3
         assert "No space left on device" in capsys.readouterr().err
         assert (tmp_path / "cohort.csv").read_bytes() == before
