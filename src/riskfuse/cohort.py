@@ -2,14 +2,16 @@
 
 A cohort is an immutable column-typed table. Numeric columns are stored as
 float arrays with NaN marking missing cells; categorical columns as object
-arrays with None marking missing cells. The loader types each column in one
-pass over its cells. All operations return new tables.
+arrays with None marking missing cells. The loader first parses each column's
+raw cells with ``float()``; only a column where that fails or gives a
+non-finite value takes a second pass that strips cells and recognises the
+missing tokens. All operations return new tables.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +59,12 @@ DEFAULT_CLINICAL_COLUMNS = (
 )
 
 
+def _repeated_name(names: list[str]) -> str:
+    """The first of ``names`` that appears more than once, with its 1-based column numbers."""
+    name = next(n for n in names if names.count(n) > 1)
+    return f"{name!r} at columns {', '.join(str(j) for j, n in enumerate(names, start=1) if n == name)}"
+
+
 @dataclass(frozen=True)
 class Column:
     """One typed column: numeric (float64 + NaN) or categorical (object + None)."""
@@ -72,27 +80,29 @@ class CohortTable:
 
     columns: tuple[Column, ...]
     n_rows: int
+    _by_name: dict[str, Column] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            raise DataError("duplicate column names in table")
+        by_name = {c.name: c for c in self.columns}
+        if len(by_name) != len(self.columns):
+            raise DataError(f"duplicate column name {_repeated_name(self.column_names)} in table")
         for c in self.columns:
             if len(c.values) != self.n_rows:
                 raise DataError(f"column {c.name!r} has {len(c.values)} cells, expected {self.n_rows}")
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
     def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise DataError(f"column {name!r} not present in table")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise DataError(f"column {name!r} not present in table") from None
 
     def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
     def select(self, names: list[str]) -> "CohortTable":
         return CohortTable(tuple(self.column(n) for n in names), self.n_rows)
@@ -139,8 +149,21 @@ class ViewSpec:
 
 
 def _typed_column(name: str, cells) -> Column:
-    """One column, typed in one pass over its cells. ``float()`` ignores the whitespace
-    that ``str.strip()`` removes, so a stripped cell parses to the same bits."""
+    """One column: numeric when every non-missing cell is a finite number, else categorical.
+
+    ``float()`` runs on the raw cells first. When every cell parses to a
+    finite number, that array is the column: no missing token parses to a
+    finite float (``""`` and ``na`` raise, ``nan`` is not finite), and
+    ``float()`` ignores the same whitespace that ``str.strip()`` removes, so
+    the token pass below would give the same bits. Any other column (a
+    missing cell, a non-finite value or text) takes the token pass.
+    """
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return Column(name, "numeric", values)
     cells = [c.strip() for c in cells]
     missing = [c.lower() in MISSING_TOKENS for c in cells]
     try:
@@ -156,8 +179,9 @@ def _typed_column(name: str, cells) -> Column:
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     """The header and data rows of a UTF-8 CSV file; a leading byte-order mark
-    is dropped. A file that cannot be read or parsed, an empty file, duplicate
-    header names and a ragged row are each a ``DataError`` naming the file."""
+    is dropped. A file that cannot be read or parsed, an empty file, a repeated
+    header name and a ragged row are each a ``DataError`` naming the file; a
+    repeated name is given with its column numbers."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
@@ -169,7 +193,7 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"{path}: file is empty")
     header = rows.pop(0)
     if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate header names")
+        raise DataError(f"{path}: duplicate header name {_repeated_name(header)}")
     for row_no, row in enumerate(rows, start=2):  # the header is row 1
         if len(row) != len(header):
             raise DataError(f"{path}: row {row_no} has {len(row)} fields, header has {len(header)}")

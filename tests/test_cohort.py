@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskfuse.cohort import (
+    CohortTable,
+    Column,
     ViewSpec,
     build_endpoint,
     filter_cohort,
@@ -37,7 +39,14 @@ _TEXT_CELL = st.one_of(
     st.sampled_from(["high", "R175H", "N/A", "Infinity", "0x10", "\u0661\u0662", " \xa01\xa0", "a,b", 'say "x"']),
     st.text(alphabet="ab1. \xa0", max_size=4),
 )
+# finite numbers only, some padded or unusual, so the column takes the float-first path
+_FINITE_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([" 1.5 ", "\xa02\xa0", "1_000", "+5", "-0.0", "1e-400"]),
+)
 _COLUMN = st.one_of(
+    st.just(_FINITE_CELL),
     st.just(_missing_cell()),
     st.just(st.one_of(_NUMBER_CELL, _missing_cell())),
     st.just(st.one_of(_NUMBER_CELL, _missing_cell(), _TEXT_CELL)),
@@ -47,11 +56,26 @@ _COLUMN = st.one_of(
 @st.composite
 def _csv_cells(draw):
     """A header of 1-5 names and 0-8 rows; each column draws its cells from
-    missing tokens only, numbers and missing tokens, or any cell."""
+    finite numbers only, missing tokens only, numbers and missing tokens, or any cell."""
     n_rows = draw(st.integers(0, 8))
     kinds = draw(st.lists(_COLUMN, min_size=1, max_size=5))
     columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
     return [f"c{j}" for j in range(len(columns))], [list(row) for row in zip(*columns)]
+
+
+def _load_both(path, header, rows):
+    """``load_cohort`` and the per-cell oracle on one CSV written from ``header`` and ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return load_cohort(path), load_cohort_cells(path)
+
+
+def _assert_same_column(got, want):
+    assert (got.name, got.kind, got.values.dtype) == (want.name, want.kind, want.values.dtype)
+    if got.kind == "numeric":
+        assert got.values.tobytes() == want.values.tobytes()
+    else:
+        assert list(got.values) == list(want.values)
 
 
 class TestLoadCohort:
@@ -83,9 +107,12 @@ class TestLoadCohort:
         with pytest.raises(DataError, match="fields"):
             load_cohort(csv_dir("t.csv", "a,b\n1,2\n3\n"))
 
-    def test_duplicate_header_rejected(self, csv_dir):
-        with pytest.raises(DataError, match="duplicate"):
-            load_cohort(csv_dir("t.csv", "a,a\n1,2\n"))
+    @pytest.mark.parametrize("header, named", [("a,a", "'a' at columns 1, 2"), ("x,b,a,b,c,a,b", "'b' at columns 2, 4, 7")],
+                             ids=["pair", "first-of-two"])
+    def test_duplicate_header_rejected(self, csv_dir, header, named):
+        body = header + "\n" + ",".join("1" * len(header.split(","))) + "\n"
+        with pytest.raises(DataError, match=f"t.csv: duplicate header name {named}$"):
+            load_cohort(csv_dir("t.csv", body))
 
     @pytest.mark.parametrize("body", ["", "\ufeff"], ids=["empty", "bom-only"])
     def test_empty_file_rejected(self, csv_dir, body):
@@ -115,18 +142,43 @@ class TestLoadCohort:
     def test_matches_the_per_cell_oracle(self, csv_cells):
         header, rows = csv_cells
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows([header, *rows])
-            got, want = load_cohort(path), load_cohort_cells(path)
+            got, want = _load_both(Path(tmp) / "t.csv", header, rows)
         assert got.n_rows == want.n_rows == len(rows)
         assert got.column_names == want.column_names == header
         for g, w in zip(got.columns, want.columns):
-            assert (g.kind, g.values.dtype) == (w.kind, w.values.dtype)
-            if g.kind == "numeric":
-                assert g.values.tobytes() == w.values.tobytes()
-            else:
-                assert list(g.values) == list(w.values)
+            _assert_same_column(g, w)
+
+    @pytest.mark.parametrize("row", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("cell, kind", [("nan", "numeric"), (" NA ", "numeric"), ("", "numeric"),
+                                            ("inf", "categorical"), ("-nan", "categorical"),
+                                            ("1e999", "categorical"), ("three", "categorical")],
+                             ids=["nan", "padded-NA", "empty", "inf", "-nan", "1e999", "three"])
+    def test_one_cell_leaves_the_float_first_path(self, tmp_path, cell, kind, row):
+        cells = [" 1.5 ", "\xa02\xa0", "-0.0", "1e-400", "7"]
+        cells[row] = cell
+        got, want = _load_both(tmp_path / "t.csv", ["c"], [[c] for c in cells])
+        assert got.column("c").kind == kind
+        _assert_same_column(got.column("c"), want.column("c"))
+        if kind == "numeric":
+            assert np.isnan(got.column("c").values[row])
+            assert np.isfinite(np.delete(got.column("c").values, row)).all()
+
+
+class TestCohortTable:
+    def test_lookup_by_name(self):
+        table = make_table(a=[1.0, 2.0], b=np.array(["x", "y"], dtype=object))
+        assert table.column("b") is table.columns[1]
+        assert table.has_column("a") and not table.has_column("c")
+        assert table.select(["b", "a"]).column_names == ["b", "a"]
+        with pytest.raises(DataError, match="^column 'c' not present in table$"):
+            table.column("c")
+        with pytest.raises(DataError, match="^column 'c' not present in table$"):
+            table.select(["a", "c"])
+
+    def test_duplicate_column_is_named(self):
+        cols = tuple(Column(name, "numeric", np.zeros(2)) for name in ("a", "b", "c", "b"))
+        with pytest.raises(DataError, match="^duplicate column name 'b' at columns 2, 4 in table$"):
+            CohortTable(cols, 2)
 
 
 class TestBuildEndpoint:

@@ -518,6 +518,17 @@ class TestCli:
         assert doc["family"] == "gaussian" and doc["B"] == 50
         assert 1.0 / 51.0 <= doc["p_value"] <= 1.0
 
+    def test_duplicate_header_exits_three_naming_it(self, tmp_path, capsys):
+        (tmp_path / "cohort.csv").write_text("patient_id,age,overall_survival_months,age\nP1,50,70,51\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_csv": str(tmp_path / "cohort.csv"), "output_dir": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.endswith("cohort.csv: duplicate header name 'age' at columns 2, 4\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("p_clin,p_gen,p_clin\n0.1,0.2,0.3\n")
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 3
+        assert capsys.readouterr().err.endswith("scores.csv: duplicate header name 'p_clin' at columns 1, 3\n")
+
     def test_gof_missing_columns_exits_three(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("a,b\n1,2\n")
