@@ -23,7 +23,7 @@ from .copulas import FAMILIES, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError, NumericError
 from .gof import parametric_bootstrap
 from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, run_pipeline, write_file
-from .synth import SynthParams, write_synth
+from .synth import SYNTH_RULES, SynthParams, write_synth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,8 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=SynthParams.seed)
     synth.add_argument("--n", type=int, default=SynthParams.n)
     synth.add_argument("--copula", default=SynthParams.copula, choices=FAMILIES)
-    synth.add_argument("--tau", type=float, default=None, help="dependence strength as Kendall tau")
-    synth.add_argument("--rho", type=float, default=None, help="gaussian correlation (alternative to --tau)")
+    dependence = synth.add_mutually_exclusive_group()
+    dependence.add_argument("--tau", type=float, default=SynthParams.tau, help="dependence strength as Kendall tau")
+    dependence.add_argument("--rho", type=float, default=None, help="gaussian correlation (instead of --tau)")
     synth.add_argument("--genes", dest="n_genes", type=int, default=SynthParams.n_genes)
     synth.add_argument("--hazard-ratio", dest="hazard_ratio_both", type=float,
                        default=SynthParams.hazard_ratio_both, help="joint-high vs joint-low hazard ratio")
@@ -86,18 +87,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    for flag in ("tau", "rho"):
-        value = getattr(args, flag)
-        if value is not None and not -1.0 < value < 1.0:
-            raise ConfigError(f"--{flag} must lie strictly between -1 and 1, got {value!r}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    for flag, value in (("--hazard-ratio", args.hazard_ratio_both), ("--single-ratio", args.hazard_ratio_single)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
+    # SynthParams checks every field, naming its flag
     chosen = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams) if hasattr(args, f.name)}
-    if args.tau is None:  # from --rho when given, else the SynthParams default
-        chosen["tau"] = SynthParams.tau if args.rho is None else float(2.0 / np.pi * np.arcsin(args.rho))
+    if args.rho is not None:  # the gaussian correlation of the same tau, so it has tau's range
+        chosen["tau"] = float(2.0 / np.pi * np.arcsin(SYNTH_RULES["tau"][1].read(args.rho, "--rho")))
     write_synth(args.out, SynthParams(**chosen))
     print(f"wrote cohort.csv, config.json, params.json to {args.out}")
     return 0

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, kendall_tau, sample
-from .copulas import pseudo_observations  # noqa: F401  perfbench/tracer.py wraps this name here
+from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, sample
+from .copulas import kendall_tau, pseudo_observations  # noqa: F401  perfbench/tracer.py wraps these names here
 from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
 from .seeding import stream_rng
@@ -138,10 +138,11 @@ def parametric_bootstrap(
     if m < 2:
         raise NumericError("replicate size must be at least 2")
 
-    tau_hat = kendall_tau(u, v)
+    observed = rank_pass(u, v)  # one ranking for tau and the statistic
+    tau_hat = observed.tau()
     model_hat = fit_family(family, tau_hat)
     degenerate = family == "clayton" and tau_hat <= 0
-    stat = cvm_statistic(u, v, model_hat)
+    stat = cvm_statistic(u, v, model_hat, observed)
 
     stream = FAMILIES.index(family)
     rows = max(1, _BLOCK_POINTS // m)

@@ -39,7 +39,8 @@ from .seeding import hash_seed
 from .survival import StrataKMResult, StratumAssignment, joint_strata, strata_km
 from . import svgplot
 
-# Every config key, in the order the manifest writes them.
+# Every config key, in the order the manifest writes them. copula.m starts at
+# 20: a smaller replicate is too often perfectly ordered, which no refit inverts.
 CONFIG_SCHEMA = {
     "input_csv": Key(str),
     "output_dir": Key(str),
@@ -51,7 +52,7 @@ CONFIG_SCHEMA = {
     "cv": {"k": Key(int, 5, ge=2), "seed": Key(int, 0)},
     "models": DEFAULT_MODELS,
     "copula": {"families": Key(tuple, FAMILIES, choices=FAMILIES, min_len=1), "B": Key(int, 1000, ge=1),
-               "m": Key(int, None, ge=2, null=True), "seed": Key(int, 1), "refit": Key(bool, True)},
+               "m": Key(int, None, ge=20, null=True), "seed": Key(int, 1), "refit": Key(bool, True)},
     "strata": {"min_size": Key(int, 10, ge=1)},
     "endpoint": {"status_column": Key(str, None, null=True)},
 }

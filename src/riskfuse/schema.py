@@ -10,7 +10,7 @@ from .errors import ConfigError
 REQUIRED = object()  # the default of a key every config must set
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", tuple: "a list of strings"}
-_BOUNDS = ((">=", "ge", operator.ge), (">", "gt", operator.gt), ("<=", "le", operator.le))
+_BOUNDS = ((">=", "ge", operator.ge), (">", "gt", operator.gt), ("<=", "le", operator.le), ("<", "lt", operator.lt))
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class Key:
     ge: float | None = None
     gt: float | None = None
     le: float | None = None
+    lt: float | None = None
     choices: tuple = ()
     null: bool = False
     min_len: int = 0

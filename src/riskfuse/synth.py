@@ -21,6 +21,18 @@ from .cohort import SURVIVAL_COLUMNS
 from .copulas import fit_family, sample
 from .errors import ConfigError, DataError
 from .pipeline import PipelineConfig, check_output_dir, csv_text, write_file
+from .schema import Key
+
+# the SynthParams fields that `fuse synth` sets: each one's flag and the Key
+# it is read through, for the CLI and library callers alike
+SYNTH_RULES = {
+    "n": ("--n", Key(int, ge=20)),
+    "tau": ("--tau", Key(float, gt=-1, lt=1)),
+    "seed": ("--seed", Key(int, ge=0)),
+    "n_genes": ("--genes", Key(int, ge=1)),
+    "hazard_ratio_both": ("--hazard-ratio", Key(float, gt=0)),
+    "hazard_ratio_single": ("--single-ratio", Key(float, gt=0)),
+}
 
 
 @dataclass(frozen=True)
@@ -42,6 +54,15 @@ class SynthParams:
     censor_hi: float = 300.0
     missing_frac: float = 0.03
 
+    def __post_init__(self):
+        """A ConfigError naming the flag of the first field that breaks its rule."""
+        for field, (flag, key) in SYNTH_RULES.items():
+            key.read(getattr(self, field), flag)
+        # a negative tau pins Clayton at its parameter floor and Gumbel at
+        # independence, so the latents would be drawn independent
+        if self.copula in ("clayton", "gumbel") and self.tau < 0:
+            raise ConfigError(f"--tau must be >= 0 for the {self.copula} copula, got {self.tau!r}")
+
 
 def _quadrant_multiplier(z_c, z_g, params: SynthParams):
     high_c = z_c > 0
@@ -54,10 +75,6 @@ def _quadrant_multiplier(z_c, z_g, params: SynthParams):
 
 def generate_cohort(params: SynthParams):
     """Return (header, rows) for the synthetic cohort CSV."""
-    if params.n < 20:
-        raise ConfigError("synthetic cohort needs n >= 20")
-    if params.n_genes < 1:
-        raise ConfigError(f"synthetic cohort needs --genes >= 1, got {params.n_genes}")
     rng = np.random.default_rng(params.seed)
 
     model = fit_family(params.copula, params.tau)

@@ -14,13 +14,26 @@ from riskfuse import cohort, folds, gof, survival, synth
 from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
 from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, render_plots, run_pipeline
-from riskfuse.synth import SynthParams, default_config, write_synth
+from riskfuse.synth import SYNTH_RULES, SynthParams, default_config, write_synth
 
 FAST_MODELS = {
     "elastic_net_lr": {"lam": 0.02},
     "random_forest": {"n_trees": 12, "min_leaf": 5},
     "gradient_boosting": {"n_rounds": 12, "max_depth": 2},
 }
+
+# a value just outside each SYNTH_RULES bound, as `fuse synth` reads it, and the rule it breaks
+SYNTH_OUTSIDE = [
+    ("n", "19", "must be >= 20, got 19"),
+    ("n", "10", "must be >= 20, got 10"),
+    ("tau", "-1.0", "must be > -1, got -1.0"),
+    ("tau", "1.0", "must be < 1, got 1.0"),
+    ("seed", "-1", "must be >= 0, got -1"),
+    ("n_genes", "0", "must be >= 1, got 0"),
+    ("hazard_ratio_both", "0.0", "must be > 0, got 0.0"),
+    ("hazard_ratio_both", "-1.0", "must be > 0, got -1.0"),
+    ("hazard_ratio_single", "0.0", "must be > 0, got 0.0"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -289,15 +302,15 @@ class TestCli:
         assert f"{str(tmp_path / 'f')!r} is not a directory" in err
 
     @pytest.mark.parametrize("flag, value, rule", [
-        ("--rho", "2", "must lie strictly between -1 and 1, got 2.0"),
-        ("--rho", "-1", "must lie strictly between -1 and 1, got -1.0"),
-        ("--tau", "1.5", "must lie strictly between -1 and 1, got 1.5"),
-        ("--tau", "nan", "must lie strictly between -1 and 1, got nan"),
+        ("--rho", "2", "must be < 1, got 2.0"),
+        ("--rho", "-1", "must be > -1, got -1.0"),
+        ("--tau", "1.5", "must be < 1, got 1.5"),
+        ("--tau", "nan", "must be a number, got nan"),
         ("--seed", "-1", "must be >= 0, got -1"),
-        ("--hazard-ratio", "-1", "must be finite and > 0, got -1.0"),
-        ("--hazard-ratio", "nan", "must be finite and > 0, got nan"),
-        ("--hazard-ratio", "inf", "must be finite and > 0, got inf"),
-        ("--single-ratio", "0", "must be finite and > 0, got 0.0"),
+        ("--hazard-ratio", "-1", "must be > 0, got -1.0"),
+        ("--hazard-ratio", "nan", "must be a number, got nan"),
+        ("--hazard-ratio", "inf", "must be a number, got inf"),
+        ("--single-ratio", "0", "must be > 0, got 0.0"),
     ], ids=["rho=2", "rho=-1", "tau=1.5", "tau=nan", "seed=-1", "hazard-ratio=-1", "hazard-ratio=nan",
             "hazard-ratio=inf", "single-ratio=0"])
     def test_synth_out_of_range_exits_two_before_generating(self, tmp_path, capsys, monkeypatch, flag, value, rule):
@@ -308,8 +321,49 @@ class TestCli:
 
     def test_synth_without_genes_exits_two(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "s"), "--n", "30", "--genes", "0"]) == 2
-        assert capsys.readouterr().err == "config error: synthetic cohort needs --genes >= 1, got 0\n"
+        assert capsys.readouterr().err == "config error: --genes must be >= 1, got 0\n"
         assert not (tmp_path / "s" / "cohort.csv").exists()
+
+    @pytest.mark.parametrize("field, value, rule", SYNTH_OUTSIDE, ids=[f"{f}={v}" for f, v, _ in SYNTH_OUTSIDE])
+    def test_synth_rule_names_the_flag(self, tmp_path, capsys, field, value, rule):
+        flag, key = SYNTH_RULES[field]
+        with pytest.raises(ConfigError) as raised:
+            SynthParams(**{field: key.kind(value)})
+        assert str(raised.value) == f"{flag} {rule}"
+        assert main(["synth", "--out", str(tmp_path / "s"), flag, value]) == 2
+        assert capsys.readouterr().err == f"config error: {flag} {rule}\n"
+        assert not (tmp_path / "s").exists()
+
+    def test_synth_rules_cover_every_flag(self):
+        assert {field for field, _, _ in SYNTH_OUTSIDE} == set(SYNTH_RULES)
+
+    @pytest.mark.parametrize("field, value", [("n", 20), ("seed", 0), ("n_genes", 1)])
+    def test_synth_value_on_the_bound_is_accepted(self, field, value):
+        header, rows = synth.generate_cohort(SynthParams(**{field: value}))
+        assert len(rows) == (20 if field == "n" else SynthParams.n)
+        assert len(header) == 12 + (1 if field == "n_genes" else SynthParams.n_genes)
+
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_synth_negative_tau_needs_the_gaussian_copula(self, tmp_path, capsys, family):
+        rule = f"--tau must be >= 0 for the {family} copula, got -0.3"
+        with pytest.raises(ConfigError, match=re.escape(rule)):
+            SynthParams(copula=family, tau=-0.3)
+        assert main(["synth", "--out", str(tmp_path / "s"), "--copula", family, "--tau", "-0.3"]) == 2
+        assert capsys.readouterr().err == f"config error: {rule}\n"
+        assert not (tmp_path / "s").exists()
+        assert SynthParams(copula=family, tau=0.0).tau == 0.0
+        assert SynthParams(copula="gaussian", tau=-0.3).tau == -0.3
+
+    def test_synth_tau_and_rho_exclude_each_other(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["synth", "--out", str(tmp_path / "s"), "--tau", "0.3", "--rho", "0.9"])
+        assert exited.value.code == 2
+        assert "argument --rho: not allowed with argument --tau" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_synth_rho_sets_the_gaussian_tau(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n", "20", "--rho", "0.5"]) == 0
+        assert json.loads((tmp_path / "s" / "params.json").read_text())["tau"] == pytest.approx(1.0 / 3.0)
 
     def test_synth_write_failure_exits_three(self, tmp_path, capsys):
         (tmp_path / "s" / "cohort.csv").mkdir(parents=True)  # a directory where cohort.csv goes
@@ -424,6 +478,7 @@ class TestCli:
         ("models.elastic_net_lr.grid_points", 0, []),
         ("cv", 5, ["--seed", "3"]),
         ("copula.m", 1, []),
+        ("copula.m", 19, []),
         ("horizon_months", -5, []),
         ("models.elastic_net_lr.alpha", 2, []),
         ("view_spec.clinical_columns", "age", []),
@@ -558,14 +613,16 @@ class TestCli:
         assert outputs[0] == outputs[1]
 
     def test_gof_perfectly_ordered_replicate_exits_four(self, tmp_path, capsys):
-        # two pairs are always ordered, so replicate 1 has tau +-1, which the gaussian fit cannot invert
-        rows = "".join(f"{i / 31},{(7 * i) % 31 / 31}\n" for i in range(1, 31))
+        # two swapped neighbours are 1 discordant pair of 4950, a fitted tau of 0.9996, so the 20 pairs of
+        # replicate 1 come out in order: tau 1, which the gaussian fit cannot invert
+        p_gen = [2, 1, *range(3, 101)]
+        rows = "".join(f"{i / 101},{p_gen[i - 1] / 101}\n" for i in range(1, 101))
         (tmp_path / "s.csv").write_text("p_clin,p_gen\n" + rows)
-        argv = ["gof", "--scores", str(tmp_path / "s.csv"), "--family", "gaussian", "--B", "10", "--m", "2",
+        argv = ["gof", "--scores", str(tmp_path / "s.csv"), "--family", "gaussian", "--B", "10", "--m", "20",
                 "--out", str(tmp_path / "g.json")]
         assert main(argv) == 4
         err = capsys.readouterr().err
-        assert re.fullmatch(r"numeric error: gaussian bootstrap replicate 1 of 10 \(m = 2 pairs\) has Kendall tau "
+        assert re.fullmatch(r"numeric error: gaussian bootstrap replicate 1 of 10 \(m = 20 pairs\) has Kendall tau "
                             r"-?1\.0: gaussian fit requires \|tau\| < 1; a larger m avoids it\n", err), err
         assert not (tmp_path / "g.json").exists()
 
@@ -581,8 +638,8 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert (manifest["rows_loaded"], manifest["rows_analytic"]) == (3, 2)
 
-    @pytest.mark.parametrize("flag, value, bound", [("--B", "0", 1), ("--B", "-1", 1), ("--m", "1", 2)],
-                             ids=["B=0", "B=-1", "m=1"])
+    @pytest.mark.parametrize("flag, value, bound", [("--B", "0", 1), ("--B", "-1", 1), ("--m", "1", 20),
+                                                    ("--m", "19", 20)], ids=["B=0", "B=-1", "m=1", "m=19"])
     def test_gof_invalid_replicates_exits_two(self, tmp_path, capsys, flag, value, bound):
         # the copula.B and copula.m rules of a run config, checked before the scores file is opened
         argv = ["gof", "--scores", str(tmp_path / "absent.csv"), "--family", "gaussian", flag, value]
