@@ -23,7 +23,7 @@ from .copulas import FAMILIES, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError, NumericError
 from .gof import parametric_bootstrap
 from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, run_pipeline, write_file
-from .synth import SYNTH_RULES, SynthParams, write_synth
+from .synth import SYNTH_RULES, SynthParams, check_dependence_sign, write_synth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # each flag sets, and takes its default from, the SynthParams field named by its dest
     synth.add_argument("--seed", type=int, default=SynthParams.seed)
     synth.add_argument("--n", type=int, default=SynthParams.n)
-    synth.add_argument("--copula", default=SynthParams.copula, choices=FAMILIES)
+    synth.add_argument("--copula", default=SynthParams.copula, help=f"one of {', '.join(FAMILIES)}")
     dependence = synth.add_mutually_exclusive_group()
     dependence.add_argument("--tau", type=float, default=SynthParams.tau, help="dependence strength as Kendall tau")
     dependence.add_argument("--rho", type=float, default=None, help="gaussian correlation (instead of --tau)")
@@ -88,9 +88,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_synth(args) -> int:
     # SynthParams checks every field, naming its flag
-    chosen = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams) if hasattr(args, f.name)}
-    if args.rho is not None:  # the gaussian correlation of the same tau, so it has tau's range
-        chosen["tau"] = float(2.0 / np.pi * np.arcsin(SYNTH_RULES["tau"][1].read(args.rho, "--rho")))
+    chosen = {field: getattr(args, field) for field in SYNTH_RULES}
+    if args.rho is not None:  # the gaussian correlation of the same tau, so it has tau's range and sign
+        rho = SYNTH_RULES["tau"][1].read(args.rho, "--rho")
+        check_dependence_sign(args.copula, "--rho", rho)
+        chosen["tau"] = float(2.0 / np.pi * np.arcsin(rho))
     write_synth(args.out, SynthParams(**chosen))
     print(f"wrote cohort.csv, config.json, params.json to {args.out}")
     return 0

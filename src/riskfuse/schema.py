@@ -17,9 +17,9 @@ _BOUNDS = ((">=", "ge", operator.ge), (">", "gt", operator.gt), ("<=", "le", ope
 class Key:
     """One config leaf of kind int, float (any finite number), bool, str or
     tuple (a list of strings). Numbers must meet the bounds that are set, and
-    a list must hold at least ``min_len`` items. ``choices`` are the strings a
-    list may hold, or that a float key takes besides numbers. null is accepted
-    only when ``null`` is set."""
+    a list must hold at least ``min_len`` items, none of them twice. ``choices``
+    are the strings a str key takes or a list may hold, or that a float key
+    takes besides numbers. null is accepted only when ``null`` is set."""
 
     kind: type
     default: object = REQUIRED
@@ -45,9 +45,13 @@ class Key:
                 raise ConfigError(f"{name} must be {sign} {getattr(self, attr)}, got {raw!r}")
         if self.kind is tuple and len(raw) < self.min_len:
             raise ConfigError(f"{name} must hold at least {self.min_len} item(s), got {raw!r}")
-        for item in raw if self.kind is tuple else ():
+        if self.kind is str and self.choices and raw not in self.choices:
+            raise ConfigError(f"{name} must be one of {', '.join(self.choices)}, got {raw!r}")
+        for i, item in enumerate(raw if self.kind is tuple else ()):
             if self.choices and item not in self.choices:
                 raise ConfigError(f"{name} holds {item!r}; expected one of {', '.join(self.choices)}")
+            if item in raw[:i]:
+                raise ConfigError(f"{name} must not repeat {item!r}")
         return float(raw) if self.kind is float else tuple(raw) if self.kind is tuple else raw
 
 

@@ -18,21 +18,35 @@ import numpy as np
 from scipy.special import ndtri
 
 from .cohort import SURVIVAL_COLUMNS
-from .copulas import fit_family, sample
+from .copulas import FAMILIES, fit_family, sample
 from .errors import ConfigError, DataError
 from .pipeline import PipelineConfig, check_output_dir, csv_text, write_file
 from .schema import Key
 
-# the SynthParams fields that `fuse synth` sets: each one's flag and the Key
-# it is read through, for the CLI and library callers alike
+# each SynthParams field's `fuse synth` flag and the Key it is read through,
+# for the CLI and library callers alike
 SYNTH_RULES = {
     "n": ("--n", Key(int, ge=20)),
+    "copula": ("--copula", Key(str, choices=FAMILIES)),
     "tau": ("--tau", Key(float, gt=-1, lt=1)),
     "seed": ("--seed", Key(int, ge=0)),
     "n_genes": ("--genes", Key(int, ge=1)),
     "hazard_ratio_both": ("--hazard-ratio", Key(float, gt=0)),
     "hazard_ratio_single": ("--single-ratio", Key(float, gt=0)),
 }
+
+# the generator's fixed settings, the same for every cohort
+N_INFORMATIVE = 16  # genes that load on the genomic latent
+BASE_HAZARD = 1.0 / 150.0  # per month, low-low quadrant
+LOGIT_INTERCEPT, LOGIT_CLIN, LOGIT_GEN = -0.6, 1.1, 0.9
+OTHER_CAUSE_FRAC = 0.05
+CENSOR_LO, CENSOR_HI = 40.0, 300.0
+MISSING_FRAC = 0.03
+
+CLINICAL_COLUMNS = [
+    "age_at_diagnosis", "tumor_size", "node_burden", "prognostic_index",
+    "marker_noise", "grade", "receptor_status", "center",
+]
 
 
 @dataclass(frozen=True)
@@ -42,26 +56,23 @@ class SynthParams:
     tau: float = 0.43
     seed: int = 0
     n_genes: int = 40
-    n_informative: int = 16
     hazard_ratio_both: float = 4.0
     hazard_ratio_single: float = 2.0
-    base_hazard: float = 1.0 / 150.0  # per month, low-low quadrant
-    logit_intercept: float = -0.6
-    logit_clin: float = 1.1
-    logit_gen: float = 0.9
-    other_cause_frac: float = 0.05
-    censor_lo: float = 40.0
-    censor_hi: float = 300.0
-    missing_frac: float = 0.03
 
     def __post_init__(self):
         """A ConfigError naming the flag of the first field that breaks its rule."""
         for field, (flag, key) in SYNTH_RULES.items():
             key.read(getattr(self, field), flag)
-        # a negative tau pins Clayton at its parameter floor and Gumbel at
-        # independence, so the latents would be drawn independent
-        if self.copula in ("clayton", "gumbel") and self.tau < 0:
-            raise ConfigError(f"--tau must be >= 0 for the {self.copula} copula, got {self.tau!r}")
+        check_dependence_sign(self.copula, "--tau", self.tau)
+
+
+def check_dependence_sign(copula: str, flag: str, value: float):
+    """A ConfigError naming ``flag`` when ``value``, a tau or a correlation of
+    the same sign, is negative for Clayton or Gumbel: a negative tau pins
+    Clayton at its parameter floor and Gumbel at independence, so the latents
+    would be drawn independent."""
+    if copula in ("clayton", "gumbel") and value < 0:
+        raise ConfigError(f"{flag} must be >= 0 for the {copula} copula, got {value!r}")
 
 
 def _quadrant_multiplier(z_c, z_g, params: SynthParams):
@@ -83,14 +94,14 @@ def generate_cohort(params: SynthParams):
     z_g = ndtri(v)
 
     # who dies of cancer at all: logistic in the latent risks
-    logit = params.logit_intercept + params.logit_clin * z_c + params.logit_gen * z_g
+    logit = LOGIT_INTERCEPT + LOGIT_CLIN * z_c + LOGIT_GEN * z_g
     dies = rng.uniform(size=params.n) < 1.0 / (1.0 + np.exp(-logit))
 
     # timing: exponential with quadrant-dependent hazard
-    hazard = params.base_hazard * _quadrant_multiplier(z_c, z_g, params)
+    hazard = BASE_HAZARD * _quadrant_multiplier(z_c, z_g, params)
     t_death = rng.exponential(1.0 / hazard)
-    censor = rng.uniform(params.censor_lo, params.censor_hi, size=params.n)
-    other = rng.uniform(size=params.n) < params.other_cause_frac
+    censor = rng.uniform(CENSOR_LO, CENSOR_HI, size=params.n)
+    other = rng.uniform(size=params.n) < OTHER_CAUSE_FRAC
 
     # whole-month follow-up so strata share event times on the KM grid
     t_obs = np.ceil(np.where(dies, np.minimum(t_death, censor), censor))
@@ -114,7 +125,7 @@ def generate_cohort(params: SynthParams):
 
     gene_cols = []
     for j in range(params.n_genes):
-        if j < params.n_informative:
+        if j < N_INFORMATIVE:
             loading = 0.55 + 0.35 * (j % 5) / 4.0
             scale = 1.3 + 0.7 * ((j * 7) % 5) / 4.0
             g = scale * (loading * z_g + np.sqrt(1.0 - loading**2) * noise())
@@ -123,15 +134,11 @@ def generate_cohort(params: SynthParams):
         gene_cols.append(g)
 
     # knock a few clinical cells out to exercise imputation
-    miss_ts = rng.uniform(size=params.n) < params.missing_frac
-    miss_grade = rng.uniform(size=params.n) < params.missing_frac
+    miss_ts = rng.uniform(size=params.n) < MISSING_FRAC
+    miss_grade = rng.uniform(size=params.n) < MISSING_FRAC
 
-    header = (
-        ["patient_id", "age_at_diagnosis", "tumor_size", "node_burden", "prognostic_index",
-         "marker_noise", "grade", "receptor_status", "center"]
-        + [f"g{j + 1:03d}_exp" for j in range(params.n_genes)]
-        + list(SURVIVAL_COLUMNS)
-    )
+    header = ["patient_id", *CLINICAL_COLUMNS, *(f"g{j + 1:03d}_exp" for j in range(params.n_genes)),
+              *SURVIVAL_COLUMNS]
     rows = []
     for i in range(params.n):
         row = [
@@ -149,12 +156,6 @@ def generate_cohort(params: SynthParams):
         row += [f"{t_obs[i]:.0f}", str(overall_death[i]), status[i]]
         rows.append(row)
     return header, rows
-
-
-CLINICAL_COLUMNS = [
-    "age_at_diagnosis", "tumor_size", "node_burden", "prognostic_index",
-    "marker_noise", "grade", "receptor_status", "center",
-]
 
 
 def default_config(csv_path: str, out_dir: str, params: SynthParams) -> dict:

@@ -33,6 +33,24 @@ SYNTH_OUTSIDE = [
     ("hazard_ratio_both", "0.0", "must be > 0, got 0.0"),
     ("hazard_ratio_both", "-1.0", "must be > 0, got -1.0"),
     ("hazard_ratio_single", "0.0", "must be > 0, got 0.0"),
+    ("copula", "frank", "must be one of gaussian, clayton, gumbel, got 'frank'"),
+]
+
+CLAYTON_FLAGS = ["--copula", "clayton", "--tau", "0.3", "--n", "300", "--genes", "12", "--hazard-ratio", "3",
+                 "--single-ratio", "1.5"]
+# sha256 of the `fuse synth` cohort.csv and config.json (the out directory written as OUT) per flag set,
+# as written while the generator's fixed settings were still SynthParams fields
+SYNTH_DIGESTS = [
+    ([], "57f3e2d8f0eb6fa63a87c2dad98c1d1baf8efe94cd5180bc8808fc317e7fd100",
+     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
+    (["--seed", "7"], "2265313311402e1743a61bb960e48e9ae1104f005d328265e2c3c1e07cd01259",
+     "97eb6c78124579ba34926a0f7d6b2fc415c1758f4e3340ed8efc4ef946417277"),
+    (["--rho", "0.5"], "e941f82f33f7ae906b81e692c2060cf9ad6ae4fffcc492a0d3b6b5ada82700e7",
+     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
+    (CLAYTON_FLAGS, "b5cc0be44c99227c40f62524e1bc96a24cc4a858e0fb0e76b8e9e49a54688676",
+     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
+    (["--copula", "gumbel", "--tau", "0"], "a897326e3776bcca34a3915f1495ff6b027f3f13bbf1ee276d4bf8d894c8c6f0",
+     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
 ]
 
 
@@ -337,6 +355,20 @@ class TestCli:
     def test_synth_rules_cover_every_flag(self):
         assert {field for field, _, _ in SYNTH_OUTSIDE} == set(SYNTH_RULES)
 
+    def test_synth_rules_cover_every_field(self):
+        assert set(SYNTH_RULES) == {f.name for f in dataclasses.fields(SynthParams)}
+
+    @pytest.mark.parametrize("flags, cohort_sha, config_sha", SYNTH_DIGESTS,
+                             ids=["defaults", "seed=7", "rho=0.5", "clayton", "gumbel-tau=0"])
+    def test_synth_files_are_frozen(self, tmp_path, flags, cohort_sha, config_sha):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), *flags]) == 0
+        for name, sha in (("cohort.csv", cohort_sha), ("config.json", config_sha)):
+            text = (out / name).read_text().replace(str(out), "OUT")
+            assert hashlib.sha256(text.encode()).hexdigest() == sha, name
+        params = json.loads((out / "params.json").read_text())
+        assert list(params) == [f.name for f in dataclasses.fields(SynthParams)]
+
     @pytest.mark.parametrize("field, value", [("n", 20), ("seed", 0), ("n_genes", 1)])
     def test_synth_value_on_the_bound_is_accepted(self, field, value):
         header, rows = synth.generate_cohort(SynthParams(**{field: value}))
@@ -353,6 +385,12 @@ class TestCli:
         assert not (tmp_path / "s").exists()
         assert SynthParams(copula=family, tau=0.0).tau == 0.0
         assert SynthParams(copula="gaussian", tau=-0.3).tau == -0.3
+
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_synth_negative_rho_is_named(self, tmp_path, capsys, family):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--copula", family, "--rho", "-0.5"]) == 2
+        assert capsys.readouterr().err == f"config error: --rho must be >= 0 for the {family} copula, got -0.5\n"
+        assert not (tmp_path / "s").exists()
 
     def test_synth_tau_and_rho_exclude_each_other(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exited:
@@ -484,6 +522,8 @@ class TestCli:
         ("view_spec.clinical_columns", "age", []),
         ("view_spec.clinical_columns", [], []),
         ("copula.families", [], []),
+        ("copula.families", ["gaussian", "gaussian"], []),
+        ("view_spec.clinical_columns", ["age_at_diagnosis", "grade", "age_at_diagnosis"], []),
     ])
     def test_bad_config_exits_two_before_load(self, tmp_path, capsys, key, value, argv):
         raw = {"input_csv": str(tmp_path / "absent.csv"), "output_dir": str(tmp_path / "out")}
@@ -499,6 +539,16 @@ class TestCli:
         assert err.startswith("config error: [stage config] ")
         assert f"{key} must" in err or f"{key!r}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value, item", [
+        ("copula", "families", ["clayton", "gaussian", "clayton"], "clayton"),
+        ("view_spec", "clinical_columns", ["age_at_diagnosis", "grade", "grade"], "grade"),
+    ])
+    def test_repeated_list_item_is_named(self, tmp_path, capsys, section, key, value, item):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_csv": "x.csv", "output_dir": "o", section: {key: value}}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: [stage config] {section}.{key} must not repeat {item!r}\n"
 
     def test_unreadable_cohort_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
