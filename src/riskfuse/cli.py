@@ -63,10 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object of a config; a key it holds twice is a ConfigError naming the key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} appears twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8-sig") as fh:
-            config = PipelineConfig.from_dict(json.load(fh))
+            config = PipelineConfig.from_dict(json.load(fh, object_pairs_hook=_unique_keys))
     except OSError as exc:
         raise ConfigError(f"[stage config] cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -76,7 +86,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"[stage config] {exc}") from exc
     if args.seed is not None:
-        config = dataclasses.replace(config, cv_seed=args.seed, copula_seed=args.seed + 1)
+        config = config.with_seed(args.seed)
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
     bundle = run_pipeline(config, stop_after=args.stage)

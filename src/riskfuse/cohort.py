@@ -200,18 +200,22 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def load_cohort(csv_path) -> CohortTable:
+def load_cohort(csv_path, text_columns=()) -> CohortTable:
     """Load a CSV file with a header row (see ``read_csv``) into a typed CohortTable.
 
     A column is numeric when every non-missing cell parses to a finite
     number, categorical otherwise. Empty strings and the tokens NA / NaN
     (any case, surrounding whitespace ignored) count as missing; categorical
-    cells are stored stripped.
+    cells are stored stripped. A column named in ``text_columns`` is
+    categorical with every cell stored stripped as written, so an id ``1001``
+    stays ``"1001"`` and an empty cell stays ``""``.
     """
     header, rows = read_csv(csv_path)
     # zip(*rows) yields one column at a time, but no columns at all without rows
     columns = zip(*rows) if rows else [()] * len(header)
-    return CohortTable(tuple(_typed_column(name, cells) for name, cells in zip(header, columns)), len(rows))
+    return CohortTable(tuple(
+        Column(name, "categorical", np.array([c.strip() for c in cells], dtype=object)) if name in text_columns
+        else _typed_column(name, cells) for name, cells in zip(header, columns)), len(rows))
 
 
 def _normalize_status(col: Column) -> np.ndarray:

@@ -60,17 +60,25 @@ def fit_gaussian(tau: float) -> CopulaModel:
     return CopulaModel("gaussian", rho, tau, 0.0, 0.0)
 
 
+def fit_clamps(family: str, tau: float) -> bool:
+    """Whether the fit of ``family`` at ``tau`` pins its parameter at a bound
+    instead of inverting tau: Clayton at tau <= 0 (theta held at
+    ``CLAYTON_THETA_FLOOR``) and Gumbel at tau < 0 (theta 1, independence).
+    The Gaussian never clamps."""
+    return family == "clayton" and not tau > 0 or family == "gumbel" and not tau >= 0
+
+
 def fit_clayton(tau: float) -> CopulaModel:
     if tau >= 1.0:
         raise NumericError("clayton fit requires tau < 1")
-    theta = 2.0 * tau / (1.0 - tau) if tau > 0 else CLAYTON_THETA_FLOOR
+    theta = CLAYTON_THETA_FLOOR if fit_clamps("clayton", tau) else 2.0 * tau / (1.0 - tau)
     return CopulaModel("clayton", float(theta), theta / (theta + 2.0), float(2.0 ** (-1.0 / theta)), 0.0)
 
 
 def fit_gumbel(tau: float) -> CopulaModel:
     if tau >= 1.0:
         raise NumericError("gumbel fit requires tau < 1")
-    theta = max(1.0, 1.0 / (1.0 - tau))
+    theta = 1.0 if fit_clamps("gumbel", tau) else 1.0 / (1.0 - tau)
     return CopulaModel("gumbel", float(theta), 1.0 - 1.0 / theta, 0.0, float(2.0 - 2.0 ** (1.0 / theta)))
 
 

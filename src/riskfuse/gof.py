@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_family, sample
+from .copulas import CopulaModel, FAMILIES, copula_cdf, fit_clamps, fit_family, sample
 from .copulas import kendall_tau, pseudo_observations  # noqa: F401  perfbench/tracer.py wraps these names here
 from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
@@ -50,7 +50,7 @@ class GofResult:
     replicate_size: int
     p_value: float
     model: CopulaModel
-    degenerate_fit: bool = False  # parameter pinned at a bound (e.g. Clayton floor)
+    degenerate_fit: bool = False  # the fit clamped its parameter (see copulas.fit_clamps)
     replicates: np.ndarray | None = None  # the B null statistics
 
     def to_dict(self) -> dict:
@@ -123,8 +123,8 @@ def parametric_bootstrap(
 
     Replicates are ``replicate_size`` pairs, or the sample size when that is
     None; each uses its own RNG stream keyed by (seed, family, replicate).
-    A non-positive tau pins Clayton at its parameter floor; the fit still
-    runs and is flagged degenerate. A refitted replicate with tau +-1, likely
+    A tau at which the family's fit clamps its parameter (``fit_clamps``)
+    still runs and is flagged degenerate. A refitted replicate with tau +-1, likely
     at a small ``replicate_size``, raises a ``NumericError`` naming it.
     """
     if n_boot < 1:
@@ -141,7 +141,7 @@ def parametric_bootstrap(
     observed = rank_pass(u, v)  # one ranking for tau and the statistic
     tau_hat = observed.tau()
     model_hat = fit_family(family, tau_hat)
-    degenerate = family == "clayton" and tau_hat <= 0
+    degenerate = fit_clamps(family, tau_hat)
     stat = cvm_statistic(u, v, model_hat, observed)
 
     stream = FAMILIES.index(family)

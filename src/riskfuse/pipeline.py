@@ -9,6 +9,12 @@ place that runs stages, records ``stages_run``, stops after ``stop_after``
 and tags errors: a ``FuseError`` from stage NAME re-raises as the same class
 prefixed ``[stage NAME]``, which the CLI maps to an exit code.
 
+The config is ``CONFIG_SCHEMA``: four top-level settings (``input_csv``,
+``output_dir``, ``horizon_months``, ``genomic_top_k``) and six sections
+(``view_spec``, ``cv``, ``models``, ``copula``, ``strata``, ``endpoint``).
+``PipelineConfig`` holds it in that shape, one field per top-level key, so a
+stage reads a section's keys under their JSON names (``config.copula["B"]``).
+
 Each report is a function from the bundle to its file's text, and
 ``write_file`` writes every file the package produces.
 """
@@ -20,7 +26,7 @@ import io
 import json
 import os
 import platform
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,42 +66,35 @@ CONFIG_SCHEMA = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One run's settings, keyed as in ``CONFIG_SCHEMA``. A top-level key that
-    names a field is held whole (``view_spec`` as a ``ViewSpec``); the keys of
-    any other section are held as ``<section>_<key>`` fields, in lower case."""
+    """One run's settings, one field per top-level key of ``CONFIG_SCHEMA``:
+    ``view_spec`` as a ``ViewSpec``, every other section as the dict that
+    ``schema.read`` returns, under its JSON key names."""
 
     input_csv: str
     output_dir: str
     view_spec: ViewSpec
     horizon_months: float
     genomic_top_k: int
-    cv_k: int
-    cv_seed: int
+    cv: dict
     models: dict
-    copula_families: tuple
-    copula_b: int
-    copula_m: int | None
-    copula_seed: int
-    copula_refit: bool
-    strata_min_size: int
-    endpoint_status_column: str | None
+    copula: dict
+    strata: dict
+    endpoint: dict
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
         """The config in ``d``; an unknown key, a wrong JSON type or an
         out-of-range value raises a ``ConfigError`` naming the key."""
-        names = {f.name for f in fields(PipelineConfig)}
-        kw = {}
-        for key, value in schema.read(CONFIG_SCHEMA, d).items():
-            kw.update({key: value} if key in names else {f"{key}_{k}".lower(): v for k, v in value.items()})
-        return PipelineConfig(**dict(kw, view_spec=ViewSpec(**kw["view_spec"])))
+        values = schema.read(CONFIG_SCHEMA, d)
+        return PipelineConfig(**dict(values, view_spec=ViewSpec(**values["view_spec"])))
 
     def to_dict(self) -> dict:
-        held = dict(vars(self), view_spec=vars(self.view_spec))
-        return schema.write(CONFIG_SCHEMA, {
-            key: held[key] if key in held else {k: held[f"{key}_{k}".lower()] for k in spec}
-            for key, spec in CONFIG_SCHEMA.items()
-        })
+        return schema.write(CONFIG_SCHEMA, dict(vars(self), view_spec=vars(self.view_spec)))
+
+    def with_seed(self, seed: int) -> "PipelineConfig":
+        """This config run at ``seed``: the folds and models draw from ``seed``
+        and the copula bootstrap from ``seed + 1``."""
+        return replace(self, cv=dict(self.cv, seed=seed), copula=dict(self.copula, seed=seed + 1))
 
 
 @dataclass
@@ -125,38 +124,41 @@ class ReportBundle:
 
 
 def _load(bundle: ReportBundle):
-    bundle.table = load_cohort(bundle.config.input_csv)
+    bundle.table = load_cohort(bundle.config.input_csv, text_columns=(bundle.config.view_spec.id_column,))
     bundle.n_loaded = bundle.table.n_rows
 
 
 def _endpoint(bundle: ReportBundle):
     config = bundle.config
-    endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.endpoint_status_column)
-    ids = bundle.table.column(config.view_spec.id_column).values
+    endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.endpoint["status_column"])
+    id_column = config.view_spec.id_column
+    ids = bundle.table.column(id_column).values  # stripped text, as _load reads it
     bundle.table, bundle.endpoint = filter_cohort(bundle.table, endpoint)
     bundle.n_analytic = bundle.table.n_rows
     csv_row = {}  # patient id -> CSV row number of each analytic row; the header is row 1
     for i in np.flatnonzero(~np.isnan(endpoint.y)):
-        pid = str(ids[i])
+        pid = ids[i]
+        if not pid:
+            raise DataError(f"{id_column} is empty in CSV row {i + 2}")
         if pid in csv_row:
-            raise DataError(f"{config.view_spec.id_column} {pid!r} appears in CSV rows {csv_row[pid]} and {i + 2}")
+            raise DataError(f"{id_column} {pid!r} appears in CSV rows {csv_row[pid]} and {i + 2}")
         csv_row[pid] = i + 2
     bundle.patient_ids = list(csv_row)
 
 
 def _views(bundle: ReportBundle):
-    clinical, genomic = split_views(bundle.table, bundle.config.view_spec, bundle.config.endpoint_status_column)
+    clinical, genomic = split_views(bundle.table, bundle.config.view_spec, bundle.config.endpoint["status_column"])
     bundle.views = {"clinical": clinical, "genomic": variance_filter(genomic, k=bundle.config.genomic_top_k)}
 
 
 def _scores(bundle: ReportBundle):
     config = bundle.config
     y = bundle.endpoint.y.astype(int)
-    folds = stratified_kfold(y, k=config.cv_k, seed=config.cv_seed, row_ids=bundle.patient_ids)
+    folds = stratified_kfold(y, k=config.cv["k"], seed=config.cv["seed"], row_ids=bundle.patient_ids)
     for view_name, view in bundle.views.items():
         records = []
         for family in MODEL_FAMILIES:
-            spec = ModelSpec(family, config.models[family], hash_seed(config.cv_seed, view_name, family))
+            spec = ModelSpec(family, config.models[family], hash_seed(config.cv["seed"], view_name, family))
             scores = oof_scores(view, y, spec, folds, row_ids=bundle.patient_ids)
             bundle.oof[(view_name, family)] = scores
             records.append(CVRecord(view_name, spec, roc_auc(scores, y)))
@@ -170,7 +172,7 @@ def _copula(bundle: ReportBundle):
     bundle.pseudo_u = pseudo_observations(bundle.p_clin)
     bundle.pseudo_v = pseudo_observations(bundle.p_gen)
     bundle.tau = kendall_tau(bundle.pseudo_u, bundle.pseudo_v)
-    bundle.copula_fits = [fit_family(f, bundle.tau) for f in bundle.config.copula_families]
+    bundle.copula_fits = [fit_family(f, bundle.tau) for f in bundle.config.copula["families"]]
 
 
 def _gof(bundle: ReportBundle):
@@ -180,12 +182,12 @@ def _gof(bundle: ReportBundle):
             bundle.pseudo_u,
             bundle.pseudo_v,
             fam,
-            n_boot=config.copula_b,
-            replicate_size=config.copula_m,
-            seed=config.copula_seed,
-            refit=config.copula_refit,
+            n_boot=config.copula["B"],
+            replicate_size=config.copula["m"],
+            seed=config.copula["seed"],
+            refit=config.copula["refit"],
         )
-        for fam in config.copula_families
+        for fam in config.copula["families"]
     ]
     bundle.best_copula = select_best_copula(bundle.gof_results)
 
@@ -196,7 +198,7 @@ def _strata(bundle: ReportBundle):
         bundle.strata,
         bundle.endpoint.t_months,
         bundle.endpoint.delta.astype(int),
-        min_size=bundle.config.strata_min_size,
+        min_size=bundle.config.strata["min_size"],
     )
 
 

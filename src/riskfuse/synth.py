@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .cohort import SURVIVAL_COLUMNS
-from .copulas import FAMILIES, fit_family, sample
+from .copulas import FAMILIES, fit_clamps, fit_family, sample
 from .errors import ConfigError, DataError
 from .pipeline import PipelineConfig, check_output_dir, csv_text, write_file
 from .schema import Key
@@ -68,10 +68,9 @@ class SynthParams:
 
 def check_dependence_sign(copula: str, flag: str, value: float):
     """A ConfigError naming ``flag`` when ``value``, a tau or a correlation of
-    the same sign, is negative for Clayton or Gumbel: a negative tau pins
-    Clayton at its parameter floor and Gumbel at independence, so the latents
-    would be drawn independent."""
-    if copula in ("clayton", "gumbel") and value < 0:
+    the same sign, is negative and the fit of ``copula`` clamps there
+    (``fit_clamps``): the latents would be drawn independent, or nearly so."""
+    if value < 0 and fit_clamps(copula, value):
         raise ConfigError(f"{flag} must be >= 0 for the {copula} copula, got {value!r}")
 
 
@@ -160,20 +159,19 @@ def generate_cohort(params: SynthParams):
 
 def default_config(csv_path: str, out_dir: str, params: SynthParams) -> dict:
     """A complete pipeline config sized for the synthetic cohort: the settings
-    below, and the schema defaults for every other key."""
+    below, run at ``params.seed``, and the schema defaults for every other key."""
     return PipelineConfig.from_dict({
         "input_csv": csv_path,
         "output_dir": out_dir,
         "view_spec": {"clinical_columns": CLINICAL_COLUMNS},
         "genomic_top_k": 20,
-        "cv": {"seed": params.seed},
         "models": {
             "elastic_net_lr": {"grid_points": 5},
             "random_forest": {"n_trees": 50},
             "gradient_boosting": {"n_rounds": 60, "max_depth": 2},
         },
-        "copula": {"B": 200, "seed": params.seed + 1},
-    }).to_dict()
+        "copula": {"B": 200},
+    }).with_seed(params.seed).to_dict()
 
 
 def write_synth(out_dir, params: SynthParams) -> dict:

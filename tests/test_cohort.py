@@ -127,6 +127,12 @@ class TestLoadCohort:
         with pytest.raises(DataError, match="t.csv: not a readable UTF-8 CSV file"):
             load_cohort(path)
 
+    def test_text_column_keeps_cells_as_written(self, csv_dir):
+        table = load_cohort(csv_dir("t.csv", "id,a\n1001,1\n 07 ,2\nNA,3\n,4\n"), text_columns=("id",))
+        ids = table.column("id")
+        assert ids.kind == "categorical" and list(ids.values) == ["1001", "07", "NA", ""]
+        assert table.column("a").kind == "numeric"
+
     def test_header_only_gives_empty_numeric_columns(self, csv_dir):
         table = load_cohort(csv_dir("t.csv", "a,b,c\n"))
         assert table.n_rows == 0 and table.column_names == ["a", "b", "c"]

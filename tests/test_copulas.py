@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskfuse.copulas import (
+    FAMILIES,
     CopulaModel,
     copula_cdf,
+    fit_clamps,
     fit_clayton,
     fit_family,
     fit_gaussian,
@@ -169,6 +173,16 @@ class TestCopulaCdf:
         with pytest.raises(NumericError):
             copula_cdf(fit_gaussian(0.3), 1.2, 0.5)
 
+    @pytest.mark.parametrize("family, param, message", [
+        ("gaussian", 1.0, "gaussian copula requires |rho| < 1"),
+        ("clayton", 0.0, "clayton copula requires theta > 0"),
+        ("gumbel", 0.99, "gumbel copula requires theta >= 1"),
+        ("frank", 2.0, "unknown copula family 'frank'"),
+    ])
+    def test_bad_parameter_or_family_rejected(self, family, param, message):
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            copula_cdf(CopulaModel(family, param, 0.0, 0.0, 0.0), 0.5, 0.5)
+
 
 class TestSampling:
     @pytest.mark.parametrize(
@@ -204,6 +218,10 @@ class TestSampling:
         with pytest.raises(NumericError):
             sample(fit_gaussian(0.2), 0, seed=1)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(NumericError, match="^unknown copula family 'frank'$"):
+            sample(CopulaModel("frank", 2.0, 0.2, 0.0, 0.0), 10, seed=1)
+
 
 def test_fit_family_dispatch():
     assert fit_family("gaussian", 0.3).family == "gaussian"
@@ -211,6 +229,15 @@ def test_fit_family_dispatch():
     assert fit_family("gumbel", 0.3).family == "gumbel"
     with pytest.raises(NumericError):
         fit_family("frank", 0.3)
+
+
+@pytest.mark.parametrize("tau", [-0.5, -0.0, 0.0, 1e-12, 0.3, float("nan")])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_fit_clamps_where_it_does_not_return_its_tau(family, tau):
+    if family == "gaussian" and tau != tau:
+        assert not fit_clamps(family, tau)  # the Gaussian fit rejects it
+    else:
+        assert fit_clamps(family, tau) == (fit_family(family, tau).tau != pytest.approx(tau))
 
 
 def test_model_serialization_fields():

@@ -113,12 +113,13 @@ class TestParametricBootstrap:
         b = self.run_small(refit=False)
         assert not np.array_equal(a.replicates, b.replicates)
 
-    def test_clayton_floor_flagged_degenerate(self, rng):
+    @pytest.mark.parametrize("family, bound", [("clayton", 1e-6), ("gumbel", 1.0)])
+    def test_clayton_floor_flagged_degenerate(self, rng, family, bound):
         u = pseudo_observations(rng.standard_normal(80))
         v = 1.0 - u  # strongly negative dependence
-        res = parametric_bootstrap(u, v, "clayton", n_boot=20, replicate_size=None, seed=1, refit=True)
+        res = parametric_bootstrap(u, v, family, n_boot=20, replicate_size=None, seed=1, refit=True)
         assert res.degenerate_fit
-        assert res.model.param == 1e-6
+        assert res.model.param == bound
 
     @pytest.mark.parametrize("family, m, seed, n_boot", [
         ("gaussian", 2, 3, 50), ("clayton", 2, 3, 50), ("gumbel", 2, 3, 50),

@@ -13,6 +13,7 @@ import pytest
 from riskfuse import cohort, folds, gof, survival, synth
 from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
+from riskfuse.schema import Key
 from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, render_plots, run_pipeline
 from riskfuse.synth import SYNTH_RULES, SynthParams, default_config, write_synth
 
@@ -52,6 +53,13 @@ SYNTH_DIGESTS = [
     (["--copula", "gumbel", "--tau", "0"], "a897326e3776bcca34a3915f1495ff6b027f3f13bbf1ee276d4bf8d894c8c6f0",
      "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
 ]
+
+
+class Twice:
+    """A config value that the file holds twice under its key: ``first``, then ``then``."""
+
+    def __init__(self, first, then):
+        self.first, self.then = first, then
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +130,17 @@ class TestConfigValidation:
             raw["models"] = models
         config = PipelineConfig.from_dict(raw)
         assert PipelineConfig.from_dict(config.to_dict()) == config
+
+    def test_fields_are_the_schema_keys(self):
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == list(CONFIG_SCHEMA)
+
+    def test_a_new_section_key_round_trips(self, monkeypatch):
+        monkeypatch.setitem(CONFIG_SCHEMA, "strata", dict(CONFIG_SCHEMA["strata"], extra=Key(int, 3)))
+        raw = default_config("cohort.csv", "report", SynthParams())
+        raw["strata"]["extra"] = 4
+        config = PipelineConfig.from_dict(raw)
+        assert config.strata == {"min_size": 10, "extra": 4}
+        assert config.to_dict() == raw
 
     def test_readme_config_block_matches_schema(self):
         text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -461,6 +480,37 @@ class TestCli:
         assert f"data error: [stage endpoint] patient_id {pid!r} appears in CSV rows {row_a} and {row_b}" in err
         assert not Path(cfg["output_dir"]).exists()
 
+    @staticmethod
+    def rewrite_ids(cfg, new_id):
+        """Replace each row's id with ``new_id(i, old)`` for its 0-based row i."""
+        path = Path(cfg["input_csv"])
+        header, *lines = path.read_text().splitlines()
+        lines = [new_id(i, line.split(",", 1)[0]) + line[line.index(","):] for i, line in enumerate(lines)]
+        path.write_text("\n".join([header, *lines]) + "\n")
+
+    def test_numeric_ids_are_reported_as_written(self, tmp_path):
+        cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
+        self.rewrite_ids(cfg, lambda i, old: str(1001 + i))
+        cfg["models"] = dict(FAST_MODELS)
+        cfg["copula"]["B"] = 20
+        bundle = run_pipeline(PipelineConfig.from_dict(cfg))
+        report = Path(cfg["output_dir"])
+        for name in ("scores.csv", "strata.csv"):
+            with open(report / name, newline="") as fh:
+                ids = [row["patient_id"] for row in csv.DictReader(fh)]
+            assert ids == bundle.patient_ids and all(pid.isdigit() for pid in ids), name
+
+    def test_empty_id_on_an_analytic_row_exits_three(self, tmp_path, capsys):
+        cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
+        table = cohort.load_cohort(cfg["input_csv"])
+        y = cohort.build_endpoint(table, horizon=cfg["horizon_months"], status_column=None).y
+        blank = np.flatnonzero(~np.isnan(y))[1]
+        self.rewrite_ids(cfg, lambda i, old: " " if i == blank else old)
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: [stage endpoint] patient_id is empty in CSV row {blank + 2}\n"
+        assert not Path(cfg["output_dir"]).exists()
+
     def test_duplicate_id_on_a_dropped_row_still_runs(self, tmp_path):
         cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
         self.copy_first_id(cfg, analytic=False)
@@ -524,6 +574,7 @@ class TestCli:
         ("copula.families", [], []),
         ("copula.families", ["gaussian", "gaussian"], []),
         ("view_spec.clinical_columns", ["age_at_diagnosis", "grade", "age_at_diagnosis"], []),
+        ("copula", Twice({"seed": 5}, {"B": 7}), []),
     ])
     def test_bad_config_exits_two_before_load(self, tmp_path, capsys, key, value, argv):
         raw = {"input_csv": str(tmp_path / "absent.csv"), "output_dir": str(tmp_path / "out")}
@@ -532,8 +583,11 @@ class TestCli:
         for section in sections:
             node = node.setdefault(section, {})
         node[leaf] = value
+        text = json.dumps(raw, default=lambda twice: "TWICE")
+        if isinstance(value, Twice):
+            text = text.replace('"TWICE"', f"{json.dumps(value.first)}, {json.dumps(leaf)}: {json.dumps(value.then)}")
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(raw))
+        cfg.write_text(text)
         assert main(["run", "--config", str(cfg), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: [stage config] ")
@@ -709,6 +763,7 @@ class TestCli:
         m1 = json.load(open(out / "r1" / "manifest.json"))
         m2 = json.load(open(out / "r2" / "manifest.json"))
         assert m1["config"]["cv"]["seed"] != m2["config"]["cv"]["seed"]
+        assert (m2["config"]["cv"]["seed"], m2["config"]["copula"]["seed"]) == (99, 100)
         assert m1["kendall_tau"] != m2["kendall_tau"]
 
 
