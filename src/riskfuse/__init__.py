@@ -37,7 +37,7 @@ from .gof import GofResult, cvm_statistic, empirical_copula, parametric_bootstra
 from .linear import ElasticNetLogistic
 from .metrics import roc_auc, roc_points
 from .pipeline import PipelineConfig, ReportBundle, run_pipeline
-from .preprocess import Preprocessor, fit_preprocessor, transform
+from .preprocess import fit_preprocessor, transform
 from .scoring import CVRecord, ModelSpec, oof_scores, select_best_model
 from .survival import KMCurve, StratumAssignment, joint_strata, kaplan_meier, strata_km
 from .trees import GradientBoosting, RandomForest
@@ -80,7 +80,6 @@ __all__ = [
     "PipelineConfig",
     "ReportBundle",
     "run_pipeline",
-    "Preprocessor",
     "fit_preprocessor",
     "transform",
     "CVRecord",

@@ -63,20 +63,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unique_keys(pairs) -> dict:
-    """One JSON object of a config; a key it holds twice is a ConfigError naming the key."""
+def _unique_keys(value, path: str = ""):
+    """A config parsed with ``object_pairs_hook=tuple``, with its objects as dicts;
+    a key that one object holds twice is a ConfigError naming its dotted path."""
+    if isinstance(value, list):
+        return [_unique_keys(item, path) for item in value]
+    if not isinstance(value, tuple):
+        return value
     obj = {}
-    for key, value in pairs:
+    for key, item in value:
         if key in obj:
-            raise ConfigError(f"key {key!r} appears twice in one JSON object")
-        obj[key] = value
+            raise ConfigError(f"key {path + key!r} appears twice in one JSON object")
+        obj[key] = _unique_keys(item, f"{path}{key}.")
     return obj
 
 
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8-sig") as fh:
-            config = PipelineConfig.from_dict(json.load(fh, object_pairs_hook=_unique_keys))
+            config = PipelineConfig.from_dict(_unique_keys(json.load(fh, object_pairs_hook=tuple)))
     except OSError as exc:
         raise ConfigError(f"[stage config] cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:

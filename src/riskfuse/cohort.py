@@ -300,9 +300,11 @@ def split_views(table: CohortTable, spec: ViewSpec, status_column: str | None = 
     for ``status_column`` never appear in either view, even if listed among
     the clinical columns.
     """
-    for name in (spec.id_column, *spec.clinical_columns, *spec.survival_columns):
-        if not table.has_column(name):
-            raise DataError(f"view column {name!r} not present in table")
+    for key, names in (("id_column", [spec.id_column]), ("clinical_columns", spec.clinical_columns),
+                       ("survival_columns", spec.survival_columns)):
+        for name in names:
+            if not table.has_column(name):
+                raise DataError(f"view column {name!r} not present in table; view_spec.{key} lists it")
     excluded = {*spec.survival_columns, *endpoint_columns(status_column), spec.id_column}
     clinical_names = [c for c in spec.clinical_columns if c not in excluded]
     if not clinical_names:

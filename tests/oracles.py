@@ -7,6 +7,7 @@ naive and separate from the implementation it checks.
 import csv
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -443,3 +444,97 @@ class ElasticNetLogisticOracle(ElasticNetLogistic):
         self.intercept_ = best_b
         self.n_iter_ = sweeps
         return self
+
+
+# The fold preprocessor that the one-tuple form replaced: a schema, a stats
+# dict per column kind and a stats class per kind. Kept as it was.
+
+
+@dataclass(frozen=True)
+class NumericStats:
+    median: float
+    mean: float
+    sd: float  # 0 flags a constant (or unobserved) column
+
+
+@dataclass(frozen=True)
+class CategoricalStats:
+    mode: str
+    categories: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Preprocessor:
+    schema: tuple[tuple[str, str], ...]  # (name, kind) pairs, input order
+    numeric: dict
+    categorical: dict
+
+
+MISSING_CATEGORY = "__missing__"
+
+
+def fit_preprocessor(view: CohortTable, train_rows: np.ndarray) -> Preprocessor:
+    """Fit imputation / scaling / encoding statistics from training rows only."""
+    train_rows = np.asarray(train_rows)
+    if len(train_rows) == 0:
+        raise DataError("cannot fit preprocessor on zero training rows")
+    numeric = {}
+    categorical = {}
+    for col in view.columns:
+        vals = col.values[train_rows]
+        if col.kind == "numeric":
+            obs = vals[~np.isnan(vals)]
+            if len(obs) == 0:
+                # entirely missing in training: impute to 0 on the standardized scale
+                numeric[col.name] = NumericStats(median=0.0, mean=0.0, sd=0.0)
+            else:
+                sd = float(np.std(obs, ddof=1)) if len(obs) >= 2 else 0.0
+                numeric[col.name] = NumericStats(
+                    median=float(np.median(obs)), mean=float(np.mean(obs)), sd=sd
+                )
+        else:
+            seen: dict[str, int] = {}
+            for v in vals:
+                if v is not None:
+                    seen[v] = seen.get(v, 0) + 1
+            if not seen:
+                categorical[col.name] = CategoricalStats(MISSING_CATEGORY, (MISSING_CATEGORY,))
+            else:
+                # mode = most frequent, first-seen breaks ties
+                mode = max(seen, key=lambda c: seen[c])
+                categorical[col.name] = CategoricalStats(mode, tuple(seen))
+    schema = tuple((c.name, c.kind) for c in view.columns)
+    return Preprocessor(schema=schema, numeric=numeric, categorical=categorical)
+
+
+def transform(pre: Preprocessor, view: CohortTable, rows: np.ndarray) -> np.ndarray:
+    """Impute, standardize and one-hot encode the given rows into a float matrix."""
+    if tuple((c.name, c.kind) for c in view.columns) != pre.schema:
+        raise DataError("view schema does not match the fitted preprocessor")
+    rows = np.asarray(rows)
+    blocks = []
+    for col in view.columns:
+        vals = col.values[rows]
+        if col.kind == "numeric":
+            st = pre.numeric[col.name]
+            x = np.where(np.isnan(vals.astype(float)), st.median, vals.astype(float))
+            if st.sd > 0:
+                z = (x - st.mean) / st.sd
+            else:
+                z = np.zeros(len(rows))
+            blocks.append(z[:, None])
+        else:
+            st = pre.categorical[col.name]
+            index = {cat: i for i, cat in enumerate(st.categories)}
+            block = np.zeros((len(rows), len(st.categories)))
+            for i, v in enumerate(vals):
+                label = st.mode if v is None else v
+                j = index.get(label)
+                if j is not None:
+                    block[i, j] = 1.0
+                # unseen category: leave the block all-zero
+            blocks.append(block)
+    values = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
+    if not np.all(np.isfinite(values)):
+        raise DataError("feature matrix contains non-finite entries")
+    return values

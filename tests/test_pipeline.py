@@ -293,6 +293,19 @@ class TestStagePrefix:
         assert "[stage views] view column 'nope' not present in table" in err
         assert err.count("[stage") == 1
 
+    def test_absent_survival_column_names_its_view_spec_key(self, tmp_path, capsys):
+        cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
+        path = Path(cfg["input_csv"])
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("overall_survival")
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(row[:drop] + row[drop + 1:] for row in rows)
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+        assert capsys.readouterr().err == ("data error: [stage views] view column 'overall_survival' not present "
+                                           "in table; view_spec.survival_columns lists it\n")
+        assert not Path(cfg["output_dir"]).exists()
+
     def test_views_exclude_endpoint_columns_without_survival_columns(self, tmp_path):
         cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
         cfg["view_spec"]["survival_columns"] = []
@@ -575,6 +588,7 @@ class TestCli:
         ("copula.families", ["gaussian", "gaussian"], []),
         ("view_spec.clinical_columns", ["age_at_diagnosis", "grade", "age_at_diagnosis"], []),
         ("copula", Twice({"seed": 5}, {"B": 7}), []),
+        ("copula.B", Twice(5, 7), []),
     ])
     def test_bad_config_exits_two_before_load(self, tmp_path, capsys, key, value, argv):
         raw = {"input_csv": str(tmp_path / "absent.csv"), "output_dir": str(tmp_path / "out")}
