@@ -65,7 +65,7 @@ def transform(pre: tuple, view: CohortTable, rows: np.ndarray) -> np.ndarray:
                 z = (x - mean) / sd
             else:
                 z = np.zeros(len(rows))
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise DataError(f"feature column {name!r} contains non-finite entries")
             blocks.append(z[:, None])
         else:
