@@ -12,7 +12,6 @@ from .bvn import bivariate_normal_cdf
 from .cohort import (
     CohortTable,
     EndpointVector,
-    ViewSpec,
     build_endpoint,
     filter_cohort,
     load_cohort,
@@ -47,7 +46,6 @@ __all__ = [
     "bivariate_normal_cdf",
     "CohortTable",
     "EndpointVector",
-    "ViewSpec",
     "build_endpoint",
     "filter_cohort",
     "load_cohort",

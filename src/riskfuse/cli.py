@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -127,6 +128,8 @@ def _score_cell(path, row_no, cell, column) -> float:
 def _cmd_gof(args) -> int:
     copula = CONFIG_SCHEMA["copula"]
     n_boot, m = copula["B"].read(args.B, "--B"), copula["m"].read(args.m, "--m")
+    if args.out and os.path.isdir(args.out):  # False, not an OSError, for a name too long to stat
+        raise ConfigError(f"--out {args.out}: names a directory, not a file")
     if args.out and not Path(args.out).parent.is_dir():
         raise ConfigError(f"--out {args.out}: {str(Path(args.out).parent)!r} is not a directory")
     header, rows = read_csv(args.scores)

@@ -11,6 +11,7 @@ missing tokens. All operations return new tables.
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,8 @@ SURVIVAL_COLUMNS = ("overall_survival_months", "overall_survival", "death_from_c
 TIME_COLUMN = "overall_survival_months"
 STATUS_COLUMNS = ("death_from_cancer", "overall_survival")  # in order of preference
 
-# Clinical variables of the standard METABRIC export, used when no explicit
-# view specification is supplied.
+# Clinical variables of the standard METABRIC export, the default of the
+# config's view_spec.clinical_columns.
 DEFAULT_CLINICAL_COLUMNS = (
     "age_at_diagnosis",
     "type_of_breast_surgery",
@@ -137,15 +138,6 @@ class EndpointVector:
 
     def take(self, idx: np.ndarray) -> "EndpointVector":
         return EndpointVector(self.t_months[idx], self.delta[idx], self.y[idx])
-
-
-@dataclass(frozen=True)
-class ViewSpec:
-    """Names that carve a cohort into clinical and genomic predictor views."""
-
-    clinical_columns: tuple[str, ...] = DEFAULT_CLINICAL_COLUMNS
-    id_column: str = "patient_id"
-    survival_columns: tuple[str, ...] = SURVIVAL_COLUMNS
 
 
 def _typed_column(name: str, cells) -> Column:
@@ -293,20 +285,22 @@ def filter_cohort(table: CohortTable, endpoint: EndpointVector) -> tuple[CohortT
     return table.take_rows(keep), endpoint.take(keep)
 
 
-def split_views(table: CohortTable, spec: ViewSpec, status_column: str | None = None) -> tuple[CohortTable, CohortTable]:
-    """Split predictors into a clinical view and the genomic remainder.
+def split_views(table: CohortTable, view_spec: Mapping, status_column: str | None = None) -> tuple[CohortTable, CohortTable]:
+    """Split predictors into a clinical view and the genomic remainder, as the
+    config's ``view_spec`` section (``id_column``, ``clinical_columns``,
+    ``survival_columns``) names them.
 
     Survival columns, the id column and every column ``build_endpoint`` reads
     for ``status_column`` never appear in either view, even if listed among
     the clinical columns.
     """
-    for key, names in (("id_column", [spec.id_column]), ("clinical_columns", spec.clinical_columns),
-                       ("survival_columns", spec.survival_columns)):
+    for key, names in (("id_column", [view_spec["id_column"]]), ("clinical_columns", view_spec["clinical_columns"]),
+                       ("survival_columns", view_spec["survival_columns"])):
         for name in names:
             if not table.has_column(name):
                 raise DataError(f"view column {name!r} not present in table; view_spec.{key} lists it")
-    excluded = {*spec.survival_columns, *endpoint_columns(status_column), spec.id_column}
-    clinical_names = [c for c in spec.clinical_columns if c not in excluded]
+    excluded = {*view_spec["survival_columns"], *endpoint_columns(status_column), view_spec["id_column"]}
+    clinical_names = [c for c in view_spec["clinical_columns"] if c not in excluded]
     if not clinical_names:
         raise DataError("clinical view is empty after removing id and survival columns")
     clinical_set = set(clinical_names)

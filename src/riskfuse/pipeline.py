@@ -28,12 +28,14 @@ import os
 import platform
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import scipy
 
 from . import __version__, schema
-from .cohort import CohortTable, EndpointVector, ViewSpec, build_endpoint, filter_cohort, load_cohort, split_views, variance_filter
+from .cohort import (DEFAULT_CLINICAL_COLUMNS, SURVIVAL_COLUMNS, CohortTable, EndpointVector, build_endpoint,
+                     filter_cohort, load_cohort, split_views, variance_filter)
 from .copulas import FAMILIES, fit_family, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError
 from .folds import stratified_kfold
@@ -50,9 +52,9 @@ from . import svgplot
 CONFIG_SCHEMA = {
     "input_csv": Key(str),
     "output_dir": Key(str),
-    "view_spec": {"id_column": Key(str, ViewSpec.id_column),
-                  "clinical_columns": Key(tuple, ViewSpec.clinical_columns, min_len=1),
-                  "survival_columns": Key(tuple, ViewSpec.survival_columns)},
+    "view_spec": {"id_column": Key(str, "patient_id"),
+                  "clinical_columns": Key(tuple, DEFAULT_CLINICAL_COLUMNS, min_len=1),
+                  "survival_columns": Key(tuple, SURVIVAL_COLUMNS)},
     "horizon_months": Key(float, 60.0, gt=0),
     "genomic_top_k": Key(int, 50, ge=1),
     "cv": {"k": Key(int, 5, ge=2), "seed": Key(int, 0)},
@@ -66,35 +68,35 @@ CONFIG_SCHEMA = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One run's settings, one field per top-level key of ``CONFIG_SCHEMA``:
-    ``view_spec`` as a ``ViewSpec``, every other section as the dict that
-    ``schema.read`` returns, under its JSON key names."""
+    """One run's settings, one field per top-level key of ``CONFIG_SCHEMA``,
+    each section the read-only mapping that ``schema.read`` returns, under
+    its JSON key names."""
 
     input_csv: str
     output_dir: str
-    view_spec: ViewSpec
+    view_spec: MappingProxyType
     horizon_months: float
     genomic_top_k: int
-    cv: dict
-    models: dict
-    copula: dict
-    strata: dict
-    endpoint: dict
+    cv: MappingProxyType
+    models: MappingProxyType
+    copula: MappingProxyType
+    strata: MappingProxyType
+    endpoint: MappingProxyType
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
         """The config in ``d``; an unknown key, a wrong JSON type or an
         out-of-range value raises a ``ConfigError`` naming the key."""
-        values = schema.read(CONFIG_SCHEMA, d)
-        return PipelineConfig(**dict(values, view_spec=ViewSpec(**values["view_spec"])))
+        return PipelineConfig(**schema.read(CONFIG_SCHEMA, d))
 
     def to_dict(self) -> dict:
-        return schema.write(CONFIG_SCHEMA, dict(vars(self), view_spec=vars(self.view_spec)))
+        return schema.write(CONFIG_SCHEMA, vars(self))
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         """This config run at ``seed``: the folds and models draw from ``seed``
         and the copula bootstrap from ``seed + 1``."""
-        return replace(self, cv=dict(self.cv, seed=seed), copula=dict(self.copula, seed=seed + 1))
+        return replace(self, cv=MappingProxyType(dict(self.cv, seed=seed)),
+                       copula=MappingProxyType(dict(self.copula, seed=seed + 1)))
 
 
 @dataclass
@@ -124,14 +126,14 @@ class ReportBundle:
 
 
 def _load(bundle: ReportBundle):
-    bundle.table = load_cohort(bundle.config.input_csv, text_columns=(bundle.config.view_spec.id_column,))
+    bundle.table = load_cohort(bundle.config.input_csv, text_columns=(bundle.config.view_spec["id_column"],))
     bundle.n_loaded = bundle.table.n_rows
 
 
 def _endpoint(bundle: ReportBundle):
     config = bundle.config
     endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.endpoint["status_column"])
-    id_column = config.view_spec.id_column
+    id_column = config.view_spec["id_column"]
     ids = bundle.table.column(id_column).values  # stripped text, as _load reads it
     bundle.table, bundle.endpoint = filter_cohort(bundle.table, endpoint)
     bundle.n_analytic = bundle.table.n_rows

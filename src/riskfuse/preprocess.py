@@ -67,6 +67,8 @@ def transform(pre: tuple, view: CohortTable, rows: np.ndarray) -> np.ndarray:
                 z = np.zeros(len(rows))
             if not np.isfinite(z).all():
                 raise DataError(f"feature column {name!r} contains non-finite entries")
+            if not np.isfinite(sd):  # an overflowing sd scales every value to zero
+                raise DataError(f"feature column {name!r} has a non-finite training sd")
             blocks.append(z[:, None])
         else:
             mode, categories = stats

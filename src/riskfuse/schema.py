@@ -4,6 +4,7 @@ one walk; every failure is a ``ConfigError`` naming the dotted key."""
 import operator
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import ConfigError
 
@@ -55,8 +56,9 @@ class Key:
         return float(raw) if self.kind is float else tuple(raw) if self.kind is tuple else raw
 
 
-def read(schema: dict, raw, name: str = "") -> dict:
-    """The checked values of one config section, with defaults for the keys it omits."""
+def read(schema: dict, raw, name: str = "") -> MappingProxyType:
+    """The checked values of one config section, with defaults for the keys it
+    omits, as a read-only mapping (its subsections too)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name or 'config'} must be a JSON object, got {raw!r}")
     path = f"{name}.{{}}" if name else "{}"
@@ -73,7 +75,7 @@ def read(schema: dict, raw, name: str = "") -> dict:
             raise ConfigError(f"config is missing required key {path.format(key)!r}")
         else:
             values[key] = spec.default
-    return values
+    return MappingProxyType(values)
 
 
 def write(schema: dict, values: dict) -> dict:

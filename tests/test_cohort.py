@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 from riskfuse.cohort import (
     CohortTable,
     Column,
-    ViewSpec,
     build_endpoint,
     filter_cohort,
     load_cohort,
     split_views,
     variance_filter,
 )
+from riskfuse import schema
 from riskfuse.errors import DataError
+from riskfuse.pipeline import CONFIG_SCHEMA
 
 from conftest import make_table
 from oracles import load_cohort_cells
@@ -286,6 +287,11 @@ class TestFilterCohort:
             filter_cohort(table, ep)
 
 
+def view_spec(**keys):
+    """A config view_spec section: these keys over the schema's defaults."""
+    return schema.read(CONFIG_SCHEMA["view_spec"], keys, "view_spec")
+
+
 class TestSplitViews:
     def make(self):
         return make_table(
@@ -299,13 +305,13 @@ class TestSplitViews:
         )
 
     def test_basic_split(self):
-        spec = ViewSpec(clinical_columns=("age", "tumor_size"))
+        spec = view_spec(clinical_columns=["age", "tumor_size"])
         clin, gen = split_views(self.make(), spec)
         assert clin.column_names == ["age", "tumor_size"]
         assert gen.column_names == ["gene1_z"]
 
     def test_survival_listed_in_clinical_still_excluded(self):
-        spec = ViewSpec(clinical_columns=("age", "tumor_size", "overall_survival"))
+        spec = view_spec(clinical_columns=["age", "tumor_size", "overall_survival"])
         clin, gen = split_views(self.make(), spec)
         assert "overall_survival" not in clin.column_names
         for banned in ("overall_survival_months", "overall_survival", "death_from_cancer"):
@@ -313,35 +319,35 @@ class TestSplitViews:
 
     def test_partition_of_columns(self):
         table = self.make()
-        spec = ViewSpec(clinical_columns=("age",))
+        spec = view_spec(clinical_columns=["age"])
         clin, gen = split_views(table, spec)
-        reunion = set(clin.column_names) | set(gen.column_names) | {"patient_id"} | set(spec.survival_columns)
+        reunion = set(clin.column_names) | set(gen.column_names) | {"patient_id"} | set(spec["survival_columns"])
         assert reunion == set(table.column_names)
         assert not set(clin.column_names) & set(gen.column_names)
 
     def test_endpoint_columns_excluded_without_survival_columns(self):
-        spec = ViewSpec(clinical_columns=("age", "overall_survival_months"), survival_columns=())
+        spec = view_spec(clinical_columns=["age", "overall_survival_months"], survival_columns=[])
         clin, gen = split_views(self.make(), spec)
         assert clin.column_names == ["age"]
         assert gen.column_names == ["tumor_size", "gene1_z"]
 
     def test_forced_status_column_is_the_only_status_excluded(self):
-        spec = ViewSpec(clinical_columns=("age",), survival_columns=())
+        spec = view_spec(clinical_columns=["age"], survival_columns=[])
         clin, gen = split_views(self.make(), spec, status_column="death_from_cancer")
         assert gen.column_names == ["tumor_size", "gene1_z", "overall_survival"]
 
     def test_absent_column_is_error(self):
-        spec = ViewSpec(clinical_columns=("age", "nope"))
+        spec = view_spec(clinical_columns=["age", "nope"])
         with pytest.raises(DataError, match="nope"):
             split_views(self.make(), spec)
 
     def test_empty_genomic_remainder_is_error(self):
-        spec = ViewSpec(clinical_columns=("age", "tumor_size", "gene1_z"))
+        spec = view_spec(clinical_columns=["age", "tumor_size", "gene1_z"])
         with pytest.raises(DataError, match="genomic view is empty"):
             split_views(self.make(), spec)
 
     def test_clinical_columns_all_excluded_is_error(self):
-        spec = ViewSpec(clinical_columns=("patient_id", "overall_survival"))
+        spec = view_spec(clinical_columns=["patient_id", "overall_survival"])
         with pytest.raises(DataError, match="clinical view is empty"):
             split_views(self.make(), spec)
 

@@ -7,7 +7,10 @@ the body of ``pipeline.write_file``.
 The benchmark's tracer wraps functions at the names their callers bind, so a
 renamed import breaks every traced run; one traced ``fuse gof`` checks them,
 and one traced ``fuse run --stage scores`` checks the counts read off the
-elastic-net models."""
+elastic-net models.
+
+``riskfuse.__all__`` lists exactly the names the package's ``__init__``
+imports or assigns, so ``from riskfuse import *`` cannot name a deleted one."""
 
 import ast
 import json
@@ -91,3 +94,13 @@ def test_traced_scores_read_sweeps_and_convergence_off_each_fit(tmp_path):
     fits = [attrs for name, _, _, _, attrs in spans if name == "linear.fit"]
     assert fits
     assert all(type(a["sweeps"]) is int and a["sweeps"] >= 1 and type(a["converged"]) is bool for a in fits)
+
+
+def test_all_lists_the_names_the_package_binds():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    bound += [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if t.id != "__all__"]
+    assert sorted(riskfuse.__all__) == sorted(bound)
+    namespace = {}
+    exec("from riskfuse import *", namespace)
+    assert set(riskfuse.__all__) <= set(namespace)

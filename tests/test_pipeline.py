@@ -134,6 +134,23 @@ class TestConfigValidation:
     def test_fields_are_the_schema_keys(self):
         assert [f.name for f in dataclasses.fields(PipelineConfig)] == list(CONFIG_SCHEMA)
 
+    def test_every_section_is_read_only(self):
+        config = PipelineConfig.from_dict(default_config("cohort.csv", "report", SynthParams()))
+        before = config.to_dict()
+
+        def walk(section, spec):
+            for key, sub in spec.items():
+                with pytest.raises(TypeError):
+                    section[key] = section[key]
+                if isinstance(sub, dict):
+                    walk(section[key], sub)
+
+        for each in (config, config.with_seed(7)):
+            for name, spec in CONFIG_SCHEMA.items():
+                if isinstance(spec, dict):  # view_spec, cv, models (and each family), copula, strata, endpoint
+                    walk(getattr(each, name), spec)
+        assert config.to_dict() == before
+
     def test_a_new_section_key_round_trips(self, monkeypatch):
         monkeypatch.setitem(CONFIG_SCHEMA, "strata", dict(CONFIG_SCHEMA["strata"], extra=Key(int, 3)))
         raw = default_config("cohort.csv", "report", SynthParams())
@@ -670,13 +687,20 @@ class TestCli:
                      "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: --out {tmp_path / out}: ")
 
+    def test_gof_out_naming_a_directory_exits_two_before_reading(self, tmp_path, capsys):
+        (tmp_path / "g.json").mkdir()
+        assert main(["gof", "--scores", str(tmp_path / "absent.csv"), "--family", "gaussian", "--B", "10",
+                     "--out", str(tmp_path / "g.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --out {tmp_path / 'g.json'}: names a directory, not a file\n"
+
     def test_gof_unwritable_out_exits_three(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("p_clin,p_gen\n" + "".join(f"{i / 31},{(7 * i) % 31 / 31}\n" for i in range(1, 31)))
-        (tmp_path / "g.json").mkdir()
-        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10",
-                     "--out", str(tmp_path / "g.json")]) == 3
-        assert f"data error: cannot write --out {tmp_path / 'g.json'}: " in capsys.readouterr().err
+        out = tmp_path / ("g" * 300)  # a file name longer than the file system allows
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10", "--out", str(out)]) == 3
+        assert f"data error: cannot write --out {out}: " in capsys.readouterr().err
 
     def test_gof_subcommand(self, tmp_path, capsys, rng):
         rows = ["p_clin,p_gen"]

@@ -165,3 +165,12 @@ def test_non_finite_design_column_is_named():
     pre = fit_preprocessor(view, np.arange(3))  # the mean of `huge` overflows
     with pytest.raises(DataError, match="^feature column 'huge' contains non-finite entries$"):
         transform(pre, view, np.arange(3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns as the squares overflow
+def test_overflowing_training_sd_is_named():
+    view = make_table(fine=np.array([1.0, 2.0, 3.0, 4.0]), wide=np.array([1e308, -1e308, 1e308, -1e308]))
+    pre = fit_preprocessor(view, np.arange(4))  # the mean of `wide` is 0, its sd overflows
+    assert pre[1][2] == (0.0, 0.0, np.inf)
+    with pytest.raises(DataError, match="^feature column 'wide' has a non-finite training sd$"):
+        transform(pre, view, np.arange(4))
