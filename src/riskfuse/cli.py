@@ -130,8 +130,14 @@ def _cmd_gof(args) -> int:
     n_boot, m = copula["B"].read(args.B, "--B"), copula["m"].read(args.m, "--m")
     if args.out and os.path.isdir(args.out):  # False, not an OSError, for a name too long to stat
         raise ConfigError(f"--out {args.out}: names a directory, not a file")
-    if args.out and not Path(args.out).parent.is_dir():
-        raise ConfigError(f"--out {args.out}: {str(Path(args.out).parent)!r} is not a directory")
+    if args.out:
+        parent = Path(args.out).parent
+        try:
+            parent_is_dir = parent.is_dir()
+        except OSError as exc:  # such as a component longer than the file system allows
+            raise ConfigError(f"--out {args.out}: cannot check {str(parent)!r}: {exc.strerror}") from exc
+        if not parent_is_dir:
+            raise ConfigError(f"--out {args.out}: {str(parent)!r} is not a directory")
     header, rows = read_csv(args.scores)
     if not {"p_clin", "p_gen"} <= set(header):
         raise DataError(f"{args.scores}: needs columns p_clin and p_gen")

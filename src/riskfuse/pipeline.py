@@ -238,7 +238,11 @@ def check_output_dir(out_dir, label):
     is not a directory: a ``ConfigError`` naming the setting as ``label``.
     Nothing is created here, so a run that fails leaves no output directory."""
     for path in (Path(out_dir), *Path(out_dir).parents):
-        if path.exists():
+        try:
+            exists = path.exists()
+        except OSError as exc:  # such as a component longer than the file system allows
+            raise ConfigError(f"{label} {str(out_dir)!r}: cannot check {str(path)!r}: {exc.strerror}") from exc
+        if exists:
             if not path.is_dir():
                 raise ConfigError(f"{label} {str(out_dir)!r}: {str(path)!r} is not a directory")
             return

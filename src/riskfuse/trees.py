@@ -14,14 +14,22 @@ sorts a node's rows:
   node-by-node sort gave.
 - The forest grows all its trees in lockstep. Each step pops one node from
   every tree's own depth-first stack and draws its mtry features from that
-  tree's own stream, in the order the tree would draw them grown alone. One
-  segmented Gini search then scores every popped node: the (row, feature)
-  cells are sorted by (node, feature, dense rank of the value) and each
-  (node, feature) group is cut from prefix sums. Gini prefix sums of 0/1
-  labels are exact integers and cuts fall only between distinct values, so
-  the order of tied values changes no score. The search works through the
-  popped nodes in batches of about _SPLIT_CELLS cells, which bounds its
-  memory whatever the forest's size.
+  tree's own stream: _FeatureDraws replays numpy's Generator.choice (Floyd's
+  algorithm on Lemire's bounded integers) for every tree at once, from each
+  stream's uint32 draws read ahead, so each tree gets the features it would
+  draw grown alone. One segmented Gini search then scores every popped node.
+  Per fit, every cell is coded as 2 * (dense rank of its value in its
+  column) + its row's label. Per batch, each (row, candidate feature) cell's
+  key is that code plus its (node, feature) group times 2n, and one sort of
+  the keys orders every group by value. The label is then the key's low bit,
+  a cut's group is key // 2n and its threshold comes from a table of each
+  column's distinct values by rank. Gini prefix sums of 0/1 labels are exact
+  integers and cuts fall only between distinct values, so neither the order
+  of tied values nor the order of a node's rows changes any score. A cut
+  node's rows are then partitioned on its chosen column alone, in place,
+  left child first. The search works through the popped nodes in batches of
+  about _SPLIT_CELLS cells, which bounds its memory whatever the forest's
+  size.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ _NEWTON_EPS = 1e-9
 # (rows x candidate features) cells per batch of the forest's split search;
 # a batch's working arrays then stay near 2 MiB
 _SPLIT_CELLS = 1 << 14
+# split nodes' worth of uint32 draws each tree's stream is read ahead by
+_DRAW_NODES = 16
 
 
 class _Tree:
@@ -136,44 +146,51 @@ def _grow_boosted(Xt, presort, grad, hess, max_depth):
     return _Tree(*tree), fitted
 
 
-def _dense_ranks(X):
-    """Per column, the 0-based rank of each value among the column's distinct values."""
+def _value_codes(X, y):
+    """Per fit: codes[r, j] = 2 * (dense rank of X[r, j] among column j's
+    distinct values) + y[r], and values[k, j], column j's value of rank k."""
     order = np.argsort(X, axis=0)
     xs = np.take_along_axis(X, order, axis=0)
-    steps = np.zeros(X.shape, dtype=np.int64)
-    steps[1:] = xs[1:] > xs[:-1]
-    ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0), axis=0)
-    return ranks
+    ranks = np.zeros(X.shape, dtype=np.int64)
+    ranks[1:] = xs[1:] > xs[:-1]
+    np.cumsum(ranks, axis=0, out=ranks)
+    values = np.zeros(X.shape)
+    values[ranks, np.arange(X.shape[1])] = xs
+    ranks *= 2
+    ranks += y[order]
+    codes = np.empty_like(ranks)
+    np.put_along_axis(codes, order, ranks, axis=0)
+    return codes, values
 
 
-def _gini_batch(X, ranks, labels, rows, start, size, ones, feats, min_leaf):
+def _gini_batch(codes, values, rows, start, size, ones, feats, min_leaf):
     """Best Gini cut of each of a batch of nodes.
 
-    Node s holds rows[start[s] : start[s] + size[s]] (row numbers of X) with
-    ones[s] positive labels, and may cut on the features feats[s]. Returns,
-    per node, whether a cut was found, its feature, threshold, left size and
-    left positive count. Each cut node's rows are reordered in place so that
-    its left child's rows come first.
+    Node s holds rows[start[s] : start[s] + size[s]] (row numbers of codes)
+    with ones[s] positive labels, and may cut on the features feats[s].
+    Returns, per node, whether a cut was found, its feature, threshold, left
+    size and left positive count. Each cut node's rows are reordered in
+    place so that its left child's rows come first.
     """
+    n, p = codes.shape
     n_nodes, f = feats.shape
     offset = np.cumsum(size) - size
     node_of_row = np.repeat(np.arange(n_nodes), size)
-    pos = np.arange(len(node_of_row)) + np.repeat(start - offset, size)
-    r = rows[pos]
-    key = ranks[r[:, None], feats[node_of_row]]
-    key += (node_of_row[:, None] * f + np.arange(f)) * len(X)
-    order = np.argsort(key, axis=None)
-    key = key.ravel()[order]
-    cell_row = r[order // f]
+    r = rows[np.arange(len(node_of_row)) + np.repeat(start - offset, size)]
+    # key = group * 2n + 2 * rank + label, group g = node g // f, feature slot g % f
+    key = codes.ravel()[r[:, None] * p + feats[node_of_row]]
+    key += (np.arange(n_nodes * f).reshape(n_nodes, f) * (2 * n))[node_of_row]
+    key = key.ravel()
+    key.sort()
     csum = np.zeros(len(key) + 1, dtype=np.int64)
-    np.cumsum(labels[cell_row], out=csum[1:])
+    np.cumsum(key & 1, out=csum[1:])
 
-    # group g = (node g // f, feature slot g % f) fills sorted cells [gstart[g], gstart[g] + gsize[g])
+    # group g fills sorted cells [gstart[g], gstart[g] + gsize[g])
     gsize = np.repeat(size, f)
     gstart = np.cumsum(gsize) - gsize
-    cut = np.flatnonzero(key[1:] > key[:-1])  # last cell of each run of one value
-    g = np.searchsorted(gstart, cut, side="right") - 1
+    group_rank = key >> 1
+    cut = np.flatnonzero(group_rank[1:] > group_rank[:-1])  # last cell of each run of one value
+    g = group_rank[cut] // n
     n_left = cut + 1 - gstart[g]
     lo = max(min_leaf, 1)
     keep = (n_left >= lo) & (gsize[g] - n_left >= lo)
@@ -204,17 +221,103 @@ def _gini_batch(X, ranks, labels, rows, start, size, ones, feats, min_leaf):
     nl_best, k_best = np.divmod(tie, f)
     first = gstart[s * f + k_best]
     q = first + nl_best - 1
+    j = feats[s, k_best]
+    cut_rank = group_rank[q] % n
     found[s] = True
-    feature[s] = feats[s, k_best]
-    thr[s] = _threshold(X[cell_row[q], feature[s]], X[cell_row[q + 1], feature[s]])
+    feature[s] = j
+    thr[s] = _threshold(values[cut_rank, j], values[group_rank[q + 1] % n, j])
     left_size[s] = nl_best
     left_ones[s] = csum[q + 1] - csum[first]
 
-    # the chosen feature's group lists the node's rows with the left child's first
-    moved = np.repeat(np.cumsum(size[s]) - size[s], size[s])
-    span = np.arange(len(moved)) - moved
-    rows[np.repeat(start[s], size[s]) + span] = cell_row[np.repeat(first, size[s]) + span]
+    # partition each cut node's rows on its chosen column alone, left child first
+    m = size[s]
+    first_of = np.repeat(np.cumsum(m) - m, m)
+    span = np.arange(len(first_of)) - first_of
+    base = np.repeat(start[s], m)
+    r = rows[base + span]
+    go_left = (codes.ravel()[r * p + np.repeat(j, m)] >> 1) <= np.repeat(cut_rank, m)
+    left_rank = np.cumsum(go_left) - go_left
+    left_rank -= left_rank[first_of]  # the node's left rows before this one
+    rows[base + np.where(go_left, left_rank, np.repeat(nl_best, m) + span - left_rank)] = r
     return found, feature, thr, left_size, left_ones
+
+
+class _FeatureDraws:
+    """np.sort(rng.choice(p, f, replace=False)) for many streams at once.
+
+    numpy's choice runs Floyd's algorithm: the pick for j = p - f, ..., p - 1
+    is a bounded draw v in [0, j], or j itself when v was picked already.
+    It then shuffles the picks, which takes f - 1 more bounded draws in
+    [0, i] for i = f - 1, ..., 1. While j + 1 <= 2**32, each bounded draw is
+    Lemire's method on the stream's next uint32, which draws again only on
+    a rejection. So each stream's uint32s are read ahead into a buffer, and
+    the next call of many streams is replayed from their next 2f - 1 draws
+    as arrays. A stream whose call hits a rejection (chance below 2f * p /
+    2**32 per call) is replayed one draw at a time. Where numpy tail-shuffles
+    instead (p > 10000 and f > p // 50) or draws 64-bit values, every call
+    is numpy's own.
+    """
+
+    def __init__(self, rngs, p, f):
+        self.rngs, self.p, self.f = rngs, p, f
+        self.by_numpy = p > 2**32 or (p > 10000 and f > p // 50)
+        if f < p and not self.by_numpy:
+            self.buf = np.stack([self._read(rng, _DRAW_NODES * (2 * f - 1)) for rng in rngs])
+            self.pos = np.zeros(len(rngs), dtype=np.int64)
+            # the number of values of each bounded draw: j + 1 for Floyd's, then i + 1 for the shuffle's
+            self.bounds = np.r_[np.arange(p - f + 1, p + 1), np.arange(f, 1, -1)].astype(np.uint64)
+            self.reject_below = (1 << 32) % self.bounds
+
+    @staticmethod
+    def _read(rng, count):
+        return rng.integers(0, 2**32, size=count, dtype=np.uint32)
+
+    def draw(self, streams):
+        """The next sorted feature draw of each stream listed, one row per stream."""
+        p, f = self.p, self.f
+        if f >= p:
+            return np.tile(np.arange(p), (len(streams), 1))
+        if self.by_numpy:
+            return np.array([np.sort(self.rngs[t].choice(p, size=f, replace=False)) for t in streams])
+        streams = np.asarray(streams)
+        need = 2 * f - 1
+        buf, pos = self.buf, self.pos
+        for t in streams[pos[streams] + need > buf.shape[1]]:
+            buf[t] = np.r_[buf[t, pos[t] :], self._read(self.rngs[t], pos[t])]
+            pos[t] = 0
+        m = buf[streams[:, None], pos[streams, None] + np.arange(need)] * self.bounds
+        rejected = ((m & 0xFFFFFFFF) < self.reject_below).any(axis=1)
+        v = (m[:, :f] >> 32).astype(np.int64)
+        picks = np.empty((len(streams), f), dtype=np.int64)
+        for k in range(f):
+            picks[:, k] = np.where((picks[:, :k] == v[:, k, None]).any(axis=1), p - f + k, v[:, k])
+        pos[streams] += need
+        for i in np.flatnonzero(rejected):
+            t = streams[i]
+            pos[t] -= need
+            picks[i] = self._replay(t)
+        return np.sort(picks, axis=1)
+
+    def _replay(self, t):
+        """Stream t's next call, one bounded draw at a time."""
+        def bounded(values):  # Lemire's method with numpy's rejection rule
+            while True:
+                if self.pos[t] == self.buf.shape[1]:
+                    self.buf[t] = self._read(self.rngs[t], self.buf.shape[1])
+                    self.pos[t] = 0
+                m = int(self.buf[t, self.pos[t]]) * values
+                self.pos[t] += 1
+                if m & 0xFFFFFFFF >= (1 << 32) % values:
+                    return m >> 32
+
+        p, f = self.p, self.f
+        picks = set()
+        for j in range(p - f, p):
+            v = bounded(j + 1)
+            picks.add(j if v in picks else v)
+        for i in range(f - 1, 0, -1):
+            bounded(i + 1)
+        return sorted(picks)
 
 
 def _grow_forest(X, y, rngs, *, mtry, min_leaf, max_depth):
@@ -224,10 +327,10 @@ def _grow_forest(X, y, rngs, *, mtry, min_leaf, max_depth):
     n_trees = len(rngs)
     f = min(mtry, p)
     depth_cap = math.inf if max_depth is None else max_depth
-    ranks = _dense_ranks(X)
     labels = y.astype(np.int64)
+    codes, values = _value_codes(X, labels)
     rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
-    all_feats = np.arange(p)
+    draws = _FeatureDraws(rngs, p, f)
 
     trees = [_new_tree() for _ in range(n_trees)]
     stacks = [[] for _ in range(n_trees)]
@@ -245,13 +348,11 @@ def _grow_forest(X, y, rngs, *, mtry, min_leaf, max_depth):
     active = [t for t in range(n_trees) if stacks[t]]
     while active:
         popped = [stacks[t].pop() for t in active]
-        feats = np.empty((len(active), f), dtype=int)
-        for i, t in enumerate(active):
-            feats[i] = np.sort(rngs[t].choice(p, size=mtry, replace=False)) if f < p else all_feats
+        feats = draws.draw(active)
         start, size, ones = (np.array(col) for col in list(zip(*popped))[1:4])
         edges = np.flatnonzero(np.diff((np.cumsum(size * f) - 1) // _SPLIT_CELLS)) + 1
         batches = zip(*(np.split(a, edges) for a in (start, size, ones, feats)))
-        results = [_gini_batch(X, ranks, labels, rows, *batch, min_leaf) for batch in batches]
+        results = [_gini_batch(codes, values, rows, *batch, min_leaf) for batch in batches]
         for t, (node, start, size, ones, depth), found, j, thr, nl, ol in zip(
             active, popped, *(np.concatenate(col).tolist() for col in zip(*results))
         ):

@@ -298,6 +298,20 @@ def _frozen_design():
     return X, (z > 0.3).astype(float)
 
 
+def _metabric_width_design():
+    """84 columns at METABRIC's clinical width: 6 continuous, 6 small-integer
+    and 72 one-hot indicators of 16 text columns with 2-8 levels."""
+    rng = np.random.default_rng(20261019)
+    n = 400
+    cont = np.round(rng.standard_normal((n, 6)), 1)  # rounded, so that values tie
+    small = rng.integers(0, 6, (n, 6)).astype(float)
+    levels = [2, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7, 7, 8]
+    onehot = [(rng.integers(0, k, n)[:, None] == np.arange(k)).astype(float) for k in levels]
+    X = np.column_stack([cont, small, *onehot])
+    z = cont[:, 0] - 0.5 * small[:, 1] + X[:, 13] - X[:, 20] + 0.7 * rng.standard_normal(n)
+    return X, (z > 0).astype(float)
+
+
 def _digest(model):
     h = hashlib.sha256()
     for tree in model.trees_:
@@ -327,6 +341,20 @@ class TestTreeGrowth:
         _same_trees(model, oracle)
         assert model.train_losses_ == oracle.train_losses_
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 150), st.integers(9, 60), st.integers(1, 6),
+           st.sampled_from([None, 2, 5]), st.integers(1, 6))
+    def test_forests_at_workload_widths_match_the_oracle(self, seed, n, p, min_leaf, max_depth, n_trees):
+        # mtry=None draws ceil(sqrt(p)) features at every split: 4-8 of 9-60 columns
+        X, y = _tied_design(seed, n, p)
+        rf = dict(n_trees=n_trees, max_depth=max_depth, mtry=None, min_leaf=min_leaf, seed=seed % 1000)
+        _same_trees(RandomForest(**rf).fit(X, y), RandomForestOracle(**rf).fit(X, y))
+
+    def test_metabric_width_forest_matches_the_oracle(self):
+        X, y = _metabric_width_design()
+        rf = dict(n_trees=12, max_depth=None, mtry=None, min_leaf=5, seed=21)
+        _same_trees(RandomForest(**rf).fit(X, y), RandomForestOracle(**rf).fit(X, y))
+
     @pytest.mark.parametrize("cells", [1, 40, 700])
     def test_forest_batches_of_any_size_match_the_oracle(self, monkeypatch, cells):
         X, y = _tied_design(3, 120, 5)
@@ -354,3 +382,56 @@ class TestTreeGrowth:
             y[7] = 2.0 if bad == "label_two" else 0.5
         with pytest.raises(NumericError, match="random forest"):
             build("random_forest", n_trees=2, seed=1).fit(X, y)
+
+
+def _twin_streams(seed, count):
+    """Two identical lists of count streams, each past an odd-length bootstrap
+    draw, so that their next uint32 is the high half of a 64-bit output."""
+    twins = ([], [])
+    for t in range(count):
+        n = 2 * (seed % 40 + t) + 1
+        for streams in twins:
+            rng = stream_rng(seed, t)
+            rng.integers(0, n, size=n)
+            streams.append(rng)
+    return twins
+
+
+def _check_draws(seed, p, f, steps):
+    """_FeatureDraws over three streams in lockstep, one sitting out each
+    step in turn, against np.sort(Generator.choice) on twin streams."""
+    rngs, twins = _twin_streams(seed, 3)
+    draws = trees._FeatureDraws(rngs, p, f)
+    for step in range(steps):
+        streams = [t for t in range(3) if t != step % 3]
+        got = draws.draw(streams)
+        assert got.shape == (2, f)
+        for row, t in zip(got, streams):
+            assert np.array_equal(row, np.sort(twins[t].choice(p, size=f, replace=False)))
+
+
+class TestFeatureDraws:
+    """The forest's replay of numpy's feature draws against Generator.choice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.data())
+    def test_replay_matches_generator_choice(self, seed, p, data):
+        f = data.draw(st.integers(1, p - 1))
+        _check_draws(seed, p, f, steps=75)  # 50 draws per stream, past several buffer refills
+
+    def test_lemire_rejections_are_replayed_one_draw_at_a_time(self, monkeypatch):
+        # with 3e9 values a bounded draw rejects its uint32 about 30% of the time
+        replayed = []
+        replay = trees._FeatureDraws._replay
+        monkeypatch.setattr(trees._FeatureDraws, "_replay", lambda self, t: replayed.append(t) or replay(self, t))
+        _check_draws(5, 3_000_000_000, 2, steps=75)
+        assert len(replayed) > 30
+
+    @pytest.mark.parametrize("p, f", [(20_000, 401), (2**32 + 5, 3), (20_000, 400)],
+                             ids=["tail-shuffle", "64-bit-draws", "floyd-at-the-switch"])
+    def test_draws_where_numpy_switches_algorithm(self, p, f):
+        _check_draws(9, p, f, steps=6)
+
+    def test_all_features_when_mtry_reaches_p(self):
+        rngs, _ = _twin_streams(3, 2)
+        assert np.array_equal(trees._FeatureDraws(rngs, 5, 5).draw([0, 1]), np.tile(np.arange(5), (2, 1)))

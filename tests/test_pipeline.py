@@ -687,6 +687,21 @@ class TestCli:
                      "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: --out {tmp_path / out}: ")
 
+    @pytest.mark.parametrize("argv, setting", [
+        (["synth", "--out", "{out}", "--n", "50"], "--out '{out}'"),
+        (["run", "--config", "{cfg}", "--out", "{out}/r"], "[stage config] output_dir '{out}/r'"),
+        (["gof", "--scores", "{absent}", "--family", "gaussian", "--out", "{out}/g.json"], "--out {out}/g.json"),
+    ], ids=["synth", "run", "gof"])
+    def test_out_with_a_name_too_long_exits_two(self, tmp_path, capsys, argv, setting):
+        # a path component longer than the file system allows
+        names = {"out": str(tmp_path / ("x" * 300)), "cfg": str(tmp_path / "c.json"), "absent": str(tmp_path / "absent.csv")}
+        Path(names["cfg"]).write_text(json.dumps({"input_csv": names["absent"], "output_dir": str(tmp_path / "o")}))
+        assert main([arg.format(**names) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {setting.format(**names)}: cannot check ")
+        assert err.endswith(": File name too long\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
     def test_gof_out_naming_a_directory_exits_two_before_reading(self, tmp_path, capsys):
         (tmp_path / "g.json").mkdir()
         assert main(["gof", "--scores", str(tmp_path / "absent.csv"), "--family", "gaussian", "--B", "10",
