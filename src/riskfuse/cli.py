@@ -23,7 +23,7 @@ from .cohort import read_csv
 from .copulas import FAMILIES, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError, NumericError
 from .gof import parametric_bootstrap
-from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, run_pipeline, write_file
+from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, check_output_dir, run_pipeline, write_file
 from .synth import SYNTH_RULES, SynthParams, check_dependence_sign, write_synth
 
 
@@ -94,6 +94,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     if args.out is not None:
+        check_output_dir(args.out, "--out")  # under the flag's name, before the config's check of output_dir
         config = dataclasses.replace(config, output_dir=args.out)
     bundle = run_pipeline(config, stop_after=args.stage)
     print(f"wrote {len(bundle.written_files)} files to {config.output_dir}")

@@ -4,7 +4,9 @@ Each ``render_*`` returns its figure as an SVG document string, assembled
 from primitive shapes with a fixed margin layout; the caller writes it.
 Kaplan-Meier curves use right-continuous steps (horizontal then vertical);
 copula surfaces render as a pair of colored lattices or as marching-squares
-contour lines over the pseudo-observation scatter.
+contour lines over the pseudo-observation scatter. Marching squares finds
+every cell's crossed edges and crossing points in whole-grid array
+operations, then emits the segments cell by cell.
 """
 
 from __future__ import annotations
@@ -199,40 +201,39 @@ def render_copula_heat(u, v, model) -> str:
 
 
 def _marching_squares(g, z, level):
-    """Line segments of the iso-contour z = level on grid coords g."""
+    """Line segments of the iso-contour z = level on grid coords g.
+
+    Cell (a, b) has corners 0-3 at grid points (a, b), (a + 1, b),
+    (a + 1, b + 1) and (a, b + 1), and edge i joins corner i to corner
+    i + 1 (mod 4). Every cell's crossed edges and crossing points are found
+    at once; the segments then come in cell order, each cell's in edge order.
+    A cell with two crossed edges gives one segment, and a saddle (four) is
+    split by its center value."""
+    lo, hi = g[:-1], g[1:]
+    shape = (len(lo), len(lo))
+    zc = np.stack([z[:-1, :-1], z[1:, :-1], z[1:, 1:], z[:-1, 1:]]).reshape(4, -1)
+    xc = np.stack([np.broadcast_to(x[:, None], shape) for x in (lo, hi, hi, lo)]).reshape(4, -1)
+    yc = np.stack([np.broadcast_to(y[None, :], shape) for y in (lo, lo, hi, hi)]).reshape(4, -1)
+    above = zc >= level
+    crossed = above != np.roll(above, -1, axis=0)
+    cell, edge = np.nonzero(crossed.T)
+    end = (edge + 1) % 4
+    zp = zc[edge, cell]
+    t = (level - zp) / (zc[end, cell] - zp)
+    xp, yp = xc[edge, cell], yc[edge, cell]
+    points = list(zip((xp + t * (xc[end, cell] - xp)).tolist(), (yp + t * (yc[end, cell] - yp)).tolist()))
+    n_crossed = crossed.sum(axis=0)
     segs = []
-    G = len(g)
-
-    def interp(p, q, zp, zq):
-        t = 0.5 if zq == zp else (level - zp) / (zq - zp)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-    for a in range(G - 1):
-        for b in range(G - 1):
-            corners = [
-                ((g[a], g[b]), z[a, b]),
-                ((g[a + 1], g[b]), z[a + 1, b]),
-                ((g[a + 1], g[b + 1]), z[a + 1, b + 1]),
-                ((g[a], g[b + 1]), z[a, b + 1]),
-            ]
-            code = sum(1 << i for i, (_, zz) in enumerate(corners) if zz >= level)
-            if code in (0, 15):
-                continue
-            edges = []
-            for i in range(4):
-                (p, zp), (q, zq) = corners[i], corners[(i + 1) % 4]
-                if (zp >= level) != (zq >= level):
-                    edges.append(interp(p, q, zp, zq))
-            if len(edges) == 2:
-                segs.append((edges[0], edges[1]))
-            elif len(edges) == 4:  # saddle: split by center value
-                center = np.mean([zz for _, zz in corners])
-                if (center >= level) == (corners[0][1] >= level):
-                    segs.append((edges[0], edges[3]))
-                    segs.append((edges[1], edges[2]))
-                else:
-                    segs.append((edges[0], edges[1]))
-                    segs.append((edges[2], edges[3]))
+    i = 0
+    for c in np.flatnonzero(n_crossed).tolist():
+        e = points[i : i + n_crossed[c]]
+        i += len(e)
+        if len(e) == 2:
+            segs.append((e[0], e[1]))
+        elif (np.mean(zc[:, c]) >= level) == above[0, c]:
+            segs += [(e[0], e[3]), (e[1], e[2])]
+        else:
+            segs += [(e[0], e[1]), (e[2], e[3])]
     return segs
 
 

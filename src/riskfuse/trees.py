@@ -11,7 +11,9 @@ sorts a node's rows:
   A child's block is its parent's block filtered by a stable boolean
   partition. Node rows stay ascending, so a block equals the stable argsort
   of the node's submatrix, and every prefix sum and score is the float the
-  node-by-node sort gave.
+  node-by-node sort gave. Every round's root has the same block, so its
+  sorted values and admissible cuts are taken once per fit. A child at the
+  depth cap is a leaf and gets only its rows, no block.
 - The forest grows all its trees in lockstep. Each step pops one node from
   every tree's own depth-first stack and draws its mtry features from that
   tree's own stream: _FeatureDraws replays numpy's Generator.choice (Floyd's
@@ -30,6 +32,10 @@ sorts a node's rows:
   left child first. The search works through the popped nodes in batches of
   about _SPLIT_CELLS cells, which bounds its memory whatever the forest's
   size.
+
+Both ensembles predict in one walk over all their trees (_predict_all), and
+add the trees' predictions in tree order, so a probability is the float a
+tree-by-tree sum gives.
 """
 
 from __future__ import annotations
@@ -59,17 +65,39 @@ class _Tree:
         self.right = np.asarray(right, dtype=int)
         self.value = np.asarray(value, dtype=float)
 
-    def predict(self, X):
-        n = len(X)
-        node = np.zeros(n, dtype=int)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.flatnonzero(active)
-            cur = node[idx]
-            goes_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(goes_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[node[idx]] >= 0
-        return self.value[node]
+
+def _predict_all(trees, X):
+    """Every tree's prediction for every row of X, one row per tree.
+
+    The trees' node arrays are stacked, each tree's child ids offset by its
+    first node's, and each level advances every (tree, row) pair that is
+    still at a cut. Trees are walked in batches of about _SPLIT_CELLS pairs,
+    which bounds the walk's memory whatever the ensemble's size."""
+    n, p = X.shape
+    cells = np.ascontiguousarray(X).ravel()
+    out = np.empty((len(trees), n))
+    per_batch = max(1, _SPLIT_CELLS // max(n, 1))
+    for first in range(0, len(trees), per_batch):
+        batch = trees[first : first + per_batch]
+        feature, threshold, left, right, value = (
+            np.concatenate([getattr(tree, name) for tree in batch])
+            for name in ("feature", "threshold", "left", "right", "value")
+        )
+        sizes = [len(tree.feature) for tree in batch]
+        root = np.cumsum(sizes) - sizes
+        left += np.repeat(root, sizes)
+        right += np.repeat(root, sizes)
+        node = np.repeat(root, n)  # pair k is (tree k // n, row k % n)
+        pair = np.flatnonzero(feature[node] >= 0)
+        cur = node[pair]
+        row_start = pair % n * p
+        while len(pair):
+            cur = np.where(cells[row_start + feature[cur]] <= threshold[cur], left[cur], right[cur])
+            node[pair] = cur
+            at_cut = feature[cur] >= 0
+            pair, cur, row_start = pair[at_cut], cur[at_cut], row_start[at_cut]
+        out[first : first + len(batch)] = value[node].reshape(len(batch), n)
+    return out
 
 
 def _threshold(below, above):
@@ -79,21 +107,33 @@ def _threshold(below, above):
     return np.where(thr >= above, below, thr)
 
 
-def _mse_split(Xt, block, target):
-    """Best squared-error cut of one node from its (p, m) column block, as
-    (feature, position, threshold), or None when no cut is admissible."""
-    p, m = block.shape
+def _block_values(Xt, block):
+    """A (p, m) column block's values, and which of its m - 1 cuts fall
+    between distinct values: boosted leaves may hold one row, so every such
+    cut is admissible."""
     xs = np.take_along_axis(Xt, block, axis=1)
-    cs = np.cumsum(target[block], axis=1)
-    n_left = np.arange(1, m, dtype=float)
-    n_right = m - n_left
-    s_left = cs[:, :-1]
-    s_right = cs[:, -1:] - s_left
-    valid = xs[:, 1:] > xs[:, :-1]  # boosted leaves may hold one row, so every such cut is admissible
+    return xs, xs[:, 1:] > xs[:, :-1]
+
+
+def _mse_split(block, xs, valid, target):
+    """Best squared-error cut of one node from its (p, m) column block and
+    _block_values, as (feature, position, threshold), or None when no cut is
+    admissible. The best cut has the largest s_l^2 / n_l + s_r^2 / n_r, the
+    first in (position, feature) order among ties."""
     if not valid.any():
         return None
-    score = np.where(valid, -(s_left * s_left / n_left + s_right * s_right / n_right), np.inf)
-    i, j = divmod(int(np.argmin(score.T)), p)
+    p, m = block.shape
+    cs = np.cumsum(target[block], axis=1)
+    n_left = np.arange(1, m, dtype=float)
+    s_left = cs[:, :-1]
+    s_right = cs[:, -1:] - s_left
+    gain = s_left * s_left
+    gain /= n_left
+    s_right *= s_right
+    s_right /= m - n_left
+    gain += s_right
+    gain[~valid] = -np.inf
+    i, j = divmod(int(np.argmax(gain.T)), p)
     return j, i, float(_threshold(xs[j, i], xs[j, i + 1]))
 
 
@@ -113,10 +153,10 @@ def _split_node(tree, node, feature, threshold):
     return left_id
 
 
-def _grow_boosted(Xt, presort, grad, hess, max_depth):
+def _grow_boosted(Xt, presort, root_values, grad, hess, max_depth):
     """One squared-error tree on grad with Newton leaf values, grown depth
-    first from the column blocks of presort; returns it with its prediction
-    for every training row."""
+    first from the column blocks of presort, whose _block_values are
+    root_values; returns it with its prediction for every training row."""
     p, n = presort.shape
     depth_cap = math.inf if max_depth is None else max_depth
     tree = _new_tree()
@@ -129,20 +169,24 @@ def _grow_boosted(Xt, presort, grad, hess, max_depth):
         gnode = grad[idx]
         found = None
         if depth < depth_cap and len(idx) >= 2 and not np.all(gnode == gnode[0]):
-            found = _mse_split(Xt, block, grad)
+            found = _mse_split(block, *(root_values if node == 0 else _block_values(Xt, block)), grad)
         if found is None:
             value[node] = float(np.sum(gnode) / (np.sum(hess[idx]) + _NEWTON_EPS))
             fitted[idx] = value[node]
             continue
         j, i, thr = found
         goes_left[block[j, : i + 1]] = True
-        in_block = goes_left[block]
         in_idx = goes_left[idx]
+        if depth + 1 < depth_cap:
+            in_block = goes_left[block]
+            blocks = block[~in_block].reshape(p, -1), block[in_block].reshape(p, -1)
+        else:  # both children are leaves, which read only their rows
+            blocks = None, None
         goes_left[block[j, : i + 1]] = False
         left_id = _split_node(tree, node, j, thr)
         # push right first so the left child is grown first
-        stack.append((left_id + 1, idx[~in_idx], block[~in_block].reshape(p, -1), depth + 1))
-        stack.append((left_id, idx[in_idx], block[in_block].reshape(p, -1), depth + 1))
+        stack.append((left_id + 1, idx[~in_idx], blocks[0], depth + 1))
+        stack.append((left_id, idx[in_idx], blocks[1], depth + 1))
     return _Tree(*tree), fitted
 
 
@@ -394,8 +438,8 @@ class RandomForest:
     def predict_proba(self, X):
         X = np.asarray(X, dtype=float)
         acc = np.zeros(len(X))
-        for tree in self.trees_:
-            acc += tree.predict(X)
+        for value in _predict_all(self.trees_, X):
+            acc += value
         return acc / len(self.trees_)
 
 
@@ -423,6 +467,7 @@ class GradientBoosting:
         y = np.asarray(y, dtype=float)
         Xt = np.ascontiguousarray(X.T)
         presort = np.argsort(Xt, axis=1, kind="stable")
+        root_values = _block_values(Xt, presort)
         prev = float(np.clip(np.mean(y), 1e-12, 1 - 1e-12))
         self.base_score_ = float(np.log(prev / (1 - prev)))
         score = np.full(len(y), self.base_score_)
@@ -432,7 +477,7 @@ class GradientBoosting:
             prob = 1.0 / (1.0 + np.exp(-score))
             grad = y - prob
             hess = prob * (1.0 - prob)
-            tree, fitted = _grow_boosted(Xt, presort, grad, hess, self.max_depth)
+            tree, fitted = _grow_boosted(Xt, presort, root_values, grad, hess, self.max_depth)
             score = score + self.learning_rate * fitted
             self.trees_.append(tree)
             self.train_losses_.append(self._mean_logloss(y, score))
@@ -441,8 +486,8 @@ class GradientBoosting:
     def decision_function(self, X):
         X = np.asarray(X, dtype=float)
         score = np.full(len(X), self.base_score_)
-        for tree in self.trees_:
-            score += self.learning_rate * tree.predict(X)
+        for value in _predict_all(self.trees_, X):
+            score += self.learning_rate * value
         return score
 
     def predict_proba(self, X):

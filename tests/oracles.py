@@ -204,7 +204,8 @@ def lambda_search_cold(X, y, seed, *, alpha, grid_points, inner_folds, max_iter,
 
 
 # The tree grower the column blocks and the lockstep forest replaced: it
-# argsorts every node's submatrix and grows one tree at a time. Kept as it was.
+# argsorts every node's submatrix and grows one tree at a time. Kept as it was,
+# with the one-tree walk every ensemble predicted with before _predict_all.
 
 _NEWTON_EPS = trees._NEWTON_EPS
 
@@ -312,6 +313,20 @@ class _Tree(trees._Tree):
         self.right = np.asarray(self.right, dtype=int)
         self.value = np.asarray(self.value, dtype=float)
 
+    def predict(self, X):
+        """Walk this tree alone for every row of X; also applies to any tree
+        with the same arrays, as _Tree.predict(tree, X)."""
+        n = len(X)
+        node = np.zeros(n, dtype=int)
+        active = self.feature[node] >= 0
+        while active.any():
+            idx = np.flatnonzero(active)
+            cur = node[idx]
+            goes_left = X[idx, self.feature[cur]] <= self.threshold[cur]
+            node[idx] = np.where(goes_left, self.left[cur], self.right[cur])
+            active[idx] = self.feature[node[idx]] >= 0
+        return self.value[node]
+
 
 class RandomForestOracle(trees.RandomForest):
     """RandomForest growing its trees one after another with _Tree.grow."""
@@ -366,6 +381,64 @@ class GradientBoostingOracle(trees.GradientBoosting):
             self.trees_.append(tree)
             self.train_losses_.append(self._mean_logloss(y, score))
         return self
+
+
+def per_tree_proba(model, X):
+    """A forest's or a boosted model's predict_proba as it was before one walk
+    predicted every tree: each tree walked alone, its predictions added in
+    tree order."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(model, trees.RandomForest):
+        acc = np.zeros(len(X))
+        for tree in model.trees_:
+            acc += _Tree.predict(tree, X)
+        return acc / len(model.trees_)
+    score = np.full(len(X), model.base_score_)
+    for tree in model.trees_:
+        score += model.learning_rate * _Tree.predict(tree, X)
+    return 1.0 / (1.0 + np.exp(-score))
+
+
+# The contour tracer the all-cells marching squares replaced: one cell and one
+# corner at a time. Kept as it was.
+
+
+def marching_squares_per_cell(g, z, level):
+    """Line segments of the iso-contour z = level on grid coords g."""
+    segs = []
+    G = len(g)
+
+    def interp(p, q, zp, zq):
+        t = 0.5 if zq == zp else (level - zp) / (zq - zp)
+        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+    for a in range(G - 1):
+        for b in range(G - 1):
+            corners = [
+                ((g[a], g[b]), z[a, b]),
+                ((g[a + 1], g[b]), z[a + 1, b]),
+                ((g[a + 1], g[b + 1]), z[a + 1, b + 1]),
+                ((g[a], g[b + 1]), z[a, b + 1]),
+            ]
+            code = sum(1 << i for i, (_, zz) in enumerate(corners) if zz >= level)
+            if code in (0, 15):
+                continue
+            edges = []
+            for i in range(4):
+                (p, zp), (q, zq) = corners[i], corners[(i + 1) % 4]
+                if (zp >= level) != (zq >= level):
+                    edges.append(interp(p, q, zp, zq))
+            if len(edges) == 2:
+                segs.append((edges[0], edges[1]))
+            elif len(edges) == 4:  # saddle: split by center value
+                center = np.mean([zz for _, zz in corners])
+                if (center >= level) == (corners[0][1] >= level):
+                    segs.append((edges[0], edges[3]))
+                    segs.append((edges[1], edges[2]))
+                else:
+                    segs.append((edges[0], edges[1]))
+                    segs.append((edges[2], edges[3]))
+    return segs
 
 
 # The elastic-net solver the covariance updates replaced: every coordinate

@@ -7,7 +7,8 @@ the body of ``pipeline.write_file``.
 The benchmark's tracer wraps functions at the names their callers bind, so a
 renamed import breaks every traced run; one traced ``fuse gof`` checks them,
 and one traced ``fuse run --stage scores`` checks the counts read off the
-elastic-net models.
+elastic-net models and that both tree families' fits and predictions are
+timed.
 
 ``riskfuse.__all__`` lists exactly the names the package's ``__init__``
 imports or assigns, so ``from riskfuse import *`` cannot name a deleted one."""
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import riskfuse
 from riskfuse.synth import SynthParams, write_synth
@@ -87,13 +89,28 @@ def test_traced_gof_records_the_bootstrap_spans(tmp_path):
     assert {"gof.parametric_bootstrap", "copulas.sample"} <= names
 
 
-def test_traced_scores_read_sweeps_and_convergence_off_each_fit(tmp_path):
-    # the tracer's linear.sweeps and linear.nonconverged come from n_iter_ and converged_
+@pytest.fixture(scope="module")
+def scores_spans(tmp_path_factory):
+    """The spans of one traced ``fuse run --stage scores`` on a 120-row synthetic cohort."""
+    tmp_path = tmp_path_factory.mktemp("traced_scores")
     write_synth(tmp_path / "cohort", SynthParams(n=120, n_genes=8, seed=3))
-    spans = _traced_spans(tmp_path, "run", "--config", str(tmp_path / "cohort" / "config.json"), "--stage", "scores")
-    fits = [attrs for name, _, _, _, attrs in spans if name == "linear.fit"]
+    return _traced_spans(tmp_path, "run", "--config", str(tmp_path / "cohort" / "config.json"), "--stage", "scores")
+
+
+def test_traced_scores_read_sweeps_and_convergence_off_each_fit(scores_spans):
+    # the tracer's linear.sweeps and linear.nonconverged come from n_iter_ and converged_
+    fits = [attrs for name, _, _, _, attrs in scores_spans if name == "linear.fit"]
     assert fits
     assert all(type(a["sweeps"]) is int and a["sweeps"] >= 1 and type(a["converged"]) is bool for a in fits)
+
+
+def test_traced_scores_time_both_tree_families(scores_spans):
+    # trees.predict_s sums the trees.predict_proba spans, and trees.gb_nodes the gb fits' node counts
+    predicted = [scores_spans[parent] for name, _, _, parent, _ in scores_spans if name == "trees.predict_proba"]
+    assert {(span[0], span[4]["family"]) for span in predicted} == {
+        ("scoring.oof_scores", "random_forest"), ("scoring.oof_scores", "gradient_boosting")}
+    fits = [attrs for name, _, _, _, attrs in scores_spans if name == "trees.gb_fit"]
+    assert fits and all(type(a["nodes"]) is int and a["nodes"] >= 1 for a in fits)
 
 
 def test_all_lists_the_names_the_package_binds():

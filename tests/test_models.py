@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from riskfuse.seeding import stream_rng
 from riskfuse import trees
 from riskfuse.trees import GradientBoosting, RandomForest
 
-from oracles import ElasticNetLogisticOracle, GradientBoostingOracle, RandomForestOracle, lambda_search_cold
+from oracles import (ElasticNetLogisticOracle, GradientBoostingOracle, RandomForestOracle, lambda_search_cold,
+                     per_tree_proba)
 
 _CLASSES = {"elastic_net_lr": ElasticNetLogistic, "random_forest": RandomForest, "gradient_boosting": GradientBoosting}
 
@@ -382,6 +384,37 @@ class TestTreeGrowth:
             y[7] = 2.0 if bad == "label_two" else 0.5
         with pytest.raises(NumericError, match="random forest"):
             build("random_forest", n_trees=2, seed=1).fit(X, y)
+
+
+class TestEnsemblePrediction:
+    """One walk over every tree of an ensemble against each tree walked alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 5), st.integers(1, 12),
+        st.sampled_from([None, 0, 1, 3]), st.integers(0, 10), st.sampled_from([None, 0, 1, 2]),
+        st.integers(1, 30), st.sampled_from([1, 40, trees._SPLIT_CELLS]),
+    )
+    def test_predict_proba_matches_the_per_tree_sum(self, seed, n, p, n_trees, rf_depth, n_rounds, gb_depth,
+                                                    n_test, cells):
+        X, y = _tied_design(seed, n, p)
+        rf = RandomForest(n_trees=n_trees, max_depth=rf_depth, mtry=None, min_leaf=1, seed=seed % 1000).fit(X, y)
+        gb = GradientBoosting(n_rounds=n_rounds, learning_rate=0.5, max_depth=gb_depth).fit(X, y)
+        # test cells equal to a training value or a threshold, or outside the training range
+        pool = np.concatenate([X.ravel(), *(tree.threshold for tree in rf.trees_ + gb.trees_),
+                               [X.min() - 1.0, X.max() + 1.0]])
+        X_test = np.random.default_rng(seed).choice(pool, size=(n_test, p))
+        with mock.patch.object(trees, "_SPLIT_CELLS", cells):  # 1 and 40 walk the trees in several batches
+            for model in (rf, gb):
+                for rows in (X_test, X):
+                    assert np.array_equal(model.predict_proba(rows), per_tree_proba(model, rows))
+
+    def test_no_rounds_predict_the_base_score(self):
+        X, y = _frozen_design()
+        gb = GradientBoosting(n_rounds=0, learning_rate=0.1, max_depth=3).fit(X, y)
+        assert gb.trees_ == []
+        assert np.array_equal(gb.decision_function(X[:3]), np.full(3, gb.base_score_))
+        assert np.array_equal(gb.predict_proba(X[:3]), per_tree_proba(gb, X[:3]))
 
 
 def _twin_streams(seed, count):

@@ -689,7 +689,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, setting", [
         (["synth", "--out", "{out}", "--n", "50"], "--out '{out}'"),
-        (["run", "--config", "{cfg}", "--out", "{out}/r"], "[stage config] output_dir '{out}/r'"),
+        (["run", "--config", "{cfg}", "--out", "{out}/r"], "--out '{out}/r'"),
         (["gof", "--scores", "{absent}", "--family", "gaussian", "--out", "{out}/g.json"], "--out {out}/g.json"),
     ], ids=["synth", "run", "gof"])
     def test_out_with_a_name_too_long_exits_two(self, tmp_path, capsys, argv, setting):
@@ -701,6 +701,15 @@ class TestCli:
         assert err.startswith(f"config error: {setting.format(**names)}: cannot check ")
         assert err.endswith(": File name too long\n")
         assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("out", ["x" * 300 + "/r", "cohort.csv/r"], ids=["long-name", "under-a-file"])
+    def test_run_out_is_checked_under_its_own_name(self, tmp_path, capsys, out):
+        (tmp_path / "cohort.csv").write_text("a\n1\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_csv": str(tmp_path / "cohort.csv"), "output_dir": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out {str(tmp_path / out)!r}: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "cohort.csv"]
 
     def test_gof_out_naming_a_directory_exits_two_before_reading(self, tmp_path, capsys):
         (tmp_path / "g.json").mkdir()

@@ -2,11 +2,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskfuse.copulas import fit_gaussian, sample
 from riskfuse.metrics import roc_points
 from riskfuse.survival import kaplan_meier
 from riskfuse import svgplot
+
+from oracles import marching_squares_per_cell
 
 
 def svg_root(doc):
@@ -97,3 +100,33 @@ def test_marching_squares_on_known_saddle():
     z = np.array([[0.0, 1.0], [1.0, 0.0]])
     segs = svgplot._marching_squares(g, z, 0.5)
     assert len(segs) == 2  # saddle cell resolves into two segments
+
+
+# few distinct values, so that grids hold ties, flat edges (zq == zp) and
+# levels equal to grid values
+_FEW_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.booleans(), st.data())
+def test_marching_squares_matches_the_per_cell_tracer(G, few, data):
+    values = _FEW_VALUES if few else st.floats(-1.0, 2.0)
+    z = np.array(data.draw(st.lists(values, min_size=G * G, max_size=G * G))).reshape(G, G)
+    level = data.draw(st.sampled_from(z.ravel().tolist()) | values)
+    g = np.array(sorted(data.draw(st.sets(st.floats(0.0, 1.0), min_size=G, max_size=G))))
+    assert svgplot._marching_squares(g, z, level) == marching_squares_per_cell(g, z, level)
+
+
+@pytest.mark.parametrize("z, level", [
+    ([[1.0, 0.0], [0.0, 1.0]], 0.5),  # saddle with its center on the level, corner 0 above
+    ([[0.0, 1.0], [1.0, 0.0]], 0.5),  # the same, corner 0 below
+    ([[1.0, 0.0], [0.0, 0.9]], 0.6),  # saddle with its center below the level
+    ([[0.5, 0.5], [0.0, 0.0]], 0.5),  # a flat edge on the level
+    ([[0.5, 0.5, 0.2], [0.5, 0.9, 0.5], [0.2, 0.5, 0.5]], 0.5),  # ties at the level on a 3 x 3 grid
+])
+def test_marching_squares_on_saddles_and_flat_edges(z, level):
+    z = np.array(z)
+    g = np.linspace(0.0, 1.0, len(z))
+    segs = svgplot._marching_squares(g, z, level)
+    assert segs == marching_squares_per_cell(g, z, level)
+    assert segs
