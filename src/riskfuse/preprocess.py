@@ -50,6 +50,12 @@ def fit_preprocessor(view: CohortTable, train_rows: np.ndarray) -> tuple:
     return tuple(fitted)
 
 
+def design_width(pre: tuple) -> int:
+    """Columns of the matrix transform makes: one per numeric column and one
+    per training category."""
+    return sum(1 if kind == "numeric" else len(stats[1]) for _, kind, stats in pre)
+
+
 def transform(pre: tuple, view: CohortTable, rows: np.ndarray) -> np.ndarray:
     """Impute, standardize and one-hot encode the given rows into a float matrix."""
     if [(c.name, c.kind) for c in view.columns] != [(name, kind) for name, kind, _ in pre]:

@@ -3,6 +3,14 @@
 Every probability comes from a model whose training folds excluded that
 patient; preprocessing is refit inside each fold. Fold work is canonicalized
 by row identifier so that permuting cohort rows permutes scores with them.
+
+The elastic-net and boosting fit and predict one fold at a time. The
+random forests of the k folds grow in shared locksteps (trees.fit_forests):
+folds whose designs have one width group together up to the lockstep cap.
+A lockstep's training designs are made one at a time as it codes them; its
+folds' test rows are transformed and predicted after it has grown, and its
+forests are dropped before the next lockstep's designs are made. Every
+probability is the one a fold-by-fold fit gives.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ from .errors import ConfigError, DataError
 from .folds import FoldAssignment, stratified_kfold
 from .linear import ElasticNetLogistic, lambda_grid
 from .metrics import roc_auc
-from .preprocess import fit_preprocessor, transform
+from .preprocess import design_width, fit_preprocessor, transform
 from .schema import Key
 from .seeding import hash_seed
-from .trees import GradientBoosting, RandomForest
+from .trees import GradientBoosting, RandomForest, fit_forests, lockstep_groups
 
 # Each model family's hyperparameters with their JSON type, default and range;
 # the config's "models" section is checked against this table.
@@ -74,14 +82,22 @@ def _fit_elastic_net(X, y, seed, *, alpha, lam, grid_points, inner_folds, max_it
     return ElasticNetLogistic(lam=lam, alpha=alpha, max_iter=max_iter, tol=tol).fit(X, y)
 
 
+def _hyperparameters(spec: ModelSpec) -> dict:
+    return {name: key.default for name, key in DEFAULT_MODELS[spec.family].items()} | spec.hyperparameters
+
+
 def fit_model(spec: ModelSpec, X, y):
     """Fit spec's family with its hyperparameters, taking the rest from DEFAULT_MODELS."""
-    hp = {name: key.default for name, key in DEFAULT_MODELS[spec.family].items()} | spec.hyperparameters
+    hp = _hyperparameters(spec)
     if spec.family == "elastic_net_lr":
         return _fit_elastic_net(X, y, spec.seed, **hp)
     if spec.family == "random_forest":
         return RandomForest(**hp, seed=spec.seed).fit(X, y)
     return GradientBoosting(**hp).fit(X, y)
+
+
+def _fold_seed(spec: ModelSpec, f: int) -> int:
+    return hash_seed(spec.seed, "fold", f)
 
 
 def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row_ids=None):
@@ -98,24 +114,35 @@ def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row
         row_ids = np.arange(len(y))
     id_strings = np.array([str(r) for r in row_ids])
 
-    out = np.empty(len(y))
+    fold_rows = []
     for f in range(folds.k):
-        train = folds.train_rows(f)
-        test = folds.test_rows(f)
-        train = train[np.argsort(id_strings[train], kind="stable")]
-        test = test[np.argsort(id_strings[test], kind="stable")]
-        y_train = y[train]
-        if len(np.unique(y_train)) < 2:
+        train, test = (rows[np.argsort(id_strings[rows], kind="stable")]
+                       for rows in (folds.train_rows(f), folds.test_rows(f)))
+        if len(np.unique(y[train])) < 2:
             raise DataError(f"fold {f}: training complement lacks one of the classes")
-        pre = fit_preprocessor(view, train)
-        X_train = transform(pre, view, train)
-        X_test = transform(pre, view, test)
-        model = fit_model(
-            ModelSpec(spec.family, spec.hyperparameters, hash_seed(spec.seed, "fold", f)),
-            X_train,
-            y_train,
-        )
-        out[test] = model.predict_proba(X_test)
+        fold_rows.append((train, test))
+    pres = [fit_preprocessor(view, train) for train, _ in fold_rows]
+
+    out = np.empty(len(y))
+    if spec.family != "random_forest":
+        for f, ((train, test), pre) in enumerate(zip(fold_rows, pres)):
+            model = fit_model(ModelSpec(spec.family, spec.hyperparameters, _fold_seed(spec, f)),
+                              transform(pre, view, train), y[train])
+            out[test] = model.predict_proba(transform(pre, view, test))
+        return out
+
+    # the forests grow in locksteps, each predicted and dropped before the next
+    forests = [RandomForest(**_hyperparameters(spec), seed=_fold_seed(spec, f)) for f in range(folds.k)]
+    shapes = [(design_width(pre), forest.n_trees * len(train))
+              for pre, forest, (train, _) in zip(pres, forests, fold_rows)]
+    for group in lockstep_groups(shapes):
+        trains = [fold_rows[f][0] for f in group]
+        fit_forests([forests[f] for f in group], [y[train] for train in trains],
+                    (transform(pres[f], view, train) for f, train in zip(group, trains)))
+        for f in group:
+            test = fold_rows[f][1]
+            out[test] = forests[f].predict_proba(transform(pres[f], view, test))
+            forests[f] = None
     return out
 
 

@@ -14,24 +14,33 @@ sorts a node's rows:
   node-by-node sort gave. Every round's root has the same block, so its
   sorted values and admissible cuts are taken once per fit. A child at the
   depth cap is a leaf and gets only its rows, no block.
-- The forest grows all its trees in lockstep. Each step pops one node from
-  every tree's own depth-first stack and draws its mtry features from that
-  tree's own stream: _FeatureDraws replays numpy's Generator.choice (Floyd's
+- The forest grows all its trees in lockstep, and fit_forests grows
+  several forests of one design width (the folds of one out-of-fold run)
+  in one lockstep. Each step pops one node from every tree's own
+  depth-first stack and draws its mtry features from that tree's own
+  stream: _FeatureDraws replays numpy's Generator.choice (Floyd's
   algorithm on Lemire's bounded integers) for every tree at once, from each
   stream's uint32 draws read ahead, so each tree gets the features it would
   draw grown alone. One segmented Gini search then scores every popped node.
   Per fit, every cell is coded as 2 * (dense rank of its value in its
-  column) + its row's label. Per batch, each (row, candidate feature) cell's
-  key is that code plus its (node, feature) group times 2n, and one sort of
-  the keys orders every group by value. The label is then the key's low bit,
-  a cut's group is key // 2n and its threshold comes from a table of each
-  column's distinct values by rank. Gini prefix sums of 0/1 labels are exact
-  integers and cuts fall only between distinct values, so neither the order
-  of tied values nor the order of a node's rows changes any score. A cut
-  node's rows are then partitioned on its chosen column alone, in place,
-  left child first. The search works through the popped nodes in batches of
-  about _SPLIT_CELLS cells, which bounds its memory whatever the forest's
-  size.
+  column) + its row's label. The fits' code tables and tables of each
+  column's distinct values by rank are stacked, each fit's rows after the
+  previous fits', and a tree's bootstrap rows are row numbers of the stack.
+  Per batch, each (row, candidate feature) cell's key is that code plus its
+  (node, feature) group times 2n, where n is the largest fit's row count,
+  and one sort of the keys orders every group by value. The label is then
+  the key's low bit, a cut's group is key // 2n and its threshold comes
+  from the node's fit's rows of the value table. Gini prefix sums of 0/1
+  labels are exact integers and cuts fall only between distinct values, so
+  neither the order of tied values nor the order of a node's rows changes
+  any score. A cut node's rows are then partitioned on its chosen column
+  alone, in place, left child first. The search works through the popped
+  nodes in batches of about _SPLIT_CELLS cells, which bounds its memory
+  whatever the forest's size. The trees' stacks and nodes are numpy arrays
+  over all trees, updated once per step. A lockstep holds at most
+  _LOCKSTEP_ROWS bootstrap rows (trees x training rows) over its forests,
+  and a larger forest grows alone: at the paper's 300 trees, growing the
+  five folds together was no faster and held far more memory.
 
 Both ensembles predict in one walk over all their trees (_predict_all), and
 add the trees' predictions in tree order, so a probability is the float a
@@ -53,6 +62,9 @@ _NEWTON_EPS = 1e-9
 _SPLIT_CELLS = 1 << 14
 # split nodes' worth of uint32 draws each tree's stream is read ahead by
 _DRAW_NODES = 16
+# bootstrap rows (trees x training rows) one lockstep of forests holds at
+# most; a forest above it grows alone
+_LOCKSTEP_ROWS = 1 << 18
 
 
 class _Tree:
@@ -190,40 +202,39 @@ def _grow_boosted(Xt, presort, root_values, grad, hess, max_depth):
     return _Tree(*tree), fitted
 
 
-def _value_codes(X, y):
-    """Per fit: codes[r, j] = 2 * (dense rank of X[r, j] among column j's
-    distinct values) + y[r], and values[k, j], column j's value of rank k."""
+def _value_codes(X, y, codes, values):
+    """Fill one fit's tables: codes[r, j] = 2 * (dense rank of X[r, j] among
+    column j's distinct values) + y[r], and values[k, j], column j's value of
+    rank k."""
     order = np.argsort(X, axis=0)
     xs = np.take_along_axis(X, order, axis=0)
     ranks = np.zeros(X.shape, dtype=np.int64)
     ranks[1:] = xs[1:] > xs[:-1]
     np.cumsum(ranks, axis=0, out=ranks)
-    values = np.zeros(X.shape)
     values[ranks, np.arange(X.shape[1])] = xs
     ranks *= 2
-    ranks += y[order]
-    codes = np.empty_like(ranks)
     np.put_along_axis(codes, order, ranks, axis=0)
-    return codes, values
+    codes += y.astype(codes.dtype)[:, None]
 
 
-def _gini_batch(codes, values, rows, start, size, ones, feats, min_leaf):
+def _gini_batch(codes, values, rows, n, start, size, ones, feats, voff, min_leaf):
     """Best Gini cut of each of a batch of nodes.
 
     Node s holds rows[start[s] : start[s] + size[s]] (row numbers of codes)
-    with ones[s] positive labels, and may cut on the features feats[s].
+    with ones[s] positive labels, and may cut on the features feats[s]. Its
+    fit's ranks run below n and its distinct values are values[voff[s] :].
     Returns, per node, whether a cut was found, its feature, threshold, left
     size and left positive count. Each cut node's rows are reordered in
     place so that its left child's rows come first.
     """
-    n, p = codes.shape
+    p = codes.shape[1]
     n_nodes, f = feats.shape
     offset = np.cumsum(size) - size
     node_of_row = np.repeat(np.arange(n_nodes), size)
     r = rows[np.arange(len(node_of_row)) + np.repeat(start - offset, size)]
     # key = group * 2n + 2 * rank + label, group g = node g // f, feature slot g % f
-    key = codes.ravel()[r[:, None] * p + feats[node_of_row]]
-    key += (np.arange(n_nodes * f).reshape(n_nodes, f) * (2 * n))[node_of_row]
+    key = codes.ravel()[r[:, None] * p + feats[node_of_row]] + (
+        np.arange(n_nodes * f).reshape(n_nodes, f) * (2 * n))[node_of_row]
     key = key.ravel()
     key.sort()
     csum = np.zeros(len(key) + 1, dtype=np.int64)
@@ -256,7 +267,9 @@ def _gini_batch(codes, values, rows, start, size, ones, feats, min_leaf):
     score = sl * (nl - sl) / nl + sr * (nr - sr) / nr
 
     # per node: the least score, then the least (position, feature) among its ties
-    new = np.r_[True, node[1:] != node[:-1]]
+    new = np.empty(len(node), dtype=bool)
+    new[0] = True
+    np.not_equal(node[1:], node[:-1], out=new[1:])
     bounds = np.flatnonzero(new)
     best = np.minimum.reduceat(score, bounds)
     tie = np.where(score == best[np.cumsum(new) - 1], n_left * f + (g - node * f), np.iinfo(np.int64).max)
@@ -269,7 +282,7 @@ def _gini_batch(codes, values, rows, start, size, ones, feats, min_leaf):
     cut_rank = group_rank[q] % n
     found[s] = True
     feature[s] = j
-    thr[s] = _threshold(values[cut_rank, j], values[group_rank[q + 1] % n, j])
+    thr[s] = _threshold(values[voff[s] + cut_rank, j], values[voff[s] + group_rank[q + 1] % n, j])
     left_size[s] = nl_best
     left_ones[s] = csum[q + 1] - csum[first]
 
@@ -309,7 +322,7 @@ class _FeatureDraws:
             self.buf = np.stack([self._read(rng, _DRAW_NODES * (2 * f - 1)) for rng in rngs])
             self.pos = np.zeros(len(rngs), dtype=np.int64)
             # the number of values of each bounded draw: j + 1 for Floyd's, then i + 1 for the shuffle's
-            self.bounds = np.r_[np.arange(p - f + 1, p + 1), np.arange(f, 1, -1)].astype(np.uint64)
+            self.bounds = np.concatenate((np.arange(p - f + 1, p + 1), np.arange(f, 1, -1))).astype(np.uint64)
             self.reject_below = (1 << 32) % self.bounds
 
     @staticmethod
@@ -327,7 +340,7 @@ class _FeatureDraws:
         need = 2 * f - 1
         buf, pos = self.buf, self.pos
         for t in streams[pos[streams] + need > buf.shape[1]]:
-            buf[t] = np.r_[buf[t, pos[t] :], self._read(self.rngs[t], pos[t])]
+            buf[t] = np.concatenate((buf[t, pos[t] :], self._read(self.rngs[t], pos[t])))
             pos[t] = 0
         m = buf[streams[:, None], pos[streams, None] + np.arange(need)] * self.bounds
         rejected = ((m & 0xFFFFFFFF) < self.reject_below).any(axis=1)
@@ -364,57 +377,152 @@ class _FeatureDraws:
         return sorted(picks)
 
 
-def _grow_forest(X, y, rngs, *, mtry, min_leaf, max_depth):
-    """One Gini tree per stream in rngs, each on a bootstrap sample drawn
-    from its stream, all grown in lockstep."""
-    n, p = X.shape
-    n_trees = len(rngs)
-    f = min(mtry, p)
+def _grow_forest(labels, streams, designs, *, mtry, min_leaf, max_depth):
+    """One Gini tree per stream, all grown in one lockstep: fit i's trees
+    are one per generator in streams[i], each on a bootstrap sample of that
+    fit's rows drawn from its generator, for the 0/1 labels[i] and the i-th
+    design of designs, which share one width.
+
+    The fits' code and value tables are stacked, each fit's rows after the
+    previous fits', and sized from the labels before the first design is
+    read. So designs may be a generator that makes each design as it is
+    coded. Every tree's bootstrap rows are row numbers of the stack.
+    Returns the trees in fit order, each fit's in stream order."""
+    fit_n = np.array([len(y) for y in labels])
+    fit_first = np.cumsum(fit_n) - fit_n
+    per_fit = np.array([len(rngs) for rngs in streams])
+    tree_n, voff = np.repeat(fit_n, per_fit), np.repeat(fit_first, per_fit)
+    n_max, n_trees = int(fit_n.max()), len(tree_n)
+    root_start = np.cumsum(tree_n) - tree_n
+    rows = np.empty(int(tree_n.sum()), dtype=np.int64)
+    rngs = [rng for fit_rngs in streams for rng in fit_rngs]
+    for rng, n, lo, offset in zip(rngs, tree_n.tolist(), root_start.tolist(), voff.tolist()):
+        rows[lo : lo + n] = rng.integers(0, n, size=n) + offset
+    labels = np.concatenate(labels).astype(np.int64)
+
+    codes = values = None
+    for X, lo, hi in zip(designs, fit_first.tolist(), (fit_first + fit_n).tolist(), strict=True):
+        if codes is None:
+            p = X.shape[1]
+            # a code is below 2 * n_max, so 32 bits hold it for fits of under 2**31 rows
+            codes = np.zeros((len(labels), p), dtype=np.uint32)
+            values = np.zeros((len(labels), p))
+        elif X.shape[1] != p:
+            raise ValueError("the forests of one lockstep must share their width")
+        _value_codes(X, labels[lo:hi], codes[lo:hi], values[lo:hi])
+    f = min(mtry if mtry is not None else max(1, math.ceil(math.sqrt(p))), p)
     depth_cap = math.inf if max_depth is None else max_depth
-    labels = y.astype(np.int64)
-    codes, values = _value_codes(X, labels)
-    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
     draws = _FeatureDraws(rngs, p, f)
 
-    trees = [_new_tree() for _ in range(n_trees)]
-    stacks = [[] for _ in range(n_trees)]
+    # each tree's depth-first stack of (node, start, size, ones, depth) rows;
+    # a node is numbered within its tree, in the order the tree made it
+    stack = np.zeros((n_trees, 8, 5), dtype=np.int64)
+    height = np.zeros(n_trees, dtype=np.int64)
+    n_nodes = np.ones(n_trees, dtype=np.int64)
+    leaves, cuts = [], []  # (tree, node, value) and (tree, node, feature, threshold, left child)
 
     def place(t, node, start, size, ones, depth):
         # a node that is a leaf on sight draws no features, so it is settled
-        # here instead of on the stack
-        if depth >= depth_cap or ones == 0 or ones == size or size < 2 * min_leaf:
-            trees[t][4][node] = ones / size
-        else:
-            stacks[t].append((node, start, size, ones, depth))
+        # here instead of on the stack; t holds each tree at most once
+        nonlocal stack
+        leaf = (depth >= depth_cap) | (ones == 0) | (ones == size) | (size < 2 * min_leaf)
+        leaves.append((t[leaf], node[leaf], ones[leaf] / size[leaf]))
+        push = ~leaf
+        t = t[push]
+        if len(t) and height[t].max() == stack.shape[1]:
+            stack = np.concatenate((stack, np.zeros_like(stack)), axis=1)
+        stack[t, height[t]] = np.stack((node, start, size, ones, depth), axis=1)[push]
+        height[t] += 1
 
-    for t in range(n_trees):
-        place(t, 0, t * n, n, int(labels[rows[t * n : (t + 1) * n]].sum()), 0)
-    active = [t for t in range(n_trees) if stacks[t]]
-    while active:
-        popped = [stacks[t].pop() for t in active]
+    zeros = np.zeros(n_trees, dtype=np.int64)
+    place(np.arange(n_trees), zeros, root_start, tree_n, np.add.reduceat(labels[rows], root_start), zeros)
+    active = np.flatnonzero(height)
+    while len(active):
+        height[active] -= 1
+        node, start, size, ones, depth = stack[active, height[active]].T
         feats = draws.draw(active)
-        start, size, ones = (np.array(col) for col in list(zip(*popped))[1:4])
         edges = np.flatnonzero(np.diff((np.cumsum(size * f) - 1) // _SPLIT_CELLS)) + 1
-        batches = zip(*(np.split(a, edges) for a in (start, size, ones, feats)))
-        results = [_gini_batch(codes, values, rows, *batch, min_leaf) for batch in batches]
-        for t, (node, start, size, ones, depth), found, j, thr, nl, ol in zip(
-            active, popped, *(np.concatenate(col).tolist() for col in zip(*results))
-        ):
-            if not found:
-                trees[t][4][node] = ones / size
-                continue
-            left_id = _split_node(trees[t], node, j, thr)
-            # push right first so the left child is grown (and draws features) first
-            place(t, left_id + 1, start + nl, size - nl, ones - ol, depth + 1)
-            place(t, left_id, start, nl, ol, depth + 1)
-        active = [t for t in active if stacks[t]]
-    return [_Tree(*tree) for tree in trees]
+        batches = zip(*(np.split(a, edges) for a in (start, size, ones, feats, voff[active])))
+        results = [_gini_batch(codes, values, rows, n_max, *batch, min_leaf) for batch in batches]
+        found, j, thr, nl, ol = (np.concatenate(col) for col in zip(*results))
+        settled = ~found
+        leaves.append((active[settled], node[settled], ones[settled] / size[settled]))
+        t = active[found]
+        left = n_nodes[t]
+        n_nodes[t] += 2
+        cuts.append((t, node[found], j[found], thr[found], left))
+        start, size, ones, depth, nl, ol = start[found], size[found], ones[found], depth[found] + 1, nl[found], ol[found]
+        # push right first so the left child is grown (and draws features) first
+        place(t, left + 1, start + nl, size - nl, ones - ol, depth)
+        place(t, left, start, nl, ol, depth)
+        active = np.flatnonzero(height)
+
+    del codes, values, rows
+    first = np.cumsum(n_nodes) - n_nodes
+    feature, left, right = (np.full(int(n_nodes.sum()), -1) for _ in range(3))
+    threshold, value = np.zeros(len(feature)), np.zeros(len(feature))
+    for t, node, leaf_value in leaves:
+        value[first[t] + node] = leaf_value
+    for t, node, j, thr, left_id in cuts:
+        at = first[t] + node
+        feature[at], threshold[at], left[at], right[at] = j, thr, left_id, left_id + 1
+    return [
+        _Tree(*(a[lo:hi] for a in (feature, threshold, left, right, value)))
+        for lo, hi in zip(first.tolist(), (first + n_nodes).tolist())
+    ]
+
+
+def lockstep_groups(shapes):
+    """Lists of fit indices, one per lockstep, from each fit's (width,
+    trees x training rows).
+
+    A lockstep takes fits of one width, in order, while their bootstrap rows
+    total at most _LOCKSTEP_ROWS; a fit above that grows alone. Locksteps
+    come in the order of their first fit."""
+    groups, open_by_width = [], {}
+    for i, (width, boot_rows) in enumerate(shapes):
+        group = open_by_width.get(width)
+        if group is not None and group[1] + boot_rows <= _LOCKSTEP_ROWS:
+            group[0].append(i)
+            group[1] += boot_rows
+        else:
+            open_by_width[width] = [[i], boot_rows]
+            groups.append(open_by_width[width][0])
+    return groups
+
+
+def fit_forests(forests, labels, designs):
+    """Fit the i-th forest on labels[i] and the i-th design of designs,
+    every forest's trees in one lockstep.
+
+    The forests share mtry, min_leaf and max_depth, and their designs one
+    width. designs may be a generator: it is read one design at a time."""
+    labels = [np.asarray(y, dtype=float) for y in labels]
+    if not all(np.all((y == 0) | (y == 1)) for y in labels):
+        raise NumericError("random forest labels must be 0 or 1")
+
+    def checked():
+        for X, y in zip(designs, labels):
+            X = np.asarray(X, dtype=float)
+            if len(X) != len(y):
+                raise NumericError(f"random forest design has {len(X)} rows for {len(y)} labels")
+            if not np.isfinite(X).all():
+                raise NumericError("random forest features must be finite")
+            yield X
+
+    head = forests[0]
+    streams = [[stream_rng(forest.seed, t) for t in range(forest.n_trees)] for forest in forests]
+    trees = _grow_forest(labels, streams, checked(), mtry=head.mtry, min_leaf=head.min_leaf, max_depth=head.max_depth)
+    for forest in forests:
+        forest.trees_, trees = trees[: forest.n_trees], trees[forest.n_trees :]
 
 
 class RandomForest:
     """Bagged Gini trees; class probability = mean of leaf class fractions."""
 
     def __init__(self, *, n_trees, max_depth, mtry, min_leaf, seed):
+        if n_trees < 1:
+            raise NumericError(f"n_trees must be at least 1, got {n_trees}")
         self.n_trees = int(n_trees)
         self.max_depth = max_depth
         self.mtry = mtry
@@ -423,16 +531,7 @@ class RandomForest:
         self.trees_ = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not np.isfinite(X).all():
-            raise NumericError("random forest features must be finite")
-        if not np.all((y == 0) | (y == 1)):
-            raise NumericError("random forest labels must be 0 or 1")
-        p = X.shape[1]
-        mtry = self.mtry if self.mtry is not None else max(1, math.ceil(math.sqrt(p)))
-        rngs = [stream_rng(self.seed, t) for t in range(self.n_trees)]
-        self.trees_ = _grow_forest(X, y, rngs, mtry=mtry, min_leaf=self.min_leaf, max_depth=self.max_depth)
+        fit_forests([self], [y], [X])
         return self
 
     def predict_proba(self, X):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
-from riskfuse import trees
+from riskfuse import preprocess, trees
 from riskfuse.bvn import _GL_W, _GL_X, _TWOPI
 from riskfuse.cohort import MISSING_TOKENS, CohortTable, Column
 from riskfuse.copulas import FAMILIES, fit_family, pseudo_observations, sample
@@ -23,6 +23,7 @@ from riskfuse.gof import cvm_statistic
 from riskfuse.linear import _WEIGHT_FLOOR, ElasticNetLogistic, _sigmoid, lambda_grid
 from riskfuse.metrics import roc_auc
 from riskfuse.ranks import rank_pass
+from riskfuse.scoring import ModelSpec, fit_model
 from riskfuse.seeding import hash_seed, stream_rng
 
 
@@ -397,6 +398,33 @@ def per_tree_proba(model, X):
     for tree in model.trees_:
         score += model.learning_rate * _Tree.predict(tree, X)
     return 1.0 / (1.0 + np.exp(-score))
+
+
+# The out-of-fold loop the forest's fold locksteps replaced: each fold's
+# preprocessor, training design, model, test design and prediction in turn.
+# Kept as it was.
+
+
+def oof_scores_per_fold(view, y, spec, folds, row_ids=None):
+    """Out-of-fold probabilities with one fit_model call per fold."""
+    y = np.asarray(y, dtype=float)
+    if row_ids is None:
+        row_ids = np.arange(len(y))
+    id_strings = np.array([str(r) for r in row_ids])
+    out = np.empty(len(y))
+    for f in range(folds.k):
+        train = folds.train_rows(f)
+        test = folds.test_rows(f)
+        train = train[np.argsort(id_strings[train], kind="stable")]
+        test = test[np.argsort(id_strings[test], kind="stable")]
+        pre = preprocess.fit_preprocessor(view, train)
+        model = fit_model(
+            ModelSpec(spec.family, spec.hyperparameters, hash_seed(spec.seed, "fold", f)),
+            preprocess.transform(pre, view, train),
+            y[train],
+        )
+        out[test] = model.predict_proba(preprocess.transform(pre, view, test))
+    return out
 
 
 # The contour tracer the all-cells marching squares replaced: one cell and one

@@ -7,8 +7,10 @@ the body of ``pipeline.write_file``.
 The benchmark's tracer wraps functions at the names their callers bind, so a
 renamed import breaks every traced run; one traced ``fuse gof`` checks them,
 and one traced ``fuse run --stage scores`` checks the counts read off the
-elastic-net models and that both tree families' fits and predictions are
-timed.
+elastic-net models, that both tree families' predictions are timed, and
+that boosting's fits are. Out-of-fold forests grow through
+``trees.fit_forests``, which the tracer does not wrap, so their fits show
+only in ``scoring.oof_scores``.
 
 ``riskfuse.__all__`` lists exactly the names the package's ``__init__``
 imports or assigns, so ``from riskfuse import *`` cannot name a deleted one."""

@@ -233,6 +233,11 @@ class TestRandomForest:
         b = build("random_forest", n_trees=25, seed=11).fit(X, y).predict_proba(X)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_trees", [0, -2])
+    def test_no_trees_rejected(self, n_trees):
+        with pytest.raises(NumericError, match="n_trees"):
+            build("random_forest", n_trees=n_trees, seed=1)
+
     def test_degenerate_identical_rows(self):
         X = np.ones((20, 3))
         y = np.array([1.0] * 6 + [0.0] * 14)
@@ -375,11 +380,13 @@ class TestTreeGrowth:
         assert sum(len(tree.feature) for tree in gb.trees_) == 219
         assert _digest(gb) == "6b129253679a2b2fa8b85fc9003442f78b1e41be2f2906abc97877a27073760c"
 
-    @pytest.mark.parametrize("bad", ["nan_feature", "label_two", "label_half"])
+    @pytest.mark.parametrize("bad", ["nan_feature", "label_two", "label_half", "short_labels"])
     def test_forest_rejects_non_finite_features_and_non_binary_labels(self, bad):
         X, y = _frozen_design()
         if bad == "nan_feature":
             X[7, 2] = np.nan
+        elif bad == "short_labels":
+            y = y[:-1]
         else:
             y[7] = 2.0 if bad == "label_two" else 0.5
         with pytest.raises(NumericError, match="random forest"):
