@@ -165,7 +165,7 @@ def copula_cdf(model: CopulaModel, u, v):
     else:
         vals = _gumbel_cdf(ui, vi, param)
 
-    # Frechet-Hoeffding envelope; quadrature round-off never escapes it
+    # Frechet-Hoeffding envelope; round-off in the family formulas never escapes it
     vals = np.clip(vals, np.maximum(ui + vi - 1.0, 0.0), np.minimum(ui, vi))
     out = np.where(zero, 0.0, np.where(u_one, u, np.where(v_one, v, vals)))
     return float(out) if out.ndim == 0 else out

@@ -19,8 +19,8 @@ and the per-row mean then run once per block, so numpy's fixed cost per call
 is paid once for many replicates instead of once per replicate. Every step
 works row by row, so each statistic has the bits a replicate scored on its
 own would get. A block holds at most _BLOCK_POINTS points, or one replicate
-if m is larger, because the Gaussian quadrature keeps ten values per point
-and larger blocks cost more memory than they save time.
+if m is larger: every step keeps (rows, m) temporaries, and larger blocks
+cost more memory than they save time.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from .errors import DataError, NumericError
 from .ranks import RankPass, rank_pass
 from .seeding import stream_rng
 
-# points per bootstrap block. The Gaussian quadrature keeps (rows, m, 10)
-# temporaries, so peak memory grows with the block: on `fuse gof` at n = 1783
-# it was 4% above one replicate at a time at 8,192 points, 10% at 16,384 and
-# 22% at 32,768, while larger blocks were no faster
+# points per bootstrap block. Peak memory grows with the block: on Gaussian
+# `fuse gof --B 1000` at n = 1783 it was 1% above one replicate at a time at
+# 8,192 points, 4% at 16,384 and 11% at 32,768, while the run took 17% less
+# time than one replicate at a time at 8,192 points and only 3% and 5% less
+# again at the larger blocks
 _BLOCK_POINTS = 8192
 
 

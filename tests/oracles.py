@@ -14,7 +14,6 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from riskfuse import preprocess, trees
-from riskfuse.bvn import _GL_W, _GL_X, _TWOPI
 from riskfuse.cohort import MISSING_TOKENS, CohortTable, Column
 from riskfuse.copulas import FAMILIES, fit_family, pseudo_observations, sample
 from riskfuse.errors import DataError
@@ -89,8 +88,23 @@ def bvn_quad(x, y, rho, epsabs=1e-10):
     return val
 
 
-def bvnu_moderate_pointwise(h, k, r):
-    """The moderate-|r| quadrature with the sine nodes taken at every point."""
+# 20-point Gauss-Legendre rule on (-1, 1), positive half
+_GL_X = np.array([
+    0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
+    0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
+    0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
+    0.07652652113349733,
+])
+_GL_W = np.array([
+    0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
+    0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
+    0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
+    0.1527533871307259,
+])
+
+
+def _bvnu_moderate(h, k, r):
+    """Upper-quadrant probability for |r| < 0.925 (arrays of equal shape)."""
     hk = h * k
     hs = 0.5 * (h * h + k * k)
     asr = np.arcsin(r)
@@ -101,7 +115,70 @@ def bvnu_moderate_pointwise(h, k, r):
         return np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn))
 
     acc = np.sum(_GL_W * (integrand(sn_lo) + integrand(sn_hi)), axis=-1)
-    return acc * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
+    return acc * asr / (4.0 * np.pi) + ndtr(-h) * ndtr(-k)
+
+
+def _bvnu_extreme(h, k, r):
+    """Upper-quadrant probability for 0.925 <= |r| < 1 (arrays of equal shape)."""
+    neg = r < 0
+    k = np.where(neg, -k, k)
+    hk = h * k
+    a_sq = (1.0 - r) * (1.0 + r)
+    a = np.sqrt(a_sq)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    asr0 = -(bs / a_sq + hk) / 2.0
+
+    series = a * np.exp(np.minimum(asr0, 700.0)) * (
+        1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a_sq * a_sq / 5.0
+    )
+    bvn = np.where(asr0 > -100.0, series, 0.0)
+
+    keep = -hk < 100.0
+    b = np.sqrt(bs)
+    sp = np.sqrt(2.0 * np.pi) * ndtr(-b / a)
+    tail = np.exp(np.where(keep, -hk / 2.0, 0.0)) * sp * b * (
+        1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0
+    )
+    bvn = bvn - np.where(keep, tail, 0.0)
+
+    half = a / 2.0
+    for sign in (-1.0, 1.0):
+        xs = (half[..., None] * (sign * _GL_X + 1.0)) ** 2
+        rs = np.sqrt(1.0 - xs)
+        asr1 = -(bs[..., None] / xs + hk[..., None]) / 2.0
+        ok = asr1 > -100.0
+        ep = np.exp(np.minimum(-hk[..., None] * (1.0 - rs) / (2.0 * (1.0 + rs)), 700.0)) / rs
+        sp1 = 1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs)
+        term = half[..., None] * _GL_W * np.exp(np.where(ok, asr1, -np.inf)) * (ep - sp1)
+        bvn = bvn + np.sum(np.where(ok, term, 0.0), axis=-1)
+    bvn = -bvn / (2.0 * np.pi)
+
+    pos_val = bvn + ndtr(-np.maximum(h, k))
+    neg_val = -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-k))
+    return np.where(neg, neg_val, pos_val)
+
+
+def bvn_genz(x, y, rho):
+    """The Gauss-Legendre kernel that ``riskfuse.bvn`` replaced, point by point.
+
+    The Drezner-Wesolowsky correlation-integral form for |rho| < 0.925 and the
+    high-|rho| reduction of Genz's BVND routine above it, on the canonical
+    order x <= y; infinities take the marginal limits.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    h, k, r = np.broadcast_arrays(-np.minimum(x, y), -np.maximum(x, y), np.asarray(rho, dtype=float))
+    lo = np.isposinf(h) | np.isposinf(k)  # x or y is -inf
+    x_inf = np.isneginf(h) & ~lo  # x is +inf
+    y_inf = np.isneginf(k) & ~lo
+    finite = ~(lo | x_inf | y_inf)
+    hf = np.where(finite, h, 0.0)
+    kf = np.where(finite, k, 0.0)
+    mod = np.abs(r) < 0.925
+    out = np.where(mod, _bvnu_moderate(hf, kf, np.where(mod, r, 0.0)), _bvnu_extreme(hf, kf, np.where(mod, 0.95, r)))
+    out = np.where(lo, 0.0, np.where(x_inf, ndtr(-k), np.where(y_inf, ndtr(-h), out)))
+    return np.clip(out, 0.0, 1.0)
 
 
 def bootstrap_replicate(model_hat, family, m, seed, b, refit):

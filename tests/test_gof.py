@@ -174,7 +174,7 @@ class TestBlockBootstrapMatchesOneReplicateAtATime:
         (0.4, 300, None, 3 * (_BLOCK_POINTS // 300) + 5, None, True),  # three full blocks and a partial one
         (0.4, 300, None, 40, 64, False),  # replicate size other than n, parameter not refitted
         (0.4, 150, 2, 60, None, True),  # tied observed margins
-        (0.8, 200, None, 30, None, True),  # Gaussian replicate rho above 0.925: the extreme quadrature
+        (0.8, 200, None, 30, None, True),  # strong dependence: Gaussian replicate rho above 0.925
         (-0.3, 120, None, 30, None, True),  # tau <= 0: Clayton at its floor, Gumbel at theta = 1
         (0.4, 150, 2, 70, 16, True),  # some replicates have tau exactly 1/2, so Gumbel theta is exactly 2
         (0.4, 50, None, 30, 2, False),  # the smallest replicate

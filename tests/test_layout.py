@@ -12,6 +12,9 @@ that boosting's fits are. Out-of-fold forests grow through
 ``trees.fit_forests``, which the tracer does not wrap, so their fits show
 only in ``scoring.oof_scores``.
 
+The runtime is numpy and scipy: every module imports only the standard
+library, numpy, scipy or riskfuse itself.
+
 ``riskfuse.__all__`` lists exactly the names the package's ``__init__``
 imports or assigns, so ``from riskfuse import *`` cannot name a deleted one."""
 
@@ -66,6 +69,21 @@ def test_one_reader_and_one_writer():
                 problems.append(f"{where} renames a file outside pipeline.write_file")
             if isinstance(node, ast.Call) and _opens_for_writing(node) and id(node) not in inside_write_file:
                 problems.append(f"{where} writes a file outside pipeline.write_file")
+    assert problems == []
+
+
+def test_runtime_imports_only_numpy_and_scipy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "riskfuse"}
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["riskfuse" if node.level else node.module]
+            else:
+                continue
+            problems += [f"{path.name}:{node.lineno} imports {name}" for name in names if name.split(".")[0] not in allowed]
     assert problems == []
 
 
