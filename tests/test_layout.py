@@ -16,7 +16,10 @@ The runtime is numpy and scipy: every module imports only the standard
 library, numpy, scipy or riskfuse itself.
 
 ``riskfuse.__all__`` lists exactly the names the package's ``__init__``
-imports or assigns, so ``from riskfuse import *`` cannot name a deleted one."""
+imports or assigns, so ``from riskfuse import *`` cannot name a deleted one.
+Every other top-level function and class of the package is named somewhere
+in it outside its own definition and the imports of it, so no dead one is
+left behind."""
 
 import ast
 import json
@@ -141,3 +144,18 @@ def test_all_lists_the_names_the_package_binds():
     namespace = {}
     exec("from riskfuse import *", namespace)
     assert set(riskfuse.__all__) <= set(namespace)
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in named and node.name not in riskfuse.__all__]
+    assert unused == []

@@ -7,7 +7,7 @@ from riskfuse.cohort import CohortTable, Column
 from riskfuse.errors import DataError
 from riskfuse.folds import FoldAssignment, stratified_kfold
 from riskfuse.metrics import roc_auc
-from riskfuse.scoring import CVRecord, ModelSpec, oof_scores, select_best_model
+from riskfuse.scoring import MODEL_FAMILIES, CVRecord, ModelSpec, oof_scores, select_best_model
 
 from oracles import oof_scores_per_fold
 
@@ -132,29 +132,36 @@ def _within_cap(calls):
 
 
 class TestForestLocksteps:
-    """The folds' forests grown in locksteps against one fit_model call per fold."""
+    """The folds' forests grown in locksteps, and every family's out-of-fold
+    path, against one fit_model call per fold."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(12, 70), st.integers(1, 60),
-        st.sampled_from([None, 1, 99]), st.sampled_from([None, 0, 1, 2, 3]), st.integers(1, 5),
-        st.sampled_from([trees._LOCKSTEP_ROWS, 1, 900]),
+        st.sampled_from(MODEL_FAMILIES), st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(12, 70),
+        st.integers(1, 60), st.sampled_from([None, 1, 99]), st.sampled_from([None, 0, 1, 2, 3]),
+        st.integers(1, 5), st.sampled_from([trees._LOCKSTEP_ROWS, 1, 900]), st.sampled_from(["auto", 0.05]),
     )
-    def test_oof_scores_match_the_per_fold_loop(self, seed, k, n, n_trees, mtry, max_depth, min_leaf, cap):
+    def test_oof_scores_match_the_per_fold_loop(self, family, seed, k, n, size, mtry, max_depth, min_leaf, cap, lam):
         # cap 1 puts every fold above the cap, and 900 groups only some
         view, y = _mixed_view(seed, n)
         fold_of = np.random.default_rng(seed + 1).integers(0, k, n)  # folds of differing sizes
         assume(all(np.any(fold_of == f) and len(np.unique(y[fold_of != f])) == 2 for f in range(k)))
+        if family == "elastic_net_lr":  # the lambda search's two inner folds need two rows of each class
+            assume(all(np.bincount(y[fold_of != f].astype(int)).min() >= 2 for f in range(k)))
         folds = FoldAssignment(fold_of=fold_of, k=k)
-        spec = ModelSpec("random_forest", {"n_trees": n_trees, "mtry": mtry, "max_depth": max_depth,
-                                           "min_leaf": min_leaf}, seed=seed % 1000)
+        hyperparameters = {
+            "elastic_net_lr": {"lam": lam, "grid_points": 3, "inner_folds": 2},
+            "random_forest": {"n_trees": size, "mtry": mtry, "max_depth": max_depth, "min_leaf": min_leaf},
+            "gradient_boosting": {"n_rounds": size, "max_depth": max_depth},
+        }[family]
+        spec = ModelSpec(family, hyperparameters, seed=seed % 1000)
         expected = oof_scores_per_fold(view, y, spec, folds)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trees, "_LOCKSTEP_ROWS", cap)
             calls = _spied_locksteps(mp)
             scores = oof_scores(view, y, spec, folds)
             assert _within_cap(calls)
-        assert sum(len(fits) for fits in calls) == k
+        assert sum(len(fits) for fits in calls) == (k if family == "random_forest" else 0)
         assert np.array_equal(scores, expected)
 
     def test_a_narrower_fold_grows_in_its_own_lockstep(self, monkeypatch):
