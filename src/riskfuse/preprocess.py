@@ -50,12 +50,6 @@ def fit_preprocessor(view: CohortTable, train_rows: np.ndarray) -> tuple:
     return tuple(fitted)
 
 
-def design_width(pre: tuple) -> int:
-    """Columns of the matrix transform makes: one per numeric column and one
-    per training category."""
-    return sum(1 if kind == "numeric" else len(stats[1]) for _, kind, stats in pre)
-
-
 def transform(pre: tuple, view: CohortTable, rows: np.ndarray) -> np.ndarray:
     """Impute, standardize and one-hot encode the given rows into a float matrix."""
     if [(c.name, c.kind) for c in view.columns] != [(name, kind) for name, kind, _ in pre]:
@@ -79,12 +73,7 @@ def transform(pre: tuple, view: CohortTable, rows: np.ndarray) -> np.ndarray:
         else:
             mode, categories = stats
             index = {cat: i for i, cat in enumerate(categories)}
-            block = np.zeros((len(rows), len(categories)))
-            for i, v in enumerate(vals):
-                label = mode if v is None else v
-                j = index.get(label)
-                if j is not None:
-                    block[i, j] = 1.0
-                # unseen category: leave the block all-zero
-            blocks.append(block)
+            # an unseen category's code -1 matches no column: its row is all-zero
+            codes = np.fromiter((index.get(mode if v is None else v, -1) for v in vals), np.int64, len(vals))
+            blocks.append((codes[:, None] == np.arange(len(categories))).astype(float))
     return np.hstack(blocks) if blocks else np.zeros((len(rows), 0))

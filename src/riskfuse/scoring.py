@@ -4,13 +4,14 @@ Every probability comes from a model whose training folds excluded that
 patient; preprocessing is refit inside each fold. Fold work is canonicalized
 by row identifier so that permuting cohort rows permutes scores with them.
 
-The elastic-net and boosting fit and predict one fold at a time. The
-random forests of the k folds grow in shared locksteps (trees.fit_forests):
-folds whose designs have one width group together up to the lockstep cap.
-A lockstep's training designs are made one at a time as it codes them; its
-folds' test rows are transformed and predicted after it has grown, and its
-forests are dropped before the next lockstep's designs are made. Every
-probability is the one a fold-by-fold fit gives.
+Every fold's training design is made once, up front, after the fold
+preprocessors. The elastic-net and boosting fit and predict one fold at a
+time. The random forests of the k folds grow in shared locksteps
+(trees.fit_forests): folds whose designs have one width group together up
+to the lockstep cap. A lockstep's folds' test rows are transformed and
+predicted after it has grown, and its forests and training designs are
+dropped before the next lockstep grows. Every probability is the one a
+fold-by-fold fit gives.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ConfigError, DataError
 from .folds import FoldAssignment, stratified_kfold
 from .linear import ElasticNetLogistic, lambda_grid
 from .metrics import roc_auc
-from .preprocess import design_width, fit_preprocessor, transform
+from .preprocess import fit_preprocessor, transform
 from .schema import Key
 from .seeding import hash_seed
 from .trees import GradientBoosting, RandomForest, fit_forests, lockstep_groups
@@ -122,27 +123,23 @@ def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row
             raise DataError(f"fold {f}: training complement lacks one of the classes")
         fold_rows.append((train, test))
     pres = [fit_preprocessor(view, train) for train, _ in fold_rows]
+    designs = [transform(pre, view, train) for pre, (train, _) in zip(pres, fold_rows)]
 
     out = np.empty(len(y))
     if spec.family != "random_forest":
-        for f, ((train, test), pre) in enumerate(zip(fold_rows, pres)):
-            model = fit_model(ModelSpec(spec.family, spec.hyperparameters, _fold_seed(spec, f)),
-                              transform(pre, view, train), y[train])
+        for f, ((train, test), pre, X) in enumerate(zip(fold_rows, pres, designs)):
+            model = fit_model(ModelSpec(spec.family, spec.hyperparameters, _fold_seed(spec, f)), X, y[train])
             out[test] = model.predict_proba(transform(pre, view, test))
         return out
 
     # the forests grow in locksteps, each predicted and dropped before the next
     forests = [RandomForest(**_hyperparameters(spec), seed=_fold_seed(spec, f)) for f in range(folds.k)]
-    shapes = [(design_width(pre), forest.n_trees * len(train))
-              for pre, forest, (train, _) in zip(pres, forests, fold_rows)]
-    for group in lockstep_groups(shapes):
-        trains = [fold_rows[f][0] for f in group]
-        fit_forests([forests[f] for f in group], [y[train] for train in trains],
-                    (transform(pres[f], view, train) for f, train in zip(group, trains)))
+    for group in lockstep_groups([(X.shape[1], forest.n_trees * len(X)) for X, forest in zip(designs, forests)]):
+        fit_forests([forests[f] for f in group], [y[fold_rows[f][0]] for f in group], [designs[f] for f in group])
         for f in group:
             test = fold_rows[f][1]
             out[test] = forests[f].predict_proba(transform(pres[f], view, test))
-            forests[f] = None
+            forests[f] = designs[f] = None
     return out
 
 

@@ -40,7 +40,8 @@ sorts a node's rows:
   over all trees, updated once per step. A lockstep holds at most
   _LOCKSTEP_ROWS bootstrap rows (trees x training rows) over its forests,
   and a larger forest grows alone: at the paper's 300 trees, growing the
-  five folds together was no faster and held far more memory.
+  five folds together was no faster and held far more memory. fit_forests
+  takes every forest's design at once, as a list made before it is called.
 
 Both ensembles predict in one walk over all their trees (_predict_all), and
 add the trees' predictions in tree order, so a probability is the float a
@@ -380,14 +381,12 @@ class _FeatureDraws:
 def _grow_forest(labels, streams, designs, *, mtry, min_leaf, max_depth):
     """One Gini tree per stream, all grown in one lockstep: fit i's trees
     are one per generator in streams[i], each on a bootstrap sample of that
-    fit's rows drawn from its generator, for the 0/1 labels[i] and the i-th
-    design of designs, which share one width.
+    fit's rows drawn from its generator, for the 0/1 labels[i] and the
+    design designs[i]; the designs share one width.
 
     The fits' code and value tables are stacked, each fit's rows after the
-    previous fits', and sized from the labels before the first design is
-    read. So designs may be a generator that makes each design as it is
-    coded. Every tree's bootstrap rows are row numbers of the stack.
-    Returns the trees in fit order, each fit's in stream order."""
+    previous fits', and every tree's bootstrap rows are row numbers of the
+    stack. Returns the trees in fit order, each fit's in stream order."""
     fit_n = np.array([len(y) for y in labels])
     fit_first = np.cumsum(fit_n) - fit_n
     per_fit = np.array([len(rngs) for rngs in streams])
@@ -400,15 +399,11 @@ def _grow_forest(labels, streams, designs, *, mtry, min_leaf, max_depth):
         rows[lo : lo + n] = rng.integers(0, n, size=n) + offset
     labels = np.concatenate(labels).astype(np.int64)
 
-    codes = values = None
-    for X, lo, hi in zip(designs, fit_first.tolist(), (fit_first + fit_n).tolist(), strict=True):
-        if codes is None:
-            p = X.shape[1]
-            # a code is below 2 * n_max, so 32 bits hold it for fits of under 2**31 rows
-            codes = np.zeros((len(labels), p), dtype=np.uint32)
-            values = np.zeros((len(labels), p))
-        elif X.shape[1] != p:
-            raise ValueError("the forests of one lockstep must share their width")
+    p = designs[0].shape[1]
+    # a code is below 2 * n_max, so 32 bits hold it for fits of under 2**31 rows
+    codes = np.zeros((len(labels), p), dtype=np.uint32)
+    values = np.zeros((len(labels), p))
+    for X, lo, hi in zip(designs, fit_first.tolist(), (fit_first + fit_n).tolist()):
         _value_codes(X, labels[lo:hi], codes[lo:hi], values[lo:hi])
     f = min(mtry if mtry is not None else max(1, math.ceil(math.sqrt(p))), p)
     depth_cap = math.inf if max_depth is None else max_depth
@@ -492,27 +487,25 @@ def lockstep_groups(shapes):
 
 
 def fit_forests(forests, labels, designs):
-    """Fit the i-th forest on labels[i] and the i-th design of designs,
-    every forest's trees in one lockstep.
+    """Fit the i-th forest on labels[i] and designs[i], every forest's trees
+    in one lockstep.
 
     The forests share mtry, min_leaf and max_depth, and their designs one
-    width. designs may be a generator: it is read one design at a time."""
+    width."""
     labels = [np.asarray(y, dtype=float) for y in labels]
+    designs = [np.asarray(X, dtype=float) for X in designs]
     if not all(np.all((y == 0) | (y == 1)) for y in labels):
         raise NumericError("random forest labels must be 0 or 1")
-
-    def checked():
-        for X, y in zip(designs, labels):
-            X = np.asarray(X, dtype=float)
-            if len(X) != len(y):
-                raise NumericError(f"random forest design has {len(X)} rows for {len(y)} labels")
-            if not np.isfinite(X).all():
-                raise NumericError("random forest features must be finite")
-            yield X
-
+    for X, y in zip(designs, labels):
+        if len(X) != len(y):
+            raise NumericError(f"random forest design has {len(X)} rows for {len(y)} labels")
+        if not np.isfinite(X).all():
+            raise NumericError("random forest features must be finite")
+    if len({X.shape[1] for X in designs}) > 1:
+        raise ValueError("the forests of one lockstep must share their width")
     head = forests[0]
     streams = [[stream_rng(forest.seed, t) for t in range(forest.n_trees)] for forest in forests]
-    trees = _grow_forest(labels, streams, checked(), mtry=head.mtry, min_leaf=head.min_leaf, max_depth=head.max_depth)
+    trees = _grow_forest(labels, streams, designs, mtry=head.mtry, min_leaf=head.min_leaf, max_depth=head.max_depth)
     for forest in forests:
         forest.trees_, trees = trees[: forest.n_trees], trees[forest.n_trees :]
 
