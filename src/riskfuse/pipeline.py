@@ -134,6 +134,8 @@ def _endpoint(bundle: ReportBundle):
     config = bundle.config
     endpoint = build_endpoint(bundle.table, horizon=config.horizon_months, status_column=config.endpoint["status_column"])
     id_column = config.view_spec["id_column"]
+    if not bundle.table.has_column(id_column):
+        raise DataError(f"view column {id_column!r} not present in table; view_spec.id_column names it")
     ids = bundle.table.column(id_column).values  # stripped text, as _load reads it
     bundle.table, bundle.endpoint = filter_cohort(bundle.table, endpoint)
     bundle.n_analytic = bundle.table.n_rows

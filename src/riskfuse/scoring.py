@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .cohort import CohortTable
 from .errors import ConfigError, DataError
 from .folds import FoldAssignment, stratified_kfold
@@ -83,12 +84,15 @@ def _fit_elastic_net(X, y, seed, *, alpha, lam, grid_points, inner_folds, max_it
     return ElasticNetLogistic(lam=lam, alpha=alpha, max_iter=max_iter, tol=tol).fit(X, y)
 
 
-def _hyperparameters(spec: ModelSpec) -> dict:
-    return {name: key.default for name, key in DEFAULT_MODELS[spec.family].items()} | spec.hyperparameters
+def _hyperparameters(spec: ModelSpec):
+    """spec's hyperparameters read as the config's models.<family> section:
+    DEFAULT_MODELS's defaults for the ones it omits, and a ConfigError naming
+    the key for an unknown or out-of-range one."""
+    return schema.read(DEFAULT_MODELS[spec.family], dict(spec.hyperparameters), f"models.{spec.family}")
 
 
 def fit_model(spec: ModelSpec, X, y):
-    """Fit spec's family with its hyperparameters, taking the rest from DEFAULT_MODELS."""
+    """Fit spec's family with its hyperparameters (see _hyperparameters)."""
     hp = _hyperparameters(spec)
     if spec.family == "elastic_net_lr":
         return _fit_elastic_net(X, y, spec.seed, **hp)

@@ -490,8 +490,8 @@ def fit_forests(forests, labels, designs):
     """Fit the i-th forest on labels[i] and designs[i], every forest's trees
     in one lockstep.
 
-    The forests share mtry, min_leaf and max_depth, and their designs one
-    width."""
+    The forests must share mtry, min_leaf and max_depth, and their designs
+    one width."""
     labels = [np.asarray(y, dtype=float) for y in labels]
     designs = [np.asarray(X, dtype=float) for X in designs]
     if not all(np.all((y == 0) | (y == 1)) for y in labels):
@@ -503,6 +503,10 @@ def fit_forests(forests, labels, designs):
             raise NumericError("random forest features must be finite")
     if len({X.shape[1] for X in designs}) > 1:
         raise ValueError("the forests of one lockstep must share their width")
+    for name in ("mtry", "min_leaf", "max_depth"):
+        values = [getattr(forest, name) for forest in forests]
+        if any(value != values[0] for value in values):
+            raise NumericError(f"forests fitted together must share {name}, got {values}")
     head = forests[0]
     streams = [[stream_rng(forest.seed, t) for t in range(forest.n_trees)] for forest in forests]
     trees = _grow_forest(labels, streams, designs, mtry=head.mtry, min_leaf=head.min_leaf, max_depth=head.max_depth)
@@ -516,6 +520,8 @@ class RandomForest:
     def __init__(self, *, n_trees, max_depth, mtry, min_leaf, seed):
         if n_trees < 1:
             raise NumericError(f"n_trees must be at least 1, got {n_trees}")
+        if mtry is not None and mtry < 1:
+            raise NumericError(f"mtry must be at least 1, got {mtry}")
         self.n_trees = int(n_trees)
         self.max_depth = max_depth
         self.mtry = mtry

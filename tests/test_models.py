@@ -1,12 +1,13 @@
 import hashlib
 import inspect
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskfuse.errors import NumericError
+from riskfuse.errors import ConfigError, NumericError
 from riskfuse.linear import ElasticNetLogistic, lambda_grid
 from riskfuse.metrics import roc_auc
 from riskfuse.scoring import DEFAULT_MODELS, ModelSpec, fit_model
@@ -238,6 +239,23 @@ class TestRandomForest:
         with pytest.raises(NumericError, match="n_trees"):
             build("random_forest", n_trees=n_trees, seed=1)
 
+    @pytest.mark.parametrize("mtry", [0, -1])
+    def test_no_features_per_split_rejected(self, mtry):
+        with pytest.raises(NumericError, match="mtry must be at least 1"):
+            build("random_forest", mtry=mtry, seed=1)
+
+    def test_forests_fitted_together_share_their_settings(self, rng):
+        X = rng.standard_normal((30, 3))
+        y = (rng.uniform(size=30) < 0.5).astype(float)
+        for setting, value in (("mtry", 1), ("min_leaf", 10), ("max_depth", 1)):
+            odd = build("random_forest", n_trees=3, seed=2, **{setting: value})
+            with pytest.raises(NumericError, match=f"must share {setting},"):
+                trees.fit_forests([build("random_forest", n_trees=3, seed=1), odd], [y, y], [X, X])
+        # a forest that differs in every setting is refused for the first of them
+        odd = build("random_forest", n_trees=3, max_depth=1, mtry=1, min_leaf=10, seed=3)
+        with pytest.raises(NumericError, match="must share mtry,"):
+            trees.fit_forests([odd, build("random_forest", n_trees=3, seed=4)], [y, y], [X, X])
+
     def test_degenerate_identical_rows(self):
         X = np.ones((20, 3))
         y = np.array([1.0] * 6 + [0.0] * 14)
@@ -245,6 +263,17 @@ class TestRandomForest:
         p = rf.predict_proba(X)
         assert np.all(p == p[0])  # single-leaf trees: one shared prevalence
         assert 0.0 < p[0] < 1.0
+
+
+@pytest.mark.parametrize("family, hyperparameters, message", [
+    ("random_forest", {"n_tree": 5}, "unknown config key 'models.random_forest.n_tree'"),
+    ("random_forest", {"mtry": 0}, "models.random_forest.mtry must be >= 1, got 0"),
+    ("gradient_boosting", {"n_rounds": 2.5}, "models.gradient_boosting.n_rounds must be an integer, got 2.5"),
+])
+def test_spec_hyperparameters_are_read_as_config_keys(family, hyperparameters, message):
+    X, y = np.eye(4), np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        fit_model(ModelSpec(family, hyperparameters), X, y)
 
 
 class TestGradientBoosting:

@@ -150,7 +150,7 @@ class TestForestLocksteps:
             assume(all(np.bincount(y[fold_of != f].astype(int)).min() >= 2 for f in range(k)))
         folds = FoldAssignment(fold_of=fold_of, k=k)
         hyperparameters = {
-            "elastic_net_lr": {"lam": lam, "grid_points": 3, "inner_folds": 2},
+            "elastic_net_lr": {"lam": lam, "grid_points": 3, "inner_folds": 2, "tol": 1e-6},  # quick fits
             "random_forest": {"n_trees": size, "mtry": mtry, "max_depth": max_depth, "min_leaf": min_leaf},
             "gradient_boosting": {"n_rounds": size, "max_depth": max_depth},
         }[family]

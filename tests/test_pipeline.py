@@ -323,6 +323,15 @@ class TestStagePrefix:
                                            "in table; view_spec.survival_columns lists it\n")
         assert not Path(cfg["output_dir"]).exists()
 
+    def test_absent_id_column_names_its_view_spec_key(self, tmp_path, capsys):
+        cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
+        cfg["view_spec"]["id_column"] = "pid"
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+        assert capsys.readouterr().err == ("data error: [stage endpoint] view column 'pid' not present in table; "
+                                           "view_spec.id_column names it\n")
+        assert not Path(cfg["output_dir"]).exists()
+
     def test_views_exclude_endpoint_columns_without_survival_columns(self, tmp_path):
         cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
         cfg["view_spec"]["survival_columns"] = []
