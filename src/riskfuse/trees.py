@@ -393,11 +393,15 @@ def _grow_forest(labels, streams, designs, *, mtry, min_leaf, max_depth):
     tree_n, voff = np.repeat(fit_n, per_fit), np.repeat(fit_first, per_fit)
     n_max, n_trees = int(fit_n.max()), len(tree_n)
     root_start = np.cumsum(tree_n) - tree_n
-    rows = np.empty(int(tree_n.sum()), dtype=np.int64)
-    rngs = [rng for fit_rngs in streams for rng in fit_rngs]
-    for rng, n, lo, offset in zip(rngs, tree_n.tolist(), root_start.tolist(), voff.tolist()):
-        rows[lo : lo + n] = rng.integers(0, n, size=n) + offset
     labels = np.concatenate(labels).astype(np.int64)
+    rows = np.empty(int(tree_n.sum()), dtype=np.int64)
+    # each tree's positive bootstrap rows, counted as they are drawn: one
+    # gather over all trees' rows would hold a second table as large as rows
+    root_ones = np.empty(n_trees, dtype=np.int64)
+    rngs = [rng for fit_rngs in streams for rng in fit_rngs]
+    for t, (rng, n, lo, offset) in enumerate(zip(rngs, tree_n.tolist(), root_start.tolist(), voff.tolist())):
+        rows[lo : lo + n] = rng.integers(0, n, size=n) + offset
+        root_ones[t] = labels[rows[lo : lo + n]].sum()
 
     p = designs[0].shape[1]
     # a code is below 2 * n_max, so 32 bits hold it for fits of under 2**31 rows
@@ -430,7 +434,7 @@ def _grow_forest(labels, streams, designs, *, mtry, min_leaf, max_depth):
         height[t] += 1
 
     zeros = np.zeros(n_trees, dtype=np.int64)
-    place(np.arange(n_trees), zeros, root_start, tree_n, np.add.reduceat(labels[rows], root_start), zeros)
+    place(np.arange(n_trees), zeros, root_start, tree_n, root_ones, zeros)
     active = np.flatnonzero(height)
     while len(active):
         height[active] -= 1
