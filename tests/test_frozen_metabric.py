@@ -5,9 +5,10 @@ The cohort has the METABRIC export's layout: numeric patient ids, the 27
 levels, ``4ER+``-style cluster labels, numeric grades and stages, missing
 cells), the survival columns among them, expression columns, string
 ``_mut`` columns and ``death_from_cancer`` labels. Its signal comes from
-``synth.generate_cohort``. One analytic patient alone has the level
-``Breast Sarcoma``, so the fold that tests that patient trains on a clinical
-design one column narrower than the other folds'.
+``synth.generate_cohort``. One analytic patient alone has the levels
+``Breast Sarcoma`` and ``Metaplastic Breast Cancer``, so the fold that tests
+that patient trains on a clinical design two columns narrower than the
+other folds', and encodes that patient's unseen levels as all-zero blocks.
 
 The run uses the acceptance criterion 8 config keys (default ``view_spec``,
 ``cv`` k = 5 and seed 0, ``copula`` seed 1) with the model and bootstrap
@@ -74,19 +75,19 @@ CONFIG = {
 }
 
 DIGESTS = {
-    "copula_contours.svg": "663dd49e24caf68003d0f916956a5bd75f50c6ec714f986d7457a755e3627499",
-    "copula_fit.json": "98abb542bf2dd59b8517f809871ff4e06ea8eccb7baa85e93ef00ff21717af1c",
-    "copula_heat.svg": "b35ae2845d0c02e86592600b89629f977cbcb7d4df1c6665a182f5bf89341f22",
-    "gof.json": "b7ba8408a18757aa7c15cf0bc2a729bc50f7b9d3cdd32025f443b3394ba1d0eb",
-    "km.svg": "d77627d5a1eb77457c5fbd5af4b15faa5098a0be3316df3552e622273cb75d53",
-    "km_curves.csv": "d37ad02dd6f72f757d0a329fab5c2412c1fdac9ad65e4f4f9c20c15cf2f6b8fb",
-    "manifest.json": "25ffc10e4bea9bb702501bfa7e47936ea4bdf49c9a1e75d392e9baa65cf39d65",
-    "model_auc.csv": "4dd382f1a0b6a5f3a8daa236376e53afd123522f4695f2e4d77a03605acdc532",
-    "roc.svg": "1cb8572c74bdb9f23fa01738ab068b3a6f62e1a77fbc567e0de73e2a7bd363dc",
-    "score_hist.svg": "56dd57bd53fe124b813eb488e85ff48605a108883f4157e531f7bce015fcb0c3",
-    "score_scatter.svg": "e504d667486b887cb88e3ac09107c80d5749f8d1dd6e87df5b0c4f6855dfffb9",
-    "scores.csv": "554f6de830f5ce4c80a8579dee159186e53e8d3c32c600648598acf2d851be0c",
-    "strata.csv": "91ca9688d4de84c840db49d55c77441516e39d4693155d0794e747310f28649d",
+    "copula_contours.svg": "0d304ba61d0c155ce98c40dcf0ed0d293399d47618f6e194eda4aa8ad7aa349d",
+    "copula_fit.json": "9057feb987d2b7e780d1147791582c2379a3295042ecff445b5cb8e8d7dfc6ee",
+    "copula_heat.svg": "514d05917598a5bb5654193e7d942fd22c01ba8334fc9134cc448ad3b3a481a8",
+    "gof.json": "8aed8535c0e96c7bede4e022a0e9fa7e2cd2fbcfca36ddec149753ffe4d09430",
+    "km.svg": "f9a0bef2e40cf838ee43152725a9b35a2ce9215a2d7debb675f5be756d793d0f",
+    "km_curves.csv": "9639acd1da05531a5cfc39919f2ef9496353c026697f84c949a8f55039eb196b",
+    "manifest.json": "7f635c160f203b838043309ffc221a7b9f6a190dd40e782a4676a04e696ffd10",
+    "model_auc.csv": "d73e642623b955a197be4d0c45446b366817b436b88f5daa2477154df45faeaa",
+    "roc.svg": "c2aaef60946d9f3e58af6dd7f8b73a673743677a107df1a587309ea79d533467",
+    "score_hist.svg": "bc6481dedeaa37fa12969afc81c1ef8af16fcd015d95cbababe13fb2026c01e1",
+    "score_scatter.svg": "051be476f93fdb07be81ef3368cdd6ab5ea92d0255bdeb91f79e67c7b311d4a4",
+    "scores.csv": "71656bedf99065916f1860bc8dcd61c49e5b256703693074b903b82f893ad0d0",
+    "strata.csv": "4afaf39e90d63ec95fb2b60a94483cd23e8f795eb15f7823e06101bfbc717f3f",
 }
 
 
@@ -116,6 +117,7 @@ def metabric_shaped_cohort():
                 if s == "Died of Disease" or (s and float(t) >= 60)]
     rare = analytic[len(analytic) // 2]
     cols["cancer_type"][rare] = "Breast Sarcoma"
+    cols["cancer_type_detailed"][rare] = "Metaplastic Breast Cancer"
     genes = [name for name in header if name.endswith("_exp")]
     mutations = {name: [MUTATION_CALLS[k] for k in rng.integers(len(MUTATION_CALLS), size=N)]
                  for name in MUTATION_COLUMNS}
