@@ -135,7 +135,7 @@ class TestForestLocksteps:
     """The folds' forests grown in locksteps, and every family's out-of-fold
     path, against one fit_model call per fold."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(
         st.sampled_from(MODEL_FAMILIES), st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(12, 70),
         st.integers(1, 60), st.sampled_from([None, 1, 99]), st.sampled_from([None, 0, 1, 2, 3]),
