@@ -8,9 +8,10 @@ family parameter and Kendall's tau:
     gumbel    theta = max(1, 1 / (1 - tau))      upper-tail dependent
 
 Samplers: Gaussian by correlated normals, Clayton by conditional inversion,
-Gumbel through its Archimedean generator with a root solve of the inner
-distribution function. Kendall's tau and the pseudo-observations come from
-the rank module and are re-exported here.
+Gumbel by the Marshall-Olkin frailty construction, U = exp(-(E1 / S)^(1/theta))
+with a positive stable frailty S drawn by Kanter's representation; all three
+are closed forms. Kendall's tau and the pseudo-observations come from the
+rank module and are re-exported here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, xlogy
 
 from .bvn import bivariate_normal_cdf
 from .errors import NumericError
@@ -27,10 +28,6 @@ from .ranks import kendall_tau, pseudo_observations  # noqa: F401  re-exported
 FAMILIES = ("gaussian", "clayton", "gumbel")
 
 CLAYTON_THETA_FLOOR = 1e-6
-
-_GUMBEL_ROOT_TOL = 1e-12
-_GUMBEL_ROOT_LO = 1e-12
-_GUMBEL_ROOT_HI = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,36 +168,6 @@ def copula_cdf(model: CopulaModel, u, v):
     return float(out) if out.ndim == 0 else out
 
 
-def _solve_gumbel_inner(t, theta):
-    """Solve K(w) = w - w ln(w) / theta = t on (0, 1), vectorized hybrid
-    Newton / bisection with bracket maintenance."""
-    t = np.asarray(t, dtype=float)
-    lo = np.full(t.shape, _GUMBEL_ROOT_LO)
-    hi = np.full(t.shape, _GUMBEL_ROOT_HI)
-
-    def K(w):
-        return w - w * np.log(w) / theta
-
-    # clamp targets into the reachable range of K on the bracket
-    t = np.clip(t, K(lo), K(hi))
-    w = np.clip(t, lo, hi)
-    for _ in range(100):
-        log_w = np.log(w)
-        f = w - w * log_w / theta - t
-        lo = np.where(f < 0, w, lo)
-        hi = np.where(f > 0, w, hi)
-        deriv = 1.0 - (log_w + 1.0) / theta
-        step = f / deriv
-        w_new = w - step
-        bad = (w_new <= lo) | (w_new >= hi) | ~np.isfinite(w_new)
-        w_new = np.where(bad, 0.5 * (lo + hi), w_new)
-        done = np.abs(w_new - w) <= _GUMBEL_ROOT_TOL
-        w = w_new
-        if done.all():
-            break
-    return w
-
-
 def _clip_open(x):
     """Push values off the closed boundary so pairs stay strictly inside (0,1)."""
     return np.clip(x, 1e-300, np.nextafter(1.0, 0.0))
@@ -227,14 +194,18 @@ def sample(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         v = np.exp(-np.log1p(inner) / theta)
         return _clip_open(u), _clip_open(v)
 
-    if model.family == "gumbel":
-        theta = model.param
-        s = rng.uniform(size=n)
-        t = rng.uniform(size=n)
-        w = _solve_gumbel_inner(t, theta)
-        log_w = np.log(w)
-        u = np.exp(s ** (1.0 / theta) * log_w)
-        v = np.exp((1.0 - s) ** (1.0 / theta) * log_w)
-        return _clip_open(u), _clip_open(v)
+    if model.family != "gumbel":
+        raise NumericError(f"unknown copula family {model.family!r}")
 
-    raise NumericError(f"unknown copula family {model.family!r}")
+    # gumbel (Marshall-Olkin): U = exp(-(E1 / S)^a), V = exp(-(E2 / S)^a) with a = 1 / theta and a
+    # stable S of Laplace transform exp(-t^a), drawn by Kanter's formula from an angle x in (0, pi)
+    # and a unit exponential W: S^a = sin(a x)^a (sin((1 - a) x) / W)^(1 - a) / sin(x). Taken in
+    # logs, no power overflows at large theta; xlogy makes the (1 - a) term 0 at theta = 1.
+    a = 1.0 / model.param
+    angle, w, e1, e2 = _clip_open(rng.uniform(size=(4, n)))
+    angle *= np.pi
+    w, e1, e2 = -np.log(w), -np.log(e1), -np.log(e2)
+    a_log_s = a * np.log(np.sin(a * angle)) + xlogy(1.0 - a, np.sin((1.0 - a) * angle) / w) - np.log(np.sin(angle))
+    u = np.exp(-np.exp(a * np.log(e1) - a_log_s))
+    v = np.exp(-np.exp(a * np.log(e2) - a_log_s))
+    return _clip_open(u), _clip_open(v)

@@ -78,10 +78,10 @@ DIGESTS = {
     "copula_contours.svg": "0d304ba61d0c155ce98c40dcf0ed0d293399d47618f6e194eda4aa8ad7aa349d",
     "copula_fit.json": "9057feb987d2b7e780d1147791582c2379a3295042ecff445b5cb8e8d7dfc6ee",
     "copula_heat.svg": "514d05917598a5bb5654193e7d942fd22c01ba8334fc9134cc448ad3b3a481a8",
-    "gof.json": "8aed8535c0e96c7bede4e022a0e9fa7e2cd2fbcfca36ddec149753ffe4d09430",
+    "gof.json": "3280c2cf79b27f0d1271a2ecd069c0b1358e34d95f19a2144eea8950a06036cb",
     "km.svg": "f9a0bef2e40cf838ee43152725a9b35a2ce9215a2d7debb675f5be756d793d0f",
     "km_curves.csv": "9639acd1da05531a5cfc39919f2ef9496353c026697f84c949a8f55039eb196b",
-    "manifest.json": "7f635c160f203b838043309ffc221a7b9f6a190dd40e782a4676a04e696ffd10",
+    "manifest.json": "7c8beb947b2560f49f65f4e533688a2a3d5f602d3b029c1328059bf5d3c5c7a3",
     "model_auc.csv": "d73e642623b955a197be4d0c45446b366817b436b88f5daa2477154df45faeaa",
     "roc.svg": "c2aaef60946d9f3e58af6dd7f8b73a673743677a107df1a587309ea79d533467",
     "score_hist.svg": "bc6481dedeaa37fa12969afc81c1ef8af16fcd015d95cbababe13fb2026c01e1",

@@ -28,10 +28,10 @@ DEMO_DIGESTS = {
     "copula_contours.svg": "c1e35526a5c7262629360bfd9d2ca1c4ba36b9ec4e51a587e4e1bb343aa86844",
     "copula_fit.json": "9fb72fc4b9167ba526c10131c618924549ca672756f9a9b010b581ac32a592f1",
     "copula_heat.svg": "6dab83e0e39ebc8d30d9c48066d0945ca02842717743a351dc6df23dbc22ab50",
-    "gof.json": "6ee17cc9e036a8b736718aa90ae46f3aafec87b4544bcee711f6dd5c8e2ef13e",
+    "gof.json": "065bf6dab2ed4cb48c1ee2715273c5265341aa974fa866679c40000f5727bce3",
     "km.svg": "de73292a93689858d939c047b60ec24476bb218aecd2f85682ec08859db73b05",
     "km_curves.csv": "7c04041fa6e7b480283affc22d5b05473f149eccb80417a28cb8934a0d3c1a61",
-    "manifest.json": "224bdfb55786278d5d5ea67e1c9030aa5eb4ba25064598637dd079f8f95ab5bf",
+    "manifest.json": "04a4745029021c6bfc1cbd395ff0b21812ca2e8b1a820e0cc2c5c7a96ae23485",
     "model_auc.csv": "5a5820e88a7fbcbab1d3ec439e863c20658575d2557c17090544f1a63f1a66bc",
     "roc.svg": "7bc65a9598601f72d4268dcb2bc66d72a6d706323f492e1e0b402e8b093dcc15",
     "score_hist.svg": "4984ce7e82f43fd19407eae30976f732df021b0cf873b1fad48a9f5ad6b3dab4",

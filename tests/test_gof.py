@@ -123,7 +123,7 @@ class TestParametricBootstrap:
 
     @pytest.mark.parametrize("family, m, seed, n_boot", [
         ("gaussian", 2, 3, 50), ("clayton", 2, 3, 50), ("gumbel", 2, 3, 50),
-        ("gumbel", 8, 0, 1300),  # the first such replicate is 1230, in the second block of 8192 // 8
+        ("gumbel", 8, 0, 1300),  # the first such replicate is 1107, in the second block of 8192 // 8
     ], ids=["gaussian-m2", "clayton-m2", "gumbel-m2", "gumbel-m8-second-block"])
     def test_perfectly_ordered_replicate_is_named(self, family, m, seed, n_boot):
         # a small replicate can have tau +-1, which no family inverts

@@ -50,7 +50,7 @@ SYNTH_DIGESTS = [
      "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
     (CLAYTON_FLAGS, "b5cc0be44c99227c40f62524e1bc96a24cc4a858e0fb0e76b8e9e49a54688676",
      "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
-    (["--copula", "gumbel", "--tau", "0"], "a897326e3776bcca34a3915f1495ff6b027f3f13bbf1ee276d4bf8d894c8c6f0",
+    (["--copula", "gumbel", "--tau", "0"], "28dab2f996091cad02ea3b44531f4ac0998a4190f3d909a8f0f9185914f5f205",
      "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
 ]
 

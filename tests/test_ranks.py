@@ -110,7 +110,9 @@ class TestNonFiniteInput:
 # Recorded from the pairwise empirical copula and the np.unique tie counts that
 # the rank pass replaced; the bootstrap must reproduce them bit for bit. The
 # gaussian entry was re-recorded when the bivariate normal CDF moved from
-# Gauss-Legendre quadrature to Owen's T: its statistics moved in the last bits.
+# Gauss-Legendre quadrature to Owen's T: its statistics moved in the last bits. The
+# gumbel replicates were re-recorded when its sampler moved from a root solve of the
+# Archimedean K function to the stable-frailty draw: new draws from the same law.
 FROZEN_BOOTSTRAP = {
     "gaussian": (0.00018988300377615003, 0.14285714285714285, [
         7.04484164598416e-05, 7.028667719750312e-05, 0.00013657755212955405, 0.00013010350689206867,
@@ -125,11 +127,11 @@ FROZEN_BOOTSTRAP = {
         0.00014260965927303805, 9.535221212250948e-05, 8.472915785437502e-05, 0.00010887160036067706,
         0.00011839109964919245, 7.534532679769954e-05, 0.0001628710908459594, 9.530919751108827e-05]),
     "gumbel": (0.0001959815398742901, 0.09523809523809523, [
-        0.0001488008776736624, 0.00014576819388361403, 9.329489512160819e-05, 0.00011220071601961775,
-        0.00012314337071531013, 0.00010223041920839913, 0.00010067189451322656, 0.00011112072105986092,
-        8.434532919114172e-05, 0.00013203702781221528, 0.0002176262806877081, 0.00013159575533954303,
-        8.44288250208704e-05, 0.0001308534523688568, 9.815625345461395e-05, 0.0001419084431756105,
-        0.00012002456562214408, 0.00010308598176358137, 0.00010933171187304786, 0.00012582215249450987]),
+        7.653085900719993e-05, 0.00017692241375738934, 0.00010360342169275684, 0.00010449581506522441,
+        8.533810630014199e-05, 9.187283914924432e-05, 0.00018959301484997197, 0.0001677518916424013,
+        9.019062901963415e-05, 0.0001419412772349972, 0.00014299959441409443, 0.0001331634561525816,
+        0.0001030889898354023, 0.00014864591986385976, 8.744153212025092e-05, 0.0001461052871071627,
+        0.00016108507712410194, 0.00011185361478740675, 0.00022868543397728698, 0.00013323057042421708]),
 }
 
 
