@@ -122,6 +122,22 @@ def _gumbel_cdf(u, v, theta):
     return np.exp(-inner)
 
 
+def _check_param(model: CopulaModel) -> None:
+    """The family's parameter range, for a parameter or a column of them."""
+    param = model.param
+    if model.family == "gaussian":
+        if not np.all((-1.0 < param) & (param < 1.0)):
+            raise NumericError("gaussian copula requires |rho| < 1")
+    elif model.family == "clayton":
+        if not np.all(param > 0):
+            raise NumericError("clayton copula requires theta > 0")
+    elif model.family == "gumbel":
+        if not np.all(param >= 1.0):
+            raise NumericError("gumbel copula requires theta >= 1")
+    else:
+        raise NumericError(f"unknown copula family {model.family!r}")
+
+
 def copula_cdf(model: CopulaModel, u, v):
     """C(u, v) for the fitted family; boundaries take their exact limits.
 
@@ -133,18 +149,8 @@ def copula_cdf(model: CopulaModel, u, v):
     v = np.asarray(v, dtype=float)
     if np.any((u < 0) | (u > 1) | (v < 0) | (v > 1)):
         raise NumericError("copula arguments must lie in [0, 1]")
+    _check_param(model)
     param = model.param
-    if model.family == "gaussian":
-        if not np.all((-1.0 < param) & (param < 1.0)):
-            raise NumericError("gaussian copula requires |rho| < 1")
-    elif model.family == "clayton":
-        if np.any(param <= 0):
-            raise NumericError("clayton copula requires theta > 0")
-    elif model.family == "gumbel":
-        if np.any(param < 1.0):
-            raise NumericError("gumbel copula requires theta >= 1")
-    else:
-        raise NumericError(f"unknown copula family {model.family!r}")
 
     u, v = np.broadcast_arrays(u, v)
     zero = (u == 0.0) | (v == 0.0)
@@ -177,6 +183,7 @@ def sample(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs from the fitted copula; margins are uniform on (0,1)."""
     if n <= 0:
         raise NumericError("sample size must be positive")
+    _check_param(model)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     if model.family == "gaussian":
@@ -193,9 +200,6 @@ def sample(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         inner = np.exp(-theta * np.log(u)) * np.expm1(-theta / (1.0 + theta) * np.log(w))
         v = np.exp(-np.log1p(inner) / theta)
         return _clip_open(u), _clip_open(v)
-
-    if model.family != "gumbel":
-        raise NumericError(f"unknown copula family {model.family!r}")
 
     # gumbel (Marshall-Olkin): U = exp(-(E1 / S)^a), V = exp(-(E2 / S)^a) with a = 1 / theta and a
     # stable S of Laplace transform exp(-t^a), drawn by Kanter's formula from an angle x in (0, pi)

@@ -506,7 +506,7 @@ def fit_forests(forests, labels, designs):
         if not np.isfinite(X).all():
             raise NumericError("random forest features must be finite")
     if len({X.shape[1] for X in designs}) > 1:
-        raise ValueError("the forests of one lockstep must share their width")
+        raise NumericError("the forests of one lockstep must share their width")
     for name in ("mtry", "min_leaf", "max_depth"):
         values = [getattr(forest, name) for forest in forests]
         if any(value != values[0] for value in values):

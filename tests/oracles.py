@@ -77,6 +77,41 @@ def km_brute(times, events):
     return np.array(out_t), np.array(out_s), np.array(out_d), np.array(out_r)
 
 
+def gumbel_sample_by_inversion(theta, n, seed):
+    """Gumbel pairs by conditional inversion (Genest & Rivest): the sampler
+    that the stable-frailty draw replaced.
+
+    With S and T uniform, W solves K(W) = W - W ln(W) / theta = T by hybrid
+    Newton / bisection on a bracket clamped to [1e-12, 1 - 1e-12]; then
+    U = W^(S^(1/theta)) and V = W^((1 - S)^(1/theta)).
+    """
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(size=n)
+    t = rng.uniform(size=n)
+    lo = np.full(n, 1e-12)
+    hi = np.full(n, 1.0 - 1e-12)
+
+    def K(w):
+        return w - w * np.log(w) / theta
+
+    t = np.clip(t, K(lo), K(hi))
+    w = np.clip(t, lo, hi)
+    for _ in range(100):
+        log_w = np.log(w)
+        f = w - w * log_w / theta - t
+        lo = np.where(f < 0, w, lo)
+        hi = np.where(f > 0, w, hi)
+        w_new = w - f / (1.0 - (log_w + 1.0) / theta)
+        bad = (w_new <= lo) | (w_new >= hi) | ~np.isfinite(w_new)
+        w_new = np.where(bad, 0.5 * (lo + hi), w_new)
+        done = np.abs(w_new - w) <= 1e-12
+        w = w_new
+        if done.all():
+            break
+    log_w = np.log(w)
+    return np.exp(s ** (1.0 / theta) * log_w), np.exp((1.0 - s) ** (1.0 / theta) * log_w)
+
+
 def bvn_quad(x, y, rho, epsabs=1e-10):
     """Adaptive 2-D integration of the bivariate normal density."""
 

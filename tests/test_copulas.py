@@ -1,4 +1,7 @@
+import itertools
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from riskfuse.copulas import (
 )
 from riskfuse.errors import DataError, NumericError
 
-from oracles import tau_brute
+from oracles import gumbel_sample_by_inversion, tau_brute
 
 
 class TestPseudoObservations:
@@ -221,6 +224,90 @@ class TestSampling:
     def test_unknown_family_rejected(self):
         with pytest.raises(NumericError, match="^unknown copula family 'frank'$"):
             sample(CopulaModel("frank", 2.0, 0.2, 0.0, 0.0), 10, seed=1)
+
+    @pytest.mark.parametrize("family, param, message", [
+        ("gaussian", 1.5, "gaussian copula requires |rho| < 1"),
+        ("clayton", -0.5, "clayton copula requires theta > 0"),
+        ("clayton", 0.0, "clayton copula requires theta > 0"),
+        ("gumbel", 0.5, "gumbel copula requires theta >= 1"),
+    ])
+    def test_bad_parameter_rejected(self, family, param, message):
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            sample(CopulaModel(family, param, 0.0, 0.0, 0.0), 5, seed=1)
+
+    def test_gumbel_upper_tail_conditional(self):
+        model = fit_gumbel(0.432)
+        u, v = sample(model, 10_000, seed=7)
+        q = 0.05
+        conditional = np.mean(v[u > 1.0 - q] > 1.0 - q)
+        assert conditional == pytest.approx(0.518, abs=0.08)
+
+
+# At a fixed point (s, t), C_n(s, t) is a mean of LAW_N indicators, so by Hoeffding's inequality
+# |C_n - C| >= LAW_EPS with probability at most 2 exp(-2 LAW_N LAW_EPS^2). Over the 19 x 19 grid
+# (the union bound), a correct sampler fails one case with probability at most 1e-6, and one of
+# the 17 cases below with probability at most 1.7e-5 at a fresh seed.
+LAW_N = 100_000
+LAW_GRID = np.arange(1, 20) / 20.0
+LAW_EPS = math.sqrt(math.log(2 * LAW_GRID.size ** 2 / 1e-6) / (2 * LAW_N))
+GUMBEL_THETAS = [1.0, 1.3, 1.761, 10.0, 1000.0]
+
+
+def _gumbel(theta):
+    return CopulaModel("gumbel", theta, 1.0 - 1.0 / theta, 0.0, 2.0 - 2.0 ** (1.0 / theta))
+
+
+def _grid_gap(model, u, v):
+    """The largest |C_n - C| over LAW_GRID x LAW_GRID, C_n counted directly."""
+    below_u = np.searchsorted(LAW_GRID, u)  # u <= LAW_GRID[i] exactly when i >= below_u
+    below_v = np.searchsorted(LAW_GRID, v)
+    cells = np.bincount(below_u * 20 + below_v, minlength=400).reshape(20, 20)
+    empirical = cells.cumsum(0).cumsum(1)[:19, :19] / len(u)
+    s, t = np.meshgrid(LAW_GRID, LAW_GRID, indexing="ij")
+    return np.max(np.abs(empirical - copula_cdf(model, s, t)))
+
+
+LAW_MODELS = [
+    fit_gaussian(-1.0 / 3.0), fit_gaussian(0.432), fit_gaussian(0.8),
+    fit_clayton(-0.2), fit_clayton(0.2), fit_clayton(0.432), fit_clayton(0.8),
+    *map(_gumbel, GUMBEL_THETAS),
+]
+
+
+class TestSamplerLaw:
+    @pytest.mark.parametrize("case", range(len(LAW_MODELS)),
+                             ids=lambda i: f"{LAW_MODELS[i].family}-{LAW_MODELS[i].param:g}")
+    def test_empirical_copula_matches_the_cdf(self, case):
+        u, v = sample(LAW_MODELS[case], LAW_N, seed=(31, case))
+        assert _grid_gap(LAW_MODELS[case], u, v) < LAW_EPS
+
+    @pytest.mark.parametrize("case", range(len(GUMBEL_THETAS)), ids=lambda i: f"gumbel-{GUMBEL_THETAS[i]:g}")
+    def test_inversion_oracle_matches_the_cdf(self, case):
+        theta = GUMBEL_THETAS[case]
+        u, v = gumbel_sample_by_inversion(theta, LAW_N, seed=(32, case))
+        assert _grid_gap(_gumbel(theta), u, v) < LAW_EPS
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose one uniform draw is a given (4, n) block."""
+
+    def __init__(self, block):
+        super().__init__(np.random.PCG64(0))
+        self.block = block
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        assert size == self.block.shape
+        return self.block.copy()
+
+
+@pytest.mark.parametrize("theta", [1.0, 1.0001, 2.0, 1e3, 1e6])
+def test_gumbel_pairs_stay_inside_at_extreme_uniforms(theta):
+    # every assignment of 0, 1/2 and the largest double below 1 to the angle, W, E1 and E2 draws
+    block = np.array(list(itertools.product([0.0, 0.5, 1.0 - 2.0 ** -53], repeat=4))).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, v = sample(_gumbel(theta), block.shape[1], _FixedUniforms(block))
+    assert np.all((u > 0) & (u < 1) & (v > 0) & (v < 1))
 
 
 def test_fit_family_dispatch():

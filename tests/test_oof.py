@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from riskfuse import trees
 from riskfuse.cohort import CohortTable, Column
-from riskfuse.errors import DataError
+from riskfuse.errors import DataError, NumericError
 from riskfuse.folds import FoldAssignment, stratified_kfold
 from riskfuse.metrics import roc_auc
 from riskfuse.scoring import MODEL_FAMILIES, CVRecord, ModelSpec, oof_scores, select_best_model
@@ -202,5 +202,5 @@ class TestForestLocksteps:
     def test_forests_of_two_widths_do_not_share_a_lockstep(self, rng):
         forests = [trees.RandomForest(n_trees=2, max_depth=None, mtry=None, min_leaf=1, seed=s) for s in (1, 2)]
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(NumericError, match="width"):
             trees.fit_forests(forests, [y, y], [rng.standard_normal((4, 2)), rng.standard_normal((4, 3))])
