@@ -15,12 +15,12 @@ The bootstrap works on blocks of replicates. Each replicate still draws from
 its own RNG stream, and the draws of consecutive replicates are stacked into
 a (rows, m) block. The rank pass (whose margin ranks are also the
 pseudo-observations), the refit (one parameter per row), the fitted copula
-and the per-row mean then run once per block, so numpy's fixed cost per call
-is paid once for many replicates instead of once per replicate. Every step
-works row by row, so each statistic has the bits a replicate scored on its
-own would get. A block holds at most _BLOCK_POINTS points, or one replicate
-if m is larger: every step keeps (rows, m) temporaries, and larger blocks
-cost more memory than they save time.
+and the per-row mean of the sorted squared gaps then run once per block, so
+numpy's fixed cost per call is paid once for many replicates instead of once
+per replicate. Every step works row by row, so each statistic has the bits a
+replicate scored on its own would get. A block holds at most _BLOCK_POINTS
+points, or one replicate if m is larger: every step keeps (rows, m)
+temporaries, and larger blocks cost more memory than they save time.
 """
 
 from __future__ import annotations
@@ -95,9 +95,10 @@ def empirical_copula(u_sample, v_sample, u, v):
 def cvm_statistic(u, v, model: CopulaModel, ranks: RankPass | None = None):
     """Mean squared gap between empirical and fitted copula at the sample points.
 
-    ``ranks`` is the sample's ``rank_pass`` when the caller already has it.
-    A (rows, n) block gives one statistic per row, with ``model.param`` a
-    float or a column of one parameter per row.
+    The gaps are summed in increasing order, so permuting the pairs leaves
+    every bit of the statistic. ``ranks`` is the sample's ``rank_pass`` when
+    the caller already has it. A (rows, n) block gives one statistic per row,
+    with ``model.param`` a float or a column of one parameter per row.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -107,7 +108,7 @@ def cvm_statistic(u, v, model: CopulaModel, ranks: RankPass | None = None):
         ranks = rank_pass(u, v)
     emp = ranks.dominance / u.shape[-1]
     fit = copula_cdf(model, u, v)
-    stat = np.mean((emp - fit) ** 2, axis=-1)
+    stat = np.mean(np.sort((emp - fit) ** 2, axis=-1), axis=-1)
     return float(stat) if stat.ndim == 0 else stat
 
 

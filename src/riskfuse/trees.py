@@ -545,6 +545,13 @@ class RandomForest:
         return acc / len(self.trees_)
 
 
+def _logistic(score):
+    """1 / (1 + exp(-score)); below a score of about -709 exp overflows to inf,
+    which gives the limit 0 and is not an error."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-score))
+
+
 class GradientBoosting:
     """Additive log-odds model: squared-error trees on the logistic-loss
     gradient with Newton leaf values."""
@@ -576,7 +583,7 @@ class GradientBoosting:
         self.trees_ = []
         self.train_losses_ = [self._mean_logloss(y, score)]
         for _ in range(self.n_rounds):
-            prob = 1.0 / (1.0 + np.exp(-score))
+            prob = _logistic(score)
             grad = y - prob
             hess = prob * (1.0 - prob)
             tree, fitted = _grow_boosted(Xt, presort, root_values, grad, hess, self.max_depth)
@@ -593,4 +600,4 @@ class GradientBoosting:
         return score
 
     def predict_proba(self, X):
-        return 1.0 / (1.0 + np.exp(-self.decision_function(X)))
+        return _logistic(self.decision_function(X))

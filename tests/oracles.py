@@ -19,7 +19,7 @@ from riskfuse.copulas import FAMILIES, fit_family, pseudo_observations, sample
 from riskfuse.errors import DataError
 from riskfuse.folds import stratified_kfold
 from riskfuse.gof import cvm_statistic
-from riskfuse.linear import _WEIGHT_FLOOR, ElasticNetLogistic, _sigmoid, lambda_grid
+from riskfuse.linear import _KKT_TOL, ElasticNetLogistic, _kkt_residual, _sigmoid, lambda_grid
 from riskfuse.metrics import roc_auc
 from riskfuse.ranks import rank_pass
 from riskfuse.scoring import ModelSpec, fit_model
@@ -479,7 +479,8 @@ class GradientBoostingOracle(trees.GradientBoosting):
         self.trees_ = []
         self.train_losses_ = [self._mean_logloss(y, score)]
         for _ in range(self.n_rounds):
-            prob = 1.0 / (1.0 + np.exp(-score))
+            with np.errstate(over="ignore"):  # exp(-score) overflows to inf below -709: prob 0
+                prob = 1.0 / (1.0 + np.exp(-score))
             grad = y - prob
             hess = prob * (1.0 - prob)
             tree = _Tree.grow(
@@ -509,7 +510,8 @@ def per_tree_proba(model, X):
     score = np.full(len(X), model.base_score_)
     for tree in model.trees_:
         score += model.learning_rate * _Tree.predict(tree, X)
-    return 1.0 / (1.0 + np.exp(-score))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-score))
 
 
 # The out-of-fold loop the forest's fold locksteps replaced: each fold's
@@ -581,9 +583,14 @@ def marching_squares_per_cell(g, z, level):
     return segs
 
 
-# The elastic-net solver the covariance updates replaced: every coordinate
-# visit takes an n-length dot with the working residual and, when the
-# coefficient moves, updates that residual. Kept as it was.
+# The coordinate-descent elastic-net solver that the covariance updates, and
+# then the feature-sign Newton steps, replaced: every coordinate visit takes an
+# n-length dot with the working residual and, when the coefficient moves,
+# updates that residual. Kept as it was, except that it stops by
+# ElasticNetLogistic's rule: a relative objective change below tol and a KKT
+# residual below _KKT_TOL, keeping the iterate it stopped at.
+
+_WEIGHT_FLOOR = 1e-5  # curvature floor keeps the working response finite
 
 
 def _soft_threshold(x, t):
@@ -647,8 +654,12 @@ class ElasticNetLogisticOracle(ElasticNetLogistic):
                 best_obj, best_w, best_b = new_obj, w.copy(), b
             rel = abs(obj - new_obj) / max(1.0, abs(obj))
             obj = new_obj
-            if rel < self.tol:
+            resid = y - _sigmoid(X @ w + b)
+            grad = np.concatenate([[resid.sum() / n], X.T @ resid / n])
+            scale = np.maximum(1.0, np.sqrt(np.mean(np.column_stack([np.ones(n), X]) ** 2, axis=0)))
+            if rel < self.tol and _kkt_residual(grad, np.concatenate([[b], w]), l1, l2, scale) < _KKT_TOL:
                 self.converged_ = True
+                best_w, best_b = w.copy(), b
                 break
 
         if not self.converged_:

@@ -11,11 +11,10 @@ that patient trains on a clinical design two columns narrower than the
 other folds', and encodes that patient's unseen levels as all-zero blocks.
 
 The run uses the acceptance criterion 8 config keys (default ``view_spec``,
-``cv`` k = 5 and seed 0, ``copula`` seed 1) with the model and bootstrap
-sizes cut down: at the elastic net's default lambda grid, the run takes
-about 10 s, most of it in that search on the one-hot clinical design. Each
-of its 13 report files must keep its recorded sha256, ``manifest.json``
-with the run's paths masked. A refactor that claims to keep the outputs
+``cv`` k = 5 and seed 0, ``copula`` seed 1) and the elastic net's default
+lambda search, with the tree and bootstrap sizes cut down; it takes about
+1 s. Each of its 13 report files must keep its recorded sha256,
+``manifest.json`` with the run's paths masked. A refactor that claims to keep the outputs
 passes this test unedited; a change that moves a report byte updates the
 digest here and names the file and the reason in CHANGES.md. The digests
 were recorded on the build in ``RECORDED_ON``.
@@ -69,25 +68,24 @@ NOISE_LEVELS = {
 
 CONFIG = {
     "cv": {"k": 5, "seed": 0},
-    "models": {"elastic_net_lr": {"grid_points": 3, "inner_folds": 2}, "random_forest": {"n_trees": 15},
-               "gradient_boosting": {"n_rounds": 10}},
+    "models": {"random_forest": {"n_trees": 15}, "gradient_boosting": {"n_rounds": 10}},
     "copula": {"B": 100, "seed": 1},
 }
 
 DIGESTS = {
-    "copula_contours.svg": "0d304ba61d0c155ce98c40dcf0ed0d293399d47618f6e194eda4aa8ad7aa349d",
-    "copula_fit.json": "9057feb987d2b7e780d1147791582c2379a3295042ecff445b5cb8e8d7dfc6ee",
-    "copula_heat.svg": "514d05917598a5bb5654193e7d942fd22c01ba8334fc9134cc448ad3b3a481a8",
-    "gof.json": "3280c2cf79b27f0d1271a2ecd069c0b1358e34d95f19a2144eea8950a06036cb",
-    "km.svg": "f9a0bef2e40cf838ee43152725a9b35a2ce9215a2d7debb675f5be756d793d0f",
-    "km_curves.csv": "9639acd1da05531a5cfc39919f2ef9496353c026697f84c949a8f55039eb196b",
-    "manifest.json": "7c8beb947b2560f49f65f4e533688a2a3d5f602d3b029c1328059bf5d3c5c7a3",
-    "model_auc.csv": "d73e642623b955a197be4d0c45446b366817b436b88f5daa2477154df45faeaa",
-    "roc.svg": "c2aaef60946d9f3e58af6dd7f8b73a673743677a107df1a587309ea79d533467",
-    "score_hist.svg": "bc6481dedeaa37fa12969afc81c1ef8af16fcd015d95cbababe13fb2026c01e1",
-    "score_scatter.svg": "051be476f93fdb07be81ef3368cdd6ab5ea92d0255bdeb91f79e67c7b311d4a4",
-    "scores.csv": "71656bedf99065916f1860bc8dcd61c49e5b256703693074b903b82f893ad0d0",
-    "strata.csv": "4afaf39e90d63ec95fb2b60a94483cd23e8f795eb15f7823e06101bfbc717f3f",
+    "copula_contours.svg": "ac4a4d3e8d4147410b0457e2ef49b7bf56d4756c97108ae11108b2383e65950e",
+    "copula_fit.json": "1e774b38bb4c5fed27dc868abb66cd408fb10167a4fab348a88d856ef67bc51b",
+    "copula_heat.svg": "a948b65ccf2b0b6351ae0708eb34482d98e6e299875dfe86b5106dd8b1b1888a",
+    "gof.json": "cfb689acf2cd6d0fff5d5b549ff217e4a1b8866341acfe043eefd92fcd2eefa5",
+    "km.svg": "343e5ba9bc046f4f45b76179ae95257df7843dc3c1acab805f164c7300a5d6a4",
+    "km_curves.csv": "537aa74c88310aaab2584b8ebd71f1aa0cfa8d92139d439f726a79368d8bf2b4",
+    "manifest.json": "fcb2cbefa21e3478849c7c82027c212c903fee4460dade1317afc13fc7744951",
+    "model_auc.csv": "2b27532dea45f6ae3ede9c245f74900194578aa9849ad7bd05e9f0509b6e4b5e",
+    "roc.svg": "504e18c16df016ffc7f5763f0459c51972b668566af6730b359c4fce37ed1e55",
+    "score_hist.svg": "a1aca473603509f47fdc611c759f225d1f72fd6721721c3139b85360edd5e084",
+    "score_scatter.svg": "d713aaf6da7174cc1b40b0d7e18f846c2399c2d3dc8e784fee56081e2a8f1625",
+    "scores.csv": "1dba991f15ce40f109b399e12ebee5cdfe1719ce2d82456b7d663841c5f67831",
+    "strata.csv": "8da7807ac774eaa54e4e4e398cc972344d78fa126dc6bc5dea29dac7220622fd",
 }
 
 

@@ -25,18 +25,18 @@ from riskfuse.cli import main
 RECORDED_ON = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 DEMO_DIGESTS = {
-    "copula_contours.svg": "c1e35526a5c7262629360bfd9d2ca1c4ba36b9ec4e51a587e4e1bb343aa86844",
-    "copula_fit.json": "9fb72fc4b9167ba526c10131c618924549ca672756f9a9b010b581ac32a592f1",
+    "copula_contours.svg": "061c1e1e939324016737ebddc9c350e3cc5828dd20457d5b607335b50a0a6407",
+    "copula_fit.json": "55902fddeb91ed453b3e5785c8b36bf9072aeb40427e82a0882d257da1d0f143",
     "copula_heat.svg": "6dab83e0e39ebc8d30d9c48066d0945ca02842717743a351dc6df23dbc22ab50",
-    "gof.json": "065bf6dab2ed4cb48c1ee2715273c5265341aa974fa866679c40000f5727bce3",
+    "gof.json": "fc9341a33be5fdb14a4a8a3e6e6d00469927dd42333e8ee22103e24b56010568",
     "km.svg": "de73292a93689858d939c047b60ec24476bb218aecd2f85682ec08859db73b05",
     "km_curves.csv": "7c04041fa6e7b480283affc22d5b05473f149eccb80417a28cb8934a0d3c1a61",
-    "manifest.json": "04a4745029021c6bfc1cbd395ff0b21812ca2e8b1a820e0cc2c5c7a96ae23485",
-    "model_auc.csv": "5a5820e88a7fbcbab1d3ec439e863c20658575d2557c17090544f1a63f1a66bc",
-    "roc.svg": "7bc65a9598601f72d4268dcb2bc66d72a6d706323f492e1e0b402e8b093dcc15",
+    "manifest.json": "445d0436cfb0ccb4ef0d915d7fbcb75dfdabef8ce91ca34f10a0cee54eb7bf00",
+    "model_auc.csv": "8bd1c6338caffbbb6b49f8bbc783c1bac1acd19bfecdbc72296f0051e27fe0e4",
+    "roc.svg": "4649690aea10fc609374713568e68c15ea608e66eff4c5a1eb0b05a9cf1a2918",
     "score_hist.svg": "4984ce7e82f43fd19407eae30976f732df021b0cf873b1fad48a9f5ad6b3dab4",
-    "score_scatter.svg": "b7f632f45103b41b52cff078df65e085355a8cf6ca1d315351fd04e0c4a51833",
-    "scores.csv": "1db956d806ac9bf561b8aa8cec25e5cc383515b5974723294e5b742f08cdafe6",
+    "score_scatter.svg": "37ef43d70cf8f44f253a59e0769324b488858085f11b2b8ef527052a8983b8ee",
+    "scores.csv": "6db57f13e16610a56a7756886e63a2a74dba647215c12406dc2420d1a79b2594",
     "strata.csv": "81c38a0851a434d07444d9351be4ac67076baf7e8d845033d36f57a2a15f15a4",
 }
 

@@ -73,6 +73,16 @@ class TestCvmStatistic:
         u, v = sample(model, 100, seed=1)
         assert cvm_statistic(u, v, model) >= 0.0
 
+    @pytest.mark.parametrize("family", ["gaussian", "clayton", "gumbel"])
+    def test_row_order_leaves_every_bit(self, family):
+        u, v = _observed(0.43, 1783, seed=5)
+        model = fit_family(family, kendall_tau(u, v))
+        stat = cvm_statistic(u, v, model)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            rows = rng.permutation(len(u))
+            assert cvm_statistic(u[rows], v[rows], model) == stat
+
 
 class TestParametricBootstrap:
     def run_small(self, **kw):
