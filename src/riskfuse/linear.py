@@ -20,6 +20,15 @@ active block nonsingular when its columns are collinear or, under the lasso,
 outnumber the rows; it changes the steps, not the points where they stop. A
 column that is all zero and has no ridge term keeps a zero coefficient.
 
+Proximal Newton needs step-size control to converge from any start (Lee, Sun
+& Saunders 2014, SIAM J. Optim. 24(3)): when the step's minimizer raises the
+objective by more than _RISE_TOL of max(1, objective), the step is halved
+until it does not. Without that, a near-separable fit's full steps overshoot
+until every probability rounds to 0 or 1. A fit stops as not converged when
+_MAX_HALVINGS halvings do not help, or when every weight p(1 - p) of a column
+the step would move has vanished, which leaves the quadratic model without a
+unique minimum.
+
 A fit converges when the objective's relative change falls below ``tol`` and
 its largest violation of the optimality (KKT) conditions, in units of the
 column's root mean square where that exceeds 1, falls below _KKT_TOL;
@@ -37,15 +46,14 @@ from .errors import NumericError
 
 _KKT_TOL = 1e-12  # largest optimality-condition violation of a converged fit, in column scales
 _DAMPING = 1e-10  # each step's proximal term, relative to Q's diagonal
+_RISE_TOL = 1e-14  # largest objective rise a step may make by rounding, relative to max(1, objective)
+_MAX_HALVINGS = 50  # step halvings before a fit stops as not converged
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))  # exp(-|z|), which keeps a NaN's bits
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _kkt_residual(grad, v, l1, l2, scale):
@@ -88,7 +96,7 @@ def _feature_sign(Q, c, l1, x):
             theta[j] = -np.sign(g[j])
         idx = np.flatnonzero(active)
         xa = x[idx]
-        xhat = np.linalg.solve(Q[np.ix_(idx, idx)], c[idx] - l1 * theta[idx])
+        xhat = np.linalg.solve(Q[idx[:, None], idx], c[idx] - l1 * theta[idx])
         flips = np.flatnonzero(np.sign(xhat[1:]) != theta[idx[1:]]) + 1
         if not len(flips):
             x[idx] = xhat
@@ -107,6 +115,11 @@ def _feature_sign(Q, c, l1, x):
         theta[idx[1:]] = np.sign(new[1:])
         settled = False
     return x
+
+
+def _flips(y):
+    """-1 where y is 1 and 1 elsewhere: z * _flips(y) is minus the margin."""
+    return np.where(y == 1, -1.0, 1.0)
 
 
 class ElasticNetLogistic:
@@ -131,15 +144,15 @@ class ElasticNetLogistic:
         self.converged_ = False
         self.n_iter_ = 0
 
-    def _objective_at(self, z, y, w):
-        # log(1 + exp(-m)) with m = z for y=1, -z for y=0, stably
-        m = np.where(y == 1, z, -z)
-        loss = float(np.mean(np.logaddexp(0.0, -m)))
+    def _objective_at(self, z, flip, w):
+        # log(1 + exp(-m)) with the margin m = z for y=1, -z for y=0, stably;
+        # flip is _flips(y), so -m = z * flip
+        loss = float(np.logaddexp(0.0, z * flip).sum() / len(z))
         pen = self.lam * (self.alpha * np.abs(w).sum() + 0.5 * (1 - self.alpha) * (w @ w))
         return loss + pen
 
     def _objective(self, X, y, w, b):
-        return self._objective_at(X @ w + b, y, w)
+        return self._objective_at(X @ w + b, _flips(y), w)
 
     def fit(self, X, y, start=None):
         """Fit from ``start = (coef, intercept)``, or from zero coefficients and
@@ -166,13 +179,16 @@ class ElasticNetLogistic:
         ridge = np.full(p + 1, l2)
         ridge[0] = 0.0
 
+        flip = _flips(y)
+        xs = np.empty_like(At)  # At's columns weighted by sqrt(p(1 - p)), rewritten at each step
+
         self.converged_ = False
         steps = 0
         best_obj, best_v = np.inf, v
+        z = X @ v[1:] + v[0]
+        obj = self._objective_at(z, flip, v[1:])
         while True:
-            z = X @ v[1:] + v[0]
             pvec = _sigmoid(z)
-            obj = self._objective_at(z, y, v[1:])
             grad = At @ (y - pvec) / n
             if steps:
                 rel = abs(last_obj - obj) / max(1.0, abs(last_obj))
@@ -185,12 +201,25 @@ class ElasticNetLogistic:
             if steps == self.max_iter:
                 break
             last_obj = obj
-            xs = At * np.sqrt(pvec * (1 - pvec))
+            np.multiply(At, np.sqrt(pvec * (1 - pvec)), out=xs)
             H = xs @ xs.T / n
             d = H.diagonal() + ridge
             v = np.where(d > 0.0, v, 0.0)  # an all-zero column without a ridge term keeps a zero coefficient
             Q = H + np.diag(ridge + _DAMPING * d)
-            v = _feature_sign(Q, grad + H @ v + _DAMPING * d * v, l1, v)
+            try:
+                step = _feature_sign(Q, grad + H @ v + _DAMPING * d * v, l1, v)
+            except np.linalg.LinAlgError:
+                break  # the weights of a column the step moves all vanished: the model has no unique minimum
+            # the first of v + (step - v) / 2**k, k = 0, 1, ..., that does not raise the objective
+            for k in range(_MAX_HALVINGS + 1):
+                trial = step if k == 0 else v + 0.5**k * (step - v)
+                trial_z = X @ trial[1:] + trial[0]
+                trial_obj = self._objective_at(trial_z, flip, trial[1:])
+                if trial_obj <= obj + _RISE_TOL * max(1.0, obj):
+                    break
+            else:
+                break
+            v, z, obj = trial, trial_z, trial_obj
             steps += 1
 
         if not self.converged_:

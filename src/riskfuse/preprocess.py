@@ -23,6 +23,25 @@ from .errors import DataError
 MISSING_CATEGORY = "__missing__"
 
 
+def _numeric_stats(obs):
+    """(median, mean, sample sd) of a column's observed values, by the
+    operations np.median, np.mean and np.std(ddof=1) perform: one partition
+    with np.median's kth list, one sum and one sum of squared deviations.
+    Reorders obs in place."""
+    n = len(obs)
+    mean = obs.sum() / n
+    sd = 0.0
+    if n >= 2:
+        dev = obs - mean
+        sd = float(np.sqrt(np.square(dev, out=dev).sum() / (n - 1)))
+    half = n // 2
+    middle = [half] if n % 2 else [half - 1, half]
+    obs.partition(middle + [-1])
+    # summed as np.median's mean sums them, onto 0.0, which turns -0.0 into 0.0
+    median = obs[middle[0] : half + 1].sum() / len(middle)
+    return float(median), float(mean), sd
+
+
 def fit_preprocessor(view: CohortTable, train_rows: np.ndarray) -> tuple:
     """Fit imputation / scaling / encoding statistics from training rows only."""
     train_rows = np.asarray(train_rows)
@@ -37,8 +56,7 @@ def fit_preprocessor(view: CohortTable, train_rows: np.ndarray) -> tuple:
                 # entirely missing in training: impute to 0 on the standardized scale
                 stats = (0.0, 0.0, 0.0)
             else:
-                sd = float(np.std(obs, ddof=1)) if len(obs) >= 2 else 0.0
-                stats = (float(np.median(obs)), float(np.mean(obs)), sd)
+                stats = _numeric_stats(obs)
         else:
             seen = Counter(v for v in vals if v is not None)
             if not seen:
@@ -60,7 +78,8 @@ def transform(pre: tuple, view: CohortTable, rows: np.ndarray) -> np.ndarray:
         vals = col.values[rows]
         if kind == "numeric":
             median, mean, sd = stats
-            x = np.where(np.isnan(vals.astype(float)), median, vals.astype(float))
+            x = vals.astype(float)
+            x = np.where(np.isnan(x), median, x)
             if sd > 0:
                 z = (x - mean) / sd
             else:

@@ -13,7 +13,11 @@ sorts a node's rows:
   of the node's submatrix, and every prefix sum and score is the float the
   node-by-node sort gave. Every round's root has the same block, so its
   sorted values and admissible cuts are taken once per fit. A child at the
-  depth cap is a leaf and gets only its rows, no block.
+  depth cap is a leaf and gets only its rows, no block. A node's split
+  takes, for each feature, the first position of its largest gain, then the
+  least of those positions among the features whose gain equals the node's
+  best, then the least such feature: the first best cut in (position,
+  feature) order, found without transposing the (p, m - 1) gain table.
 - The forest grows all its trees in lockstep, and fit_forests grows
   several forests of one design width (the folds of one out-of-fold run)
   in one lockstep. Each step pops one node from every tree's own
@@ -124,7 +128,7 @@ def _block_values(Xt, block):
     """A (p, m) column block's values, and which of its m - 1 cuts fall
     between distinct values: boosted leaves may hold one row, so every such
     cut is admissible."""
-    xs = np.take_along_axis(Xt, block, axis=1)
+    xs = Xt[np.arange(len(block))[:, None], block]
     return xs, xs[:, 1:] > xs[:, :-1]
 
 
@@ -145,8 +149,13 @@ def _mse_split(block, xs, valid, target):
     s_right *= s_right
     s_right /= m - n_left
     gain += s_right
-    gain[~valid] = -np.inf
-    i, j = divmod(int(np.argmax(gain.T)), p)
+    np.copyto(gain, -np.inf, where=~valid)
+    # each feature's first best position, then the least position among the
+    # features that reach the overall best, and the least such feature
+    pos = gain.argmax(axis=1)
+    best = gain[np.arange(p), pos]
+    j = int(np.argmin(np.where(best == best.max(), pos, m)))
+    i = int(pos[j])
     return j, i, float(_threshold(xs[j, i], xs[j, i + 1]))
 
 

@@ -762,3 +762,50 @@ def transform(pre: Preprocessor, view: CohortTable, rows: np.ndarray) -> np.ndar
     if not np.all(np.isfinite(values)):
         raise DataError("feature matrix contains non-finite entries")
     return values
+
+
+# The elastic net's sigmoid and objective, and boosting's split search, as
+# they were before their copies were taken out: boolean-mask halves for the
+# sigmoid, a per-call np.where for the margin, np.take_along_axis for a
+# block's values and an argmax over the transposed gain table. Kept as they
+# were; the replacements must return the same bits.
+
+
+def sigmoid_masked(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def enet_objective_at(lam, alpha, z, y, w):
+    # log(1 + exp(-m)) with m = z for y=1, -z for y=0, stably
+    m = np.where(y == 1, z, -z)
+    loss = float(np.mean(np.logaddexp(0.0, -m)))
+    pen = lam * (alpha * np.abs(w).sum() + 0.5 * (1 - alpha) * (w @ w))
+    return loss + pen
+
+
+def block_values_along_axis(Xt, block):
+    xs = np.take_along_axis(Xt, block, axis=1)
+    return xs, xs[:, 1:] > xs[:, :-1]
+
+
+def mse_split_transposed(block, xs, valid, target):
+    if not valid.any():
+        return None
+    p, m = block.shape
+    cs = np.cumsum(target[block], axis=1)
+    n_left = np.arange(1, m, dtype=float)
+    s_left = cs[:, :-1]
+    s_right = cs[:, -1:] - s_left
+    gain = s_left * s_left
+    gain /= n_left
+    s_right *= s_right
+    s_right /= m - n_left
+    gain += s_right
+    gain[~valid] = -np.inf
+    i, j = divmod(int(np.argmax(gain.T)), p)
+    return j, i, float(trees._threshold(xs[j, i], xs[j, i + 1]))

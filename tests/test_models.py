@@ -1,20 +1,23 @@
 import hashlib
 import inspect
+import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riskfuse.errors import ConfigError, NumericError
-from riskfuse.linear import _KKT_TOL, ElasticNetLogistic, lambda_grid
+from riskfuse.linear import _KKT_TOL, ElasticNetLogistic, _flips, _sigmoid, lambda_grid
 from riskfuse.metrics import roc_auc
 from riskfuse.scoring import DEFAULT_MODELS, ModelSpec, fit_model
 from riskfuse.seeding import stream_rng
-from riskfuse import trees
+from riskfuse import linear, trees
 from riskfuse.trees import GradientBoosting, RandomForest
 
+import oracles
 from oracles import (ElasticNetLogisticOracle, GradientBoostingOracle, RandomForestOracle, lambda_search_cold,
                      per_tree_proba)
 
@@ -179,6 +182,9 @@ class TestCovarianceUpdates:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(20, 300), st.integers(1, 30),
            st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 9))
+    # full Newton steps diverged on this near-separable lasso path until they were halved
+    @example(seed=255, n=20, p=12, alpha=1.0, grid_index=8)
+    @example(seed=255, n=20, p=12, alpha=1.0, grid_index=9)
     def test_matches_the_residual_update_oracle(self, seed, n, p, alpha, grid_index):
         X, y = _enet_design(seed, n, p)
         lam = lambda_grid(X, y, alpha, n_points=10)[grid_index]
@@ -219,6 +225,131 @@ class TestCovarianceUpdates:
         assert model.converged_
         assert model.coef_[2] == 0.0
         assert np.isfinite(model.coef_).all() and model.coef_[0] != 0.0
+
+
+def _separable_ridge():
+    """Twelve rows separated by their first column, fitted with a tiny ridge penalty."""
+    rng = np.random.default_rng(231)
+    X = rng.standard_normal((12, 3))
+    return X, (X[:, 0] > 0).astype(float)
+
+
+def _cold_objective(model, X, y):
+    """The objective at the cold start: zero coefficients and the prevalence intercept."""
+    prevalence = y.mean()
+    return model._objective(X, y, np.zeros(X.shape[1]), np.log(prevalence / (1 - prevalence)))
+
+
+def _count_objectives(monkeypatch):
+    """A list that gains one item at every objective evaluation of a fit."""
+    evaluations = []
+    objective_at = ElasticNetLogistic._objective_at
+    monkeypatch.setattr(ElasticNetLogistic, "_objective_at",
+                        lambda self, *args: evaluations.append(1) or objective_at(self, *args))
+    return evaluations
+
+
+def _assert_kkt_point(model, X, y):
+    scale = np.maximum(1.0, np.sqrt(np.mean(X * X, axis=0)))  # a column's root mean square, at least 1
+    assert _kkt_residual(model, X, y, scale) < _KKT_TOL
+    assert abs(np.mean(y - model.predict_proba(X))) < _KKT_TOL  # the intercept's condition
+
+
+class TestStepSizeControl:
+    """A Newton step that raises the objective by more than rounding is halved
+    until it does not, so near-separable fits converge instead of diverging
+    until every weight p(1 - p) vanishes."""
+
+    @pytest.mark.parametrize("case", ["lasso-grid-8", "lasso-grid-9", "separable-ridge"])
+    def test_a_diverging_full_step_is_halved(self, monkeypatch, case):
+        if case == "separable-ridge":
+            (X, y), lam, alpha = _separable_ridge(), 1e-5, 0.0
+        else:
+            X, y = _enet_design(255, 20, 12)
+            lam, alpha = lambda_grid(X, y, 1.0, n_points=10)[int(case[-1])], 1.0
+        evaluations = _count_objectives(monkeypatch)
+        model = build("elastic_net_lr", lam=lam, alpha=alpha).fit(X, y)
+        assert len(evaluations) > model.n_iter_ + 1  # one objective per step and the start, plus the halvings
+        assert model.converged_
+        _assert_kkt_point(model, X, y)
+        assert model._objective(X, y, model.coef_, model.intercept_) < _cold_objective(model, X, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(1, 40), st.sampled_from([0.0, 0.5, 1.0]),
+           st.sampled_from([1e-6, 1e-5, 1e-4, 1e-3]))
+    def test_wide_designs_at_small_penalties_converge_or_warn(self, seed, n, extra, alpha, lam):
+        X, y = _enet_design(seed, n, n + extra)  # more columns than rows: the classes separate
+        model = build("elastic_net_lr", lam=lam, alpha=alpha)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            model.fit(X, y)
+        if model.converged_:
+            _assert_kkt_point(model, X, y)
+        else:
+            assert any("did not converge" in str(w.message) for w in caught)
+        assert model._objective(X, y, model.coef_, model.intercept_) <= _cold_objective(model, X, y) + 1e-12
+
+    def test_a_step_that_no_halving_helps_ends_the_fit(self, monkeypatch):
+        X, y = _clinical_design(7, n=200)
+        evaluations = _count_objectives(monkeypatch)
+        monkeypatch.setattr(linear, "_RISE_TOL", -np.inf)  # every trial point counts as a rise
+        with pytest.warns(UserWarning, match="did not converge"):
+            model = build("elastic_net_lr", lam=0.01).fit(X, y)
+        assert len(evaluations) == 1 + linear._MAX_HALVINGS + 1  # the start, the full step and every halving
+        assert model.n_iter_ == 0 and np.all(model.coef_ == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_a_fit_whose_weights_all_vanish_warns(self, alpha):
+        X, y = _separable_ridge()
+        start = (np.array([1e6, 0.0, 0.0]), 0.0)  # every probability rounds to 0 or 1, so every weight is 0
+        assert np.all(_sigmoid(X @ start[0]) == y)
+        with pytest.warns(UserWarning, match="did not converge"):
+            model = build("elastic_net_lr", lam=1e-5, alpha=alpha).fit(X, y, start)
+        assert not model.converged_ and model.n_iter_ == 0
+        assert np.array_equal(model.coef_, start[0]) and model.intercept_ == 0.0
+
+
+_SPECIAL_Z = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1e-300, -1e-300, np.nan, -np.nan]
+_Z = st.lists(st.one_of(st.sampled_from(_SPECIAL_Z), st.floats()), max_size=40).map(lambda z: np.array(z, dtype=float))
+
+
+class TestReplacedKernels:
+    """The copy-free kernels against the versions they replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_Z)
+    def test_sigmoid_keeps_every_bit(self, z):
+        with np.errstate(invalid="ignore"):  # a signaling NaN
+            assert _sigmoid(z).tobytes() == oracles.sigmoid_masked(z).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_Z.filter(len), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 1e-3, 0.7]), st.data())
+    def test_objective_keeps_every_bit(self, z, alpha, lam, data):
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(z), max_size=len(z))))
+        w = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), max_size=5)), dtype=float)
+        model = ElasticNetLogistic(lam=lam, alpha=alpha, max_iter=1, tol=0.0)
+        with np.errstate(invalid="ignore", over="ignore"):  # logaddexp of a NaN, a sum past the largest float
+            got, want = model._objective_at(z, _flips(y), w), oracles.enet_objective_at(lam, alpha, z, y, w)
+        if math.isnan(want):  # a product keeps a NaN's sign where a negation flips it
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6))
+    def test_mse_split_takes_the_first_best_cut(self, seed, n, p):
+        # few distinct values, duplicated columns and targets from a few values,
+        # so that the best gain ties across features and across positions
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, rng.integers(1, 5), size=(n, p)).astype(float)[:, rng.integers(0, p, size=p)]
+        target = rng.choice(np.array([-1.0, -0.25, 0.0, 0.5, 1.0])[: rng.integers(1, 6)], size=n)
+        rows = np.sort(rng.choice(n, size=rng.integers(2, n + 1), replace=False))  # a node's rows, ascending
+        Xt = np.ascontiguousarray(X.T)
+        block = rows[np.argsort(Xt[:, rows], axis=1, kind="stable")]
+        xs, valid = trees._block_values(Xt, block)
+        want_xs, want_valid = oracles.block_values_along_axis(Xt, block)
+        assert xs.tobytes() == want_xs.tobytes() and np.array_equal(valid, want_valid)
+        assert trees._mse_split(block, xs, valid, target) == oracles.mse_split_transposed(block, xs, valid, target)
 
 
 class TestRandomForest:

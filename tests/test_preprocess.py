@@ -174,3 +174,16 @@ def test_overflowing_training_sd_is_named():
     assert pre[1][2] == (0.0, 0.0, np.inf)
     with pytest.raises(DataError, match="^feature column 'wide' has a non-finite training sd$"):
         transform(pre, view, np.arange(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan]) | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+@example([-0.0])
+@example([-0.0, -0.0, 1.0, np.nan, -1.0])
+def test_numeric_stats_match_numpy_bit_for_bit(cells):
+    # the median of signed zeros is 0.0, as np.median's mean makes it
+    view = make_table(x=np.array(cells))
+    rows = np.arange(len(cells))
+    (_, _, stats), = fit_preprocessor(view, rows)
+    want = oracles.fit_preprocessor(view, rows).numeric["x"]
+    assert np.array(stats).tobytes() == np.array([want.median, want.mean, want.sd]).tobytes()
