@@ -2,7 +2,7 @@
 
     fuse run   --config c.json [--stage NAME] [--seed N] [--out DIR]
     fuse synth --out DIR [--seed N] [--n N] [--copula FAMILY] [--tau T | --rho R] ...
-    fuse gof   --scores scores.csv --family FAMILY [--B B] [--m M] [--seed N]
+    fuse gof   --scores scores.csv --family FAMILY [--B B] [--seed N]
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # the defaults of a run's copula section, so a run's scores.csv reproduces its gof.json
     copula = CONFIG_SCHEMA["copula"]
     gof.add_argument("--B", type=int, default=copula["B"].default)
-    gof.add_argument("--m", type=int, default=copula["m"].default)
     gof.add_argument("--seed", type=int, default=copula["seed"].default)
     gof.add_argument("--out", default=None, help="optional path for the JSON result")
     return parser
@@ -127,8 +126,7 @@ def _score_cell(path, row_no, cell, column) -> float:
 
 
 def _cmd_gof(args) -> int:
-    copula = CONFIG_SCHEMA["copula"]
-    n_boot, m = copula["B"].read(args.B, "--B"), copula["m"].read(args.m, "--m")
+    n_boot = CONFIG_SCHEMA["copula"]["B"].read(args.B, "--B")
     if args.out and os.path.isdir(args.out):  # False, not an OSError, for a name too long to stat
         raise ConfigError(f"--out {args.out}: names a directory, not a file")
     if args.out:
@@ -142,6 +140,8 @@ def _cmd_gof(args) -> int:
     header, rows = read_csv(args.scores)
     if not {"p_clin", "p_gen"} <= set(header):
         raise DataError(f"{args.scores}: needs columns p_clin and p_gen")
+    if len(rows) < 2:
+        raise DataError(f"{args.scores}: {len(rows)} score row(s); the bootstrap needs at least two")
     i, j = header.index("p_clin"), header.index("p_gen")
     p_clin, p_gen = [], []
     for row_no, row in enumerate(rows, start=2):  # the header is row 1
@@ -149,8 +149,7 @@ def _cmd_gof(args) -> int:
         p_gen.append(_score_cell(args.scores, row_no, row[j], "p_gen"))
     u = pseudo_observations(np.asarray(p_clin))
     v = pseudo_observations(np.asarray(p_gen))
-    result = parametric_bootstrap(u, v, args.family, n_boot=n_boot, replicate_size=m, seed=args.seed,
-                                  refit=copula["refit"].default)
+    result = parametric_bootstrap(u, v, args.family, n_boot=n_boot, seed=args.seed)
     payload = dict(result.to_dict(), tau=kendall_tau(u, v))
     text = json.dumps(payload, indent=2)
     print(text)

@@ -2,9 +2,12 @@
 
 The observed statistic compares the empirical copula with the fitted family
 at the sample points. Its null distribution is simulated by drawing replicate
-samples from the fitted copula, re-ranking them, refitting the parameter by
-tau-inversion, and recomputing the statistic; the p-value is the smoothed
-exceedance fraction (1 + #{S_b >= S}) / (B + 1).
+samples of the sample's n pairs from the fitted copula, re-ranking them,
+refitting the parameter by tau-inversion, and recomputing the statistic; the
+p-value is the smoothed exceedance fraction (1 + #{S_b >= S}) / (B + 1). Only
+this form is calibrated (Genest, Remillard & Beaudoin 2009): the statistic is
+a mean of squared gaps, so a replicate of another size is on another scale,
+and one that kept the fitted parameter would ignore its estimation.
 
 C_n at the sample points and Kendall's tau share one O(n log n) ordering of
 the sample (``ranks.rank_pass``). Any other query points, such as a plotting
@@ -13,13 +16,13 @@ together.
 
 The bootstrap works on blocks of replicates. Each replicate still draws from
 its own RNG stream, and the draws of consecutive replicates are stacked into
-a (rows, m) block. The rank pass (whose margin ranks are also the
+a (rows, n) block. The rank pass (whose margin ranks are also the
 pseudo-observations), the refit (one parameter per row), the fitted copula
 and the per-row mean of the sorted squared gaps then run once per block, so
 numpy's fixed cost per call is paid once for many replicates instead of once
 per replicate. Every step works row by row, so each statistic has the bits a
 replicate scored on its own would get. A block holds at most _BLOCK_POINTS
-points, or one replicate if m is larger: every step keeps (rows, m)
+points, or one replicate if n is larger: every step keeps (rows, n)
 temporaries, and larger blocks cost more memory than they save time.
 """
 
@@ -48,7 +51,7 @@ class GofResult:
     family: str
     statistic: float
     n_boot: int
-    replicate_size: int
+    replicate_size: int  # pairs per replicate: the sample size
     p_value: float
     model: CopulaModel
     degenerate_fit: bool = False  # the fit clamped its parameter (see copulas.fit_clamps)
@@ -112,22 +115,14 @@ def cvm_statistic(u, v, model: CopulaModel, ranks: RankPass | None = None):
     return float(stat) if stat.ndim == 0 else stat
 
 
-def parametric_bootstrap(
-    u,
-    v,
-    family: str,
-    n_boot: int,
-    replicate_size: int | None,
-    seed: int,
-    refit: bool,
-) -> GofResult:
+def parametric_bootstrap(u, v, family: str, n_boot: int, seed: int) -> GofResult:
     """Bootstrap-calibrated CvM test of one copula family against the sample.
 
-    Replicates are ``replicate_size`` pairs, or the sample size when that is
-    None; each uses its own RNG stream keyed by (seed, family, replicate).
-    A tau at which the family's fit clamps its parameter (``fit_clamps``)
-    still runs and is flagged degenerate. A refitted replicate with tau +-1, likely
-    at a small ``replicate_size``, raises a ``NumericError`` naming it.
+    Each of the ``n_boot`` replicates has the sample's n pairs, is refitted by
+    tau-inversion, and uses its own RNG stream keyed by (seed, family,
+    replicate). A tau at which the family's fit clamps its parameter
+    (``fit_clamps``) still runs and is flagged degenerate. A replicate with
+    tau +-1, likely only for a small sample, raises a ``NumericError`` naming it.
     """
     if n_boot < 1:
         raise NumericError("bootstrap requires at least one replicate")
@@ -136,9 +131,6 @@ def parametric_bootstrap(
     n = len(u)
     if n != len(v) or n < 2:
         raise DataError("bootstrap needs at least two aligned pairs")
-    m = n if replicate_size is None else int(replicate_size)
-    if m < 2:
-        raise NumericError("replicate size must be at least 2")
 
     observed = rank_pass(u, v)  # one ranking for tau and the statistic
     tau_hat = observed.tau()
@@ -147,23 +139,21 @@ def parametric_bootstrap(
     stat = cvm_statistic(u, v, model_hat, observed)
 
     stream = FAMILIES.index(family)
-    rows = max(1, _BLOCK_POINTS // m)
+    rows = max(1, _BLOCK_POINTS // n)
     reps = np.empty(n_boot)
     for first in range(0, n_boot, rows):
-        draws = [sample(model_hat, m, stream_rng(seed, stream, b)) for b in range(first, min(first + rows, n_boot))]
+        draws = [sample(model_hat, n, stream_rng(seed, stream, b)) for b in range(first, min(first + rows, n_boot))]
         # ranking the draws gives the counts of their pseudo-observations too
         ranks = rank_pass(np.array([u_b for u_b, _ in draws]), np.array([v_b for _, v_b in draws]))
         u_rep, v_rep = ranks.pseudo_observations()
-        model = model_hat
-        if refit:
-            params = []
-            for b, tau in enumerate(ranks.tau().tolist(), start=first):
-                try:
-                    params.append(fit_family(family, tau).param)
-                except NumericError as exc:  # a small replicate can be perfectly ordered
-                    raise NumericError(f"{family} bootstrap replicate {b + 1} of {n_boot} (m = {m} pairs) has "
-                                       f"Kendall tau {tau!r}: {exc}; a larger m avoids it") from exc
-            model = replace(model_hat, param=np.array(params)[:, None])
+        params = []
+        for b, tau in enumerate(ranks.tau().tolist(), start=first):
+            try:
+                params.append(fit_family(family, tau).param)
+            except NumericError as exc:  # a small replicate can be perfectly ordered
+                raise NumericError(f"{family} bootstrap replicate {b + 1} of {n_boot} ({n} pairs) has "
+                                   f"Kendall tau {tau!r}: {exc}") from exc
+        model = replace(model_hat, param=np.array(params)[:, None])
         reps[first : first + len(draws)] = cvm_statistic(u_rep, v_rep, model, ranks)
 
     p_value = (1.0 + float(np.sum(reps >= stat))) / (n_boot + 1.0)
@@ -171,7 +161,7 @@ def parametric_bootstrap(
         family=family,
         statistic=stat,
         n_boot=n_boot,
-        replicate_size=m,
+        replicate_size=n,
         p_value=p_value,
         model=model_hat,
         degenerate_fit=degenerate,

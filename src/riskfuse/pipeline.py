@@ -47,8 +47,7 @@ from .seeding import hash_seed
 from .survival import StrataKMResult, StratumAssignment, joint_strata, strata_km
 from . import svgplot
 
-# Every config key, in the order the manifest writes them. copula.m starts at
-# 20: a smaller replicate is too often perfectly ordered, which no refit inverts.
+# Every config key, in the order the manifest writes them.
 CONFIG_SCHEMA = {
     "input_csv": Key(str),
     "output_dir": Key(str),
@@ -60,7 +59,7 @@ CONFIG_SCHEMA = {
     "cv": {"k": Key(int, 5, ge=2), "seed": Key(int, 0)},
     "models": DEFAULT_MODELS,
     "copula": {"families": Key(tuple, FAMILIES, choices=FAMILIES, min_len=1), "B": Key(int, 1000, ge=1),
-               "m": Key(int, None, ge=20, null=True), "seed": Key(int, 1), "refit": Key(bool, True)},
+               "seed": Key(int, 1)},
     "strata": {"min_size": Key(int, 10, ge=1)},
     "endpoint": {"status_column": Key(str, None, null=True)},
 }
@@ -158,7 +157,10 @@ def _views(bundle: ReportBundle):
 def _scores(bundle: ReportBundle):
     config = bundle.config
     y = bundle.endpoint.y.astype(int)
-    folds = stratified_kfold(y, k=config.cv["k"], seed=config.cv["seed"], row_ids=bundle.patient_ids)
+    try:
+        folds = stratified_kfold(y, k=config.cv["k"], seed=config.cv["seed"], row_ids=bundle.patient_ids)
+    except DataError as exc:
+        raise DataError(f"{exc}; cv.k sets k") from exc
     for view_name, view in bundle.views.items():
         records = []
         for family in MODEL_FAMILIES:
@@ -182,15 +184,8 @@ def _copula(bundle: ReportBundle):
 def _gof(bundle: ReportBundle):
     config = bundle.config
     bundle.gof_results = [
-        parametric_bootstrap(
-            bundle.pseudo_u,
-            bundle.pseudo_v,
-            fam,
-            n_boot=config.copula["B"],
-            replicate_size=config.copula["m"],
-            seed=config.copula["seed"],
-            refit=config.copula["refit"],
-        )
+        parametric_bootstrap(bundle.pseudo_u, bundle.pseudo_v, fam, n_boot=config.copula["B"],
+                             seed=config.copula["seed"])
         for fam in config.copula["families"]
     ]
     bundle.best_copula = select_best_copula(bundle.gof_results)

@@ -68,7 +68,10 @@ def _fit_elastic_net(X, y, seed, *, alpha, lam, grid_points, inner_folds, max_it
         # Each inner fold fits the descending grid as one path, every lam
         # starting from the previous lam's solution (glmnet's warm start).
         grid = lambda_grid(X, y, alpha, n_points=grid_points)
-        inner = stratified_kfold(y, k=inner_folds, seed=hash_seed(seed, "inner"))
+        try:
+            inner = stratified_kfold(y, k=inner_folds, seed=hash_seed(seed, "inner"))
+        except DataError as exc:
+            raise DataError(f"{exc}; models.elastic_net_lr.inner_folds sets k") from exc
         oof = np.empty((len(grid), len(y)))
         for f in range(inner_folds):
             tr, te = inner.train_rows(f), inner.test_rows(f)

@@ -216,18 +216,17 @@ def bvn_genz(x, y, rho):
     return np.clip(out, 0.0, 1.0)
 
 
-def bootstrap_replicate(model_hat, family, m, seed, b, refit):
-    """One parametric-bootstrap statistic, drawn, ranked, refitted and scored on its own.
+def bootstrap_replicate(model_hat, family, n, seed, b):
+    """One parametric-bootstrap statistic of n pairs, drawn, ranked, refitted and scored on its own.
 
     The per-replicate loop that the block bootstrap replaced.
     """
     rng = stream_rng(seed, FAMILIES.index(family), b)
-    u_rep, v_rep = sample(model_hat, m, rng)
+    u_rep, v_rep = sample(model_hat, n, rng)
     u_rep = pseudo_observations(u_rep)
     v_rep = pseudo_observations(v_rep)
     ranks = rank_pass(u_rep, v_rep)
-    model_b = fit_family(family, ranks.tau()) if refit else model_hat
-    return cvm_statistic(u_rep, v_rep, model_b, ranks)
+    return cvm_statistic(u_rep, v_rep, fit_family(family, ranks.tau()), ranks)
 
 
 def average_ranks_brute(x):

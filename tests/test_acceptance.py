@@ -110,7 +110,7 @@ def test_c4_gof_calibration_and_selection():
         for i in range(200):
             u, v = sample(true, 300, np.random.default_rng((1000, i)))
             u, v = pseudo_observations(u), pseudo_observations(v)
-            pvals.append(parametric_bootstrap(u, v, "gaussian", n_boot=200, replicate_size=None, seed=i, refit=True).p_value)
+            pvals.append(parametric_bootstrap(u, v, "gaussian", n_boot=200, seed=i).p_value)
         pvals = np.sort(pvals)
         steps = np.arange(201) / 200.0
         ks = max(
@@ -125,7 +125,7 @@ def test_c4_gof_calibration_and_selection():
             u, v = sample(true, 1400, np.random.default_rng((2000, i)))
             u, v = pseudo_observations(u), pseudo_observations(v)
             results = [
-                parametric_bootstrap(u, v, fam, n_boot=200, replicate_size=None, seed=i, refit=True)
+                parametric_bootstrap(u, v, fam, n_boot=200, seed=i)
                 for fam in ("gaussian", "clayton", "gumbel")
             ]
             correct += select_best_copula(results).family == "gaussian"

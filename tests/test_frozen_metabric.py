@@ -79,7 +79,7 @@ DIGESTS = {
     "gof.json": "cfb689acf2cd6d0fff5d5b549ff217e4a1b8866341acfe043eefd92fcd2eefa5",
     "km.svg": "343e5ba9bc046f4f45b76179ae95257df7843dc3c1acab805f164c7300a5d6a4",
     "km_curves.csv": "537aa74c88310aaab2584b8ebd71f1aa0cfa8d92139d439f726a79368d8bf2b4",
-    "manifest.json": "fcb2cbefa21e3478849c7c82027c212c903fee4460dade1317afc13fc7744951",
+    "manifest.json": "cfebc0061aa622d32e822d00c7332cdd8f370a4964b96357b8ab0a1f7cd21a6e",
     "model_auc.csv": "2b27532dea45f6ae3ede9c245f74900194578aa9849ad7bd05e9f0509b6e4b5e",
     "roc.svg": "504e18c16df016ffc7f5763f0459c51972b668566af6730b359c4fce37ed1e55",
     "score_hist.svg": "a1aca473603509f47fdc611c759f225d1f72fd6721721c3139b85360edd5e084",

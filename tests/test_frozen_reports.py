@@ -31,7 +31,7 @@ DEMO_DIGESTS = {
     "gof.json": "fc9341a33be5fdb14a4a8a3e6e6d00469927dd42333e8ee22103e24b56010568",
     "km.svg": "de73292a93689858d939c047b60ec24476bb218aecd2f85682ec08859db73b05",
     "km_curves.csv": "7c04041fa6e7b480283affc22d5b05473f149eccb80417a28cb8934a0d3c1a61",
-    "manifest.json": "445d0436cfb0ccb4ef0d915d7fbcb75dfdabef8ce91ca34f10a0cee54eb7bf00",
+    "manifest.json": "a41f364219fcb14bdf6a7eb0b037306ae5ec8a0c6c56f9947f3f64a45939faeb",
     "model_auc.csv": "8bd1c6338caffbbb6b49f8bbc783c1bac1acd19bfecdbc72296f0051e27fe0e4",
     "roc.svg": "4649690aea10fc609374713568e68c15ea608e66eff4c5a1eb0b05a9cf1a2918",
     "score_hist.svg": "4984ce7e82f43fd19407eae30976f732df021b0cf873b1fad48a9f5ad6b3dab4",

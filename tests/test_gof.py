@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from riskfuse.copulas import fit_clayton, fit_family, fit_gaussian, fit_gumbel, kendall_tau, pseudo_observations, sample
+from riskfuse.copulas import (FAMILIES, fit_clayton, fit_family, fit_gaussian, fit_gumbel, kendall_tau,
+                              pseudo_observations, sample)
 from riskfuse.errors import DataError, NumericError
 from riskfuse.gof import (
     _BLOCK_POINTS,
@@ -11,6 +12,7 @@ from riskfuse.gof import (
     parametric_bootstrap,
     select_best_copula,
 )
+from riskfuse.seeding import stream_rng
 
 from oracles import bootstrap_replicate, empirical_copula_brute
 
@@ -89,7 +91,7 @@ class TestParametricBootstrap:
         model = fit_gaussian(0.4)
         u, v = sample(model, 120, seed=9)
         u, v = pseudo_observations(u), pseudo_observations(v)
-        args = dict(n_boot=50, replicate_size=None, seed=3, refit=True)
+        args = dict(n_boot=50, seed=3)
         args.update(kw)
         return parametric_bootstrap(u, v, "gaussian", **args)
 
@@ -114,43 +116,38 @@ class TestParametricBootstrap:
         assert a.p_value == b.p_value
         assert np.array_equal(a.replicates, b.replicates)
 
-    def test_replicate_size_flag(self):
-        res = self.run_small(replicate_size=64)
-        assert res.replicate_size == 64
-
-    def test_no_refit_flag_changes_distribution(self):
-        a = self.run_small(refit=True)
-        b = self.run_small(refit=False)
-        assert not np.array_equal(a.replicates, b.replicates)
+    def test_replicates_have_the_sample_size(self):
+        res = self.run_small()
+        assert res.replicate_size == res.to_dict()["m"] == 120
 
     @pytest.mark.parametrize("family, bound", [("clayton", 1e-6), ("gumbel", 1.0)])
     def test_clayton_floor_flagged_degenerate(self, rng, family, bound):
         u = pseudo_observations(rng.standard_normal(80))
         v = 1.0 - u  # strongly negative dependence
-        res = parametric_bootstrap(u, v, family, n_boot=20, replicate_size=None, seed=1, refit=True)
+        res = parametric_bootstrap(u, v, family, n_boot=20, seed=1)
         assert res.degenerate_fit
         assert res.model.param == bound
 
-    @pytest.mark.parametrize("family, m, seed, n_boot", [
-        ("gaussian", 2, 3, 50), ("clayton", 2, 3, 50), ("gumbel", 2, 3, 50),
-        ("gumbel", 8, 0, 1300),  # the first such replicate is 1107, in the second block of 8192 // 8
-    ], ids=["gaussian-m2", "clayton-m2", "gumbel-m2", "gumbel-m8-second-block"])
-    def test_perfectly_ordered_replicate_is_named(self, family, m, seed, n_boot):
-        # a small replicate can have tau +-1, which no family inverts
-        u, v = _observed(0.4, 120, seed=9)
+    @pytest.mark.parametrize("family, n, sample_seed, seed, n_boot", [
+        ("gaussian", 5, 9, 1, 50), ("clayton", 5, 9, 1, 50), ("gumbel", 5, 9, 1, 50),
+        ("gumbel", 8, 0, 0, 1300),  # the first such replicate is 1107, in the second block of 8192 // 8
+    ], ids=["gaussian-n5", "clayton-n5", "gumbel-n5", "gumbel-n8-second-block"])
+    def test_perfectly_ordered_replicate_is_named(self, family, n, sample_seed, seed, n_boot):
+        # a replicate of a small sample can have tau +-1, which no family inverts
+        u, v = _observed(0.4, n, seed=sample_seed)
         model_hat = fit_family(family, kendall_tau(u, v))
         first_bad = None
         for b in range(n_boot):
             try:
-                bootstrap_replicate(model_hat, family, m, seed, b, refit=True)
+                bootstrap_replicate(model_hat, family, n, seed, b)
             except NumericError:
                 first_bad = b
                 break
         assert first_bad is not None
         with pytest.raises(NumericError, match=rf"^{family} bootstrap replicate {first_bad + 1} of {n_boot} "
-                                               rf"\(m = {m} pairs\) has Kendall tau -?1\.0: {family} fit requires "
-                                               r".*; a larger m avoids it$"):
-            parametric_bootstrap(u, v, family, n_boot=n_boot, replicate_size=m, seed=seed, refit=True)
+                                               rf"\({n} pairs\) has Kendall tau -?1\.0: {family} fit requires "
+                                               r"[^;]*$"):
+            parametric_bootstrap(u, v, family, n_boot=n_boot, seed=seed)
 
     def test_power_direction_clayton_vs_gaussian_null(self):
         # data from the lower-tail family should look worse under the
@@ -161,10 +158,10 @@ class TestParametricBootstrap:
         for i in range(50):
             u, v = sample(gauss, 500, np.random.default_rng((500, i)))
             u, v = pseudo_observations(u), pseudo_observations(v)
-            null_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, replicate_size=None, seed=i, refit=True).p_value)
+            null_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, seed=i).p_value)
             u, v = sample(clay, 500, np.random.default_rng((501, i)))
             u, v = pseudo_observations(u), pseudo_observations(v)
-            alt_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, replicate_size=None, seed=i, refit=True).p_value)
+            alt_ps.append(parametric_bootstrap(u, v, "gaussian", n_boot=99, seed=i).p_value)
         assert np.median(alt_ps) < np.median(null_ps)
 
 
@@ -180,23 +177,24 @@ class TestBlockBootstrapMatchesOneReplicateAtATime:
 
     @pytest.mark.parametrize("family", ["gaussian", "clayton", "gumbel"])
     @pytest.mark.parametrize("case", [
-        # tau, n, rounding, B, m, refit
-        (0.4, 300, None, 3 * (_BLOCK_POINTS // 300) + 5, None, True),  # three full blocks and a partial one
-        (0.4, 300, None, 40, 64, False),  # replicate size other than n, parameter not refitted
-        (0.4, 150, 2, 60, None, True),  # tied observed margins
-        (0.8, 200, None, 30, None, True),  # strong dependence: Gaussian replicate rho above 0.925
-        (-0.3, 120, None, 30, None, True),  # tau <= 0: Clayton at its floor, Gumbel at theta = 1
-        (0.4, 150, 2, 70, 16, True),  # some replicates have tau exactly 1/2, so Gumbel theta is exactly 2
-        (0.4, 50, None, 30, 2, False),  # the smallest replicate
-        (0.4, 50, None, 2, _BLOCK_POINTS + 1, True),  # a replicate larger than a block
-    ], ids=["blocks", "m-no-refit", "tied", "extreme-rho", "tau-nonpositive", "gumbel-theta-2", "m2", "m-over-block"])
+        # tau, n, rounding, B
+        (0.4, 300, None, 3 * (_BLOCK_POINTS // 300) + 5),  # three full blocks and a partial one
+        (0.4, 150, 2, 60),  # tied observed margins
+        (0.8, 200, None, 30),  # strong dependence: Gaussian replicate rho above 0.925
+        (-0.3, 120, None, 30),  # tau <= 0: Clayton at its floor, Gumbel at theta = 1
+        (0.5, 16, None, 70),  # some replicates have tau exactly 1/2, so Gumbel theta is exactly 2
+        (0.4, _BLOCK_POINTS + 1, None, 2),  # a replicate larger than a block
+    ], ids=["blocks", "tied", "extreme-rho", "tau-nonpositive", "gumbel-theta-2", "n-over-block"])
     def test_replicates_equal_the_oracle(self, family, case):
-        tau, n, decimals, n_boot, m, refit = case
+        tau, n, decimals, n_boot = case
         u, v = _observed(tau, n, seed=n, decimals=decimals)
-        res = parametric_bootstrap(u, v, family, n_boot=n_boot, replicate_size=m, seed=3, refit=refit)
+        res = parametric_bootstrap(u, v, family, n_boot=n_boot, seed=3)
         model_hat = fit_family(family, kendall_tau(u, v))
-        expected = [bootstrap_replicate(model_hat, family, m or n, 3, b, refit) for b in range(n_boot)]
+        expected = [bootstrap_replicate(model_hat, family, n, 3, b) for b in range(n_boot)]
         assert np.array_equal(res.replicates, expected)
+        if n == 16:
+            taus = [kendall_tau(*sample(model_hat, n, stream_rng(3, FAMILIES.index(family), b))) for b in range(n_boot)]
+            assert 0.5 in taus
 
 
 class TestSelectBestCopula:

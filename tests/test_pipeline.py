@@ -39,19 +39,20 @@ SYNTH_OUTSIDE = [
 
 CLAYTON_FLAGS = ["--copula", "clayton", "--tau", "0.3", "--n", "300", "--genes", "12", "--hazard-ratio", "3",
                  "--single-ratio", "1.5"]
-# sha256 of the `fuse synth` cohort.csv and config.json (the out directory written as OUT) per flag set,
-# as written while the generator's fixed settings were still SynthParams fields
+# sha256 of the `fuse synth` cohort.csv and config.json (the out directory written as OUT) per flag set;
+# each cohort.csv as written while the generator's fixed settings were still SynthParams fields, each
+# config.json as written once copula.m and copula.refit had left the schema
 SYNTH_DIGESTS = [
     ([], "57f3e2d8f0eb6fa63a87c2dad98c1d1baf8efe94cd5180bc8808fc317e7fd100",
-     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
+     "8a8d19e25c5733eac2839b3ca027c137dfcbdd900ea86f84ad8fc342487b49a2"),
     (["--seed", "7"], "2265313311402e1743a61bb960e48e9ae1104f005d328265e2c3c1e07cd01259",
-     "97eb6c78124579ba34926a0f7d6b2fc415c1758f4e3340ed8efc4ef946417277"),
+     "5ac054d15a89babd945dcab64f9fc8fb623f9a7e59cd9d0cca82505c51c2641d"),
     (["--rho", "0.5"], "e941f82f33f7ae906b81e692c2060cf9ad6ae4fffcc492a0d3b6b5ada82700e7",
-     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
+     "8a8d19e25c5733eac2839b3ca027c137dfcbdd900ea86f84ad8fc342487b49a2"),
     (CLAYTON_FLAGS, "b5cc0be44c99227c40f62524e1bc96a24cc4a858e0fb0e76b8e9e49a54688676",
-     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
+     "8a8d19e25c5733eac2839b3ca027c137dfcbdd900ea86f84ad8fc342487b49a2"),
     (["--copula", "gumbel", "--tau", "0"], "28dab2f996091cad02ea3b44531f4ac0998a4190f3d909a8f0f9185914f5f205",
-     "467bce31c18858b01453e645593f7cbfc1f445cbcb8a7f2eae25af0574e45ae7"),
+     "8a8d19e25c5733eac2839b3ca027c137dfcbdd900ea86f84ad8fc342487b49a2"),
 ]
 
 
@@ -112,7 +113,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section, key, value", [
         ("copula", "B", "many"),
-        ("copula", "m", [3]),
+        ("copula", "seed", 1.5),
         ("cv", "seed", None),
         (None, "horizon_months", "five years"),
     ])
@@ -162,14 +163,13 @@ class TestConfigValidation:
     def test_readme_config_block_matches_schema(self):
         text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = json.loads(text.split("```jsonc\n", 1)[1].split("```", 1)[0])
-
-        def tree(node):
-            return {k: tree(v) for k, v in node.items()} if isinstance(node, dict) else None
-
-        assert tree(block) == tree(CONFIG_SCHEMA)
-        shown = PipelineConfig.from_dict(block)
-        defaults = PipelineConfig.from_dict({"input_csv": "cohort.csv", "output_dir": "report"})
-        assert shown == dataclasses.replace(defaults, view_spec=shown.view_spec)
+        defaults = PipelineConfig.from_dict({"input_csv": "cohort.csv", "output_dir": "report"}).to_dict()
+        # the block elides the clinical columns after the first ones with "..."
+        *shown, placeholder = block["view_spec"]["clinical_columns"]
+        full = defaults["view_spec"]["clinical_columns"]
+        assert placeholder == "..." and full[: len(shown)] == shown
+        block["view_spec"]["clinical_columns"] = full
+        assert block == defaults
 
     def test_unknown_stage_rejected(self, synth_run):
         with pytest.raises(ConfigError, match="unknown stage"):
@@ -290,14 +290,27 @@ class TestStagePrefix:
         assert set(TABLE_FILES + PLOT_FILES) - set(written) >= {"gof.json", "strata.csv", "km_curves.csv", "km.svg"}
         assert (tmp_path / "out" / "notes.txt").read_text() == "kept\n"
 
-    @pytest.mark.parametrize("stop_after", ["load", "endpoint", "views"])
-    def test_early_prefix_writes_only_the_manifest(self, synth_run, tmp_path, stop_after):
+    # the files each --stage prefix writes, in the order it writes them
+    PREFIX_FILES = {
+        "load": ["manifest.json"],
+        "endpoint": ["manifest.json"],
+        "views": ["manifest.json"],
+        "scores": ["scores.csv", "model_auc.csv", "manifest.json", "roc.svg", "score_hist.svg", "score_scatter.svg"],
+        "copula": ["scores.csv", "model_auc.csv", "copula_fit.json", "manifest.json", "roc.svg", "score_hist.svg",
+                   "score_scatter.svg"],
+        "gof": ["scores.csv", "model_auc.csv", "copula_fit.json", "gof.json", "manifest.json", "roc.svg",
+                "score_hist.svg", "score_scatter.svg", "copula_heat.svg", "copula_contours.svg"],
+        "strata": [*TABLE_FILES, *PLOT_FILES],
+    }
+
+    @pytest.mark.parametrize("stop_after", STAGES)
+    def test_each_prefix_writes_exactly_its_files(self, synth_run, tmp_path, stop_after):
         raw = json.loads(json.dumps(synth_run[0]))
         raw["output_dir"] = str(tmp_path / "prefix")
         bundle = run_pipeline(PipelineConfig.from_dict(raw), stop_after=stop_after)
         assert bundle.stages_run == list(STAGES[: STAGES.index(stop_after) + 1])
-        assert [Path(f).name for f in bundle.written_files] == ["manifest.json"]
-        assert [p.name for p in (tmp_path / "prefix").iterdir()] == ["manifest.json"]
+        assert [Path(f).name for f in bundle.written_files] == self.PREFIX_FILES[stop_after]
+        assert sorted(p.name for p in (tmp_path / "prefix").iterdir()) == sorted(self.PREFIX_FILES[stop_after])
 
     def test_views_stage_tag_appears_once(self, synth_run, tmp_path, capsys):
         raw = json.loads(json.dumps(synth_run[0]))
@@ -331,6 +344,24 @@ class TestStagePrefix:
         assert capsys.readouterr().err == ("data error: [stage endpoint] view column 'pid' not present in table; "
                                            "view_spec.id_column names it\n")
         assert not Path(cfg["output_dir"]).exists()
+
+    # n = 40 at seed 3: the smallest class has 6 rows, and 4 in the smallest inner training fold
+    @pytest.mark.parametrize("key, k, message", [
+        ("cv.k", 30, "k=30 exceeds the smallest class count 6; cv.k sets k"),
+        ("models.elastic_net_lr.inner_folds", 12,
+         "k=12 exceeds the smallest class count 4; models.elastic_net_lr.inner_folds sets k"),
+    ], ids=["cv.k", "inner_folds"])
+    def test_too_many_folds_names_the_key(self, tmp_path, capsys, key, k, message):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n", "40", "--seed", "3"]) == 0
+        cfg = json.loads((tmp_path / "s" / "config.json").read_text())
+        *sections, leaf = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        node[leaf] = k
+        (tmp_path / "s" / "config.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "s" / "config.json"), "--stage", "scores"]) == 3
+        assert capsys.readouterr().err == f"data error: [stage scores] {message}\n"
 
     def test_views_exclude_endpoint_columns_without_survival_columns(self, tmp_path):
         cfg = write_synth(tmp_path, SynthParams(n=150, seed=3))
@@ -597,15 +628,12 @@ class TestCli:
         ("cv.kk", 5, []),
         ("models.random_forest.n_tree", 10, []),
         ("view_spec.clinical_cols", ["age"], []),
-        ("copula.refit", "false", []),
         ("cv.k", 2.7, []),
         ("copula.families", 5, []),
         ("models.random_forest.n_trees", "many", []),
         ("models.elastic_net_lr.lam", "autoo", []),
         ("models.elastic_net_lr.grid_points", 0, []),
         ("cv", 5, ["--seed", "3"]),
-        ("copula.m", 1, []),
-        ("copula.m", 19, []),
         ("horizon_months", -5, []),
         ("models.elastic_net_lr.alpha", 2, []),
         ("view_spec.clinical_columns", "age", []),
@@ -633,6 +661,16 @@ class TestCli:
         assert err.startswith("config error: [stage config] ")
         assert f"{key} must" in err or f"{key!r}" in err
         assert not (tmp_path / "out").exists()
+
+    # no setting sizes or skips the bootstrap's refit: every replicate has the sample's pairs and is refitted
+    @pytest.mark.parametrize("key, value", [("m", None), ("m", 20), ("refit", True), ("refit", False)])
+    def test_removed_bootstrap_keys_are_unknown(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_csv": "x.csv", "output_dir": str(tmp_path / "o"), "copula": {key: value}}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"config error: [stage config] unknown config key 'copula.{key}'; "
+                                           "expected one of families, B, seed\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section, key, value, item", [
         ("copula", "families", ["clayton", "gaussian", "clayton"], "clayton"),
@@ -788,18 +826,33 @@ class TestCli:
         assert outputs[0] == outputs[1]
 
     def test_gof_perfectly_ordered_replicate_exits_four(self, tmp_path, capsys):
-        # two swapped neighbours are 1 discordant pair of 4950, a fitted tau of 0.9996, so the 20 pairs of
-        # replicate 1 come out in order: tau 1, which the gaussian fit cannot invert
-        p_gen = [2, 1, *range(3, 101)]
-        rows = "".join(f"{i / 101},{p_gen[i - 1] / 101}\n" for i in range(1, 101))
+        # two swapped neighbours are 1 discordant pair of 190, a fitted tau of 0.9895, so the 20 pairs of
+        # replicate 4 come out in order: tau 1, which the gaussian fit cannot invert
+        p_gen = [2, 1, *range(3, 21)]
+        rows = "".join(f"{i / 21},{p_gen[i - 1] / 21}\n" for i in range(1, 21))
         (tmp_path / "s.csv").write_text("p_clin,p_gen\n" + rows)
-        argv = ["gof", "--scores", str(tmp_path / "s.csv"), "--family", "gaussian", "--B", "10", "--m", "20",
+        argv = ["gof", "--scores", str(tmp_path / "s.csv"), "--family", "gaussian", "--B", "10",
                 "--out", str(tmp_path / "g.json")]
         assert main(argv) == 4
         err = capsys.readouterr().err
-        assert re.fullmatch(r"numeric error: gaussian bootstrap replicate 1 of 10 \(m = 20 pairs\) has Kendall tau "
-                            r"-?1\.0: gaussian fit requires \|tau\| < 1; a larger m avoids it\n", err), err
+        assert re.fullmatch(r"numeric error: gaussian bootstrap replicate 4 of 10 \(20 pairs\) has Kendall tau "
+                            r"-?1\.0: gaussian fit requires \|tau\| < 1\n", err), err
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("rows", [[], ["0.3,0.4"]], ids=["header-only", "one-row"])
+    def test_gof_too_few_score_rows_exits_three(self, tmp_path, capsys, rows):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("".join(f"{line}\n" for line in ["p_clin,p_gen", *rows]))
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 3
+        assert capsys.readouterr().err == (f"data error: {scores}: {len(rows)} score row(s); "
+                                           "the bootstrap needs at least two\n")
+
+    def test_gof_replicate_size_flag_is_gone(self, tmp_path, capsys):
+        # every replicate has the sample's pairs, so there is no --m to set
+        with pytest.raises(SystemExit) as exited:
+            main(["gof", "--scores", str(tmp_path / "absent.csv"), "--family", "gaussian", "--m", "20"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --m 20" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bom_on", ["cohort.csv", "c.json"])
     def test_run_reads_a_byte_order_mark(self, tmp_path, bom_on):
@@ -813,10 +866,9 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert (manifest["rows_loaded"], manifest["rows_analytic"]) == (3, 2)
 
-    @pytest.mark.parametrize("flag, value, bound", [("--B", "0", 1), ("--B", "-1", 1), ("--m", "1", 20),
-                                                    ("--m", "19", 20)], ids=["B=0", "B=-1", "m=1", "m=19"])
+    @pytest.mark.parametrize("flag, value, bound", [("--B", "0", 1), ("--B", "-1", 1)], ids=["B=0", "B=-1"])
     def test_gof_invalid_replicates_exits_two(self, tmp_path, capsys, flag, value, bound):
-        # the copula.B and copula.m rules of a run config, checked before the scores file is opened
+        # the copula.B rule of a run config, checked before the scores file is opened
         argv = ["gof", "--scores", str(tmp_path / "absent.csv"), "--family", "gaussian", flag, value]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: {flag} must be >= {bound}, got {value}\n"
@@ -840,7 +892,7 @@ class TestCli:
 
 def test_run_settings_have_no_library_defaults():
     required = {
-        gof.parametric_bootstrap: ("n_boot", "replicate_size", "seed", "refit"),
+        gof.parametric_bootstrap: ("n_boot", "seed"),
         cohort.variance_filter: ("k",),
         cohort.build_endpoint: ("horizon", "status_column"),
         folds.stratified_kfold: ("k", "seed"),

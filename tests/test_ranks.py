@@ -142,7 +142,7 @@ def test_bootstrap_replicates_frozen(family):
     x, y = sample(fit_gaussian(0.4), 150, seed=11)
     u = pseudo_observations(np.round(x, 2))  # tied observed margins
     v = pseudo_observations(np.round(y, 2))
-    res = parametric_bootstrap(u, v, family, n_boot=20, replicate_size=None, seed=7, refit=True)
+    res = parametric_bootstrap(u, v, family, n_boot=20, seed=7)
     statistic, p_value, replicates = FROZEN_BOOTSTRAP[family]
     assert res.statistic == statistic
     assert res.p_value == p_value
