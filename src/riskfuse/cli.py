@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import read_csv
-from .copulas import FAMILIES, kendall_tau, pseudo_observations
+from .copulas import FAMILIES, fit_family, kendall_tau, pseudo_observations
 from .errors import ConfigError, DataError, FuseError, NumericError
 from .gof import parametric_bootstrap
 from .pipeline import CONFIG_SCHEMA, PipelineConfig, STAGES, check_output_dir, run_pipeline, write_file
@@ -149,8 +149,14 @@ def _cmd_gof(args) -> int:
         p_gen.append(_score_cell(args.scores, row_no, row[j], "p_gen"))
     u = pseudo_observations(np.asarray(p_clin))
     v = pseudo_observations(np.asarray(p_gen))
+    tau = kendall_tau(u, v)
+    try:
+        fit_family(args.family, tau)
+    except NumericError as exc:  # a perfectly ordered table
+        raise NumericError(f"{args.scores}: the observed sample of {len(u)} pairs, not a bootstrap replicate, "
+                           f"has Kendall tau {tau!r}: {exc}") from exc
     result = parametric_bootstrap(u, v, args.family, n_boot=n_boot, seed=args.seed)
-    payload = dict(result.to_dict(), tau=kendall_tau(u, v))
+    payload = dict(result.to_dict(), tau=tau)
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:

@@ -37,7 +37,7 @@ from . import __version__, schema
 from .cohort import (DEFAULT_CLINICAL_COLUMNS, SURVIVAL_COLUMNS, CohortTable, EndpointVector, build_endpoint,
                      filter_cohort, load_cohort, split_views, variance_filter)
 from .copulas import FAMILIES, fit_family, kendall_tau, pseudo_observations
-from .errors import ConfigError, DataError, FuseError
+from .errors import ConfigError, DataError, FuseError, NumericError
 from .folds import stratified_kfold
 from .gof import GofResult, parametric_bootstrap, select_best_copula
 from .metrics import roc_auc, roc_points
@@ -178,7 +178,12 @@ def _copula(bundle: ReportBundle):
     bundle.pseudo_u = pseudo_observations(bundle.p_clin)
     bundle.pseudo_v = pseudo_observations(bundle.p_gen)
     bundle.tau = kendall_tau(bundle.pseudo_u, bundle.pseudo_v)
-    bundle.copula_fits = [fit_family(f, bundle.tau) for f in bundle.config.copula["families"]]
+    try:
+        bundle.copula_fits = [fit_family(f, bundle.tau) for f in bundle.config.copula["families"]]
+    except NumericError as exc:  # the two score columns are perfectly ordered
+        raise NumericError(f"p_clin (clinical {bundle.best['clinical'].spec.family}) and p_gen (genomic "
+                           f"{bundle.best['genomic'].spec.family}) have Kendall tau {bundle.tau!r} over "
+                           f"{len(bundle.p_clin)} rows: {exc}") from exc
 
 
 def _gof(bundle: ReportBundle):

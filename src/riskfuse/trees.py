@@ -31,21 +31,27 @@ sorts a node's rows:
   column's distinct values by rank are stacked, each fit's rows after the
   previous fits', and a tree's bootstrap rows are row numbers of the stack.
   Per batch, each (row, candidate feature) cell's key is that code plus its
-  (node, feature) group times 2n, where n is the largest fit's row count,
-  and one sort of the keys orders every group by value. The label is then
-  the key's low bit, a cut's group is key // 2n and its threshold comes
-  from the node's fit's rows of the value table. Gini prefix sums of 0/1
-  labels are exact integers and cuts fall only between distinct values, so
-  neither the order of tied values nor the order of a node's rows changes
-  any score. A cut node's rows are then partitioned on its chosen column
-  alone, in place, left child first. The search works through the popped
-  nodes in batches of about _SPLIT_CELLS cells, which bounds its memory
-  whatever the forest's size. The trees' stacks and nodes are numpy arrays
-  over all trees, updated once per step. A lockstep holds at most
-  _LOCKSTEP_ROWS bootstrap rows (trees x training rows) over its forests,
-  and a larger forest grows alone: at the paper's 300 trees, growing the
-  five folds together was no faster and held far more memory. fit_forests
-  takes every forest's design at once, as a list made before it is called.
+  (node, feature) group times 2n, where n is the largest fit's row count;
+  the groups' offsets and feature ids are repeated over each node's rows.
+  Every key is below groups x 2n, so the keys are uint32 when that is at
+  most 2**32 and int64 otherwise. One sort of the keys orders every group
+  by value. The label is then the key's low bit, counted in the key's
+  dtype; a run of one value in one group ends where adjacent keys differ
+  above the low bit (their XOR exceeds 1), a cut's group is key // 2n and
+  its threshold comes from the node's fit's rows of the value table. Gini
+  prefix sums of 0/1 labels are exact integers and cuts fall only between
+  distinct values, so neither the order of tied values nor the order of a
+  node's rows changes any score. Each node's ties are settled among only
+  the cuts that reach its least score. A cut node's rows are then
+  partitioned on its chosen column alone, in place, left child first. The
+  search works through the popped nodes in batches of about _SPLIT_CELLS
+  cells, which bounds its memory whatever the forest's size. The trees'
+  stacks and nodes are numpy arrays over all trees, updated once per step.
+  A lockstep holds at most _LOCKSTEP_ROWS bootstrap rows (trees x training
+  rows) over its forests, and a larger forest grows alone: at the paper's
+  300 trees, growing the five folds together was no faster and held far
+  more memory. fit_forests takes every forest's design at once, as a list
+  made before it is called.
 
 Both ensembles predict in one walk over all their trees (_predict_all), and
 add the trees' predictions in tree order, so a probability is the float a
@@ -62,9 +68,12 @@ from .errors import NumericError
 from .seeding import stream_rng
 
 _NEWTON_EPS = 1e-9
-# (rows x candidate features) cells per batch of the forest's split search;
-# a batch's working arrays then stay near 2 MiB
-_SPLIT_CELLS = 1 << 14
+# (rows x candidate features) cells per batch of the forest's split search,
+# and (tree, row) pairs per batch of _predict_all's walk. A split batch of
+# 2**15 cells peaks near 2.8 MiB of working arrays (2**14: 1.4 MiB, 2**16:
+# 5.2 MiB); 2**15 grew the benchmark workloads' forests faster than 2**14
+# and as fast as 2**16.
+_SPLIT_CELLS = 1 << 15
 # split nodes' worth of uint32 draws each tree's stream is read ahead by
 _DRAW_NODES = 16
 # bootstrap rows (trees x training rows) one lockstep of forests holds at
@@ -239,23 +248,26 @@ def _gini_batch(codes, values, rows, n, start, size, ones, feats, voff, min_leaf
     """
     p = codes.shape[1]
     n_nodes, f = feats.shape
+    # key = group * 2n + 2 * rank + label, group g = node g // f, feature slot g % f;
+    # every key is below groups * 2n, so 32 bits hold them while that fits
+    dtype = np.uint32 if n_nodes * f * 2 * n <= 1 << 32 else np.int64
     offset = np.cumsum(size) - size
-    node_of_row = np.repeat(np.arange(n_nodes), size)
-    r = rows[np.arange(len(node_of_row)) + np.repeat(start - offset, size)]
-    # key = group * 2n + 2 * rank + label, group g = node g // f, feature slot g % f
-    key = codes.ravel()[r[:, None] * p + feats[node_of_row]] + (
-        np.arange(n_nodes * f).reshape(n_nodes, f) * (2 * n))[node_of_row]
+    r = rows[np.arange(int(size.sum())) + np.repeat(start - offset, size)]
+    cell = np.repeat(feats, size, axis=0)
+    cell += (r * p)[:, None]
+    key = np.repeat((np.arange(n_nodes * f) * (2 * n)).astype(dtype).reshape(n_nodes, f), size, axis=0)
+    key += codes.ravel()[cell]
+    del cell
     key = key.ravel()
     key.sort()
-    csum = np.zeros(len(key) + 1, dtype=np.int64)
+    csum = np.zeros(len(key) + 1, dtype=dtype)
     np.cumsum(key & 1, out=csum[1:])
 
     # group g fills sorted cells [gstart[g], gstart[g] + gsize[g])
     gsize = np.repeat(size, f)
     gstart = np.cumsum(gsize) - gsize
-    group_rank = key >> 1
-    cut = np.flatnonzero(group_rank[1:] > group_rank[:-1])  # last cell of each run of one value
-    g = group_rank[cut] // n
+    cut = np.flatnonzero((key[1:] ^ key[:-1]) > 1)  # last cell of each run of one value
+    g = key[cut] // np.int64(2 * n)  # int64: it indexes faster than uint32, and 2n may be 2**32
     n_left = cut + 1 - gstart[g]
     lo = max(min_leaf, 1)
     keep = (n_left >= lo) & (gsize[g] - n_left >= lo)
@@ -276,23 +288,23 @@ def _gini_batch(codes, values, rows, n, start, size, ones, feats, voff, min_leaf
     sr = ones[node] - sl
     score = sl * (nl - sl) / nl + sr * (nr - sr) / nr
 
-    # per node: the least score, then the least (position, feature) among its ties
+    # per node: the least score, then the least (position, feature) among the cuts that reach it
     new = np.empty(len(node), dtype=bool)
     new[0] = True
     np.not_equal(node[1:], node[:-1], out=new[1:])
     bounds = np.flatnonzero(new)
     best = np.minimum.reduceat(score, bounds)
-    tie = np.where(score == best[np.cumsum(new) - 1], n_left * f + (g - node * f), np.iinfo(np.int64).max)
-    tie = np.minimum.reduceat(tie, bounds)
+    tied = np.flatnonzero(score == np.repeat(best, np.diff(bounds, append=len(node))))
+    tie = np.minimum.reduceat(n_left[tied] * f + g[tied] % f, np.flatnonzero(np.diff(node[tied], prepend=-1)))
     s = node[bounds]
     nl_best, k_best = np.divmod(tie, f)
     first = gstart[s * f + k_best]
     q = first + nl_best - 1
     j = feats[s, k_best]
-    cut_rank = group_rank[q] % n
+    cut_rank = (key[q] >> 1) % n
     found[s] = True
     feature[s] = j
-    thr[s] = _threshold(values[voff[s] + cut_rank, j], values[voff[s] + group_rank[q + 1] % n, j])
+    thr[s] = _threshold(values[voff[s] + cut_rank, j], values[voff[s] + (key[q + 1] >> 1) % n, j])
     left_size[s] = nl_best
     left_ones[s] = csum[q + 1] - csum[first]
 

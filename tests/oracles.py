@@ -787,6 +787,82 @@ def enet_objective_at(lam, alpha, z, y, w):
     return loss + pen
 
 
+def gini_batch_int64(codes, values, rows, n, start, size, ones, feats, voff, min_leaf):
+    """trees._gini_batch on int64 keys: (node, feature) offsets gathered per
+    row, run ends from a full-length key >> 1 copy, and ties settled by a
+    full-length np.where over every admissible cut."""
+    p = codes.shape[1]
+    n_nodes, f = feats.shape
+    offset = np.cumsum(size) - size
+    node_of_row = np.repeat(np.arange(n_nodes), size)
+    r = rows[np.arange(len(node_of_row)) + np.repeat(start - offset, size)]
+    # key = group * 2n + 2 * rank + label, group g = node g // f, feature slot g % f
+    key = codes.ravel()[r[:, None] * p + feats[node_of_row]] + (
+        np.arange(n_nodes * f).reshape(n_nodes, f) * (2 * n))[node_of_row]
+    key = key.ravel()
+    key.sort()
+    csum = np.zeros(len(key) + 1, dtype=np.int64)
+    np.cumsum(key & 1, out=csum[1:])
+
+    # group g fills sorted cells [gstart[g], gstart[g] + gsize[g])
+    gsize = np.repeat(size, f)
+    gstart = np.cumsum(gsize) - gsize
+    group_rank = key >> 1
+    cut = np.flatnonzero(group_rank[1:] > group_rank[:-1])  # last cell of each run of one value
+    g = group_rank[cut] // n
+    n_left = cut + 1 - gstart[g]
+    lo = max(min_leaf, 1)
+    keep = (n_left >= lo) & (gsize[g] - n_left >= lo)
+    cut, g, n_left = cut[keep], g[keep], n_left[keep]
+
+    found = np.zeros(n_nodes, dtype=bool)
+    feature = np.zeros(n_nodes, dtype=int)
+    thr = np.zeros(n_nodes)
+    left_size = np.zeros(n_nodes, dtype=int)
+    left_ones = np.zeros(n_nodes, dtype=int)
+    if not len(cut):
+        return found, feature, thr, left_size, left_ones
+
+    node = g // f
+    nl = n_left.astype(float)
+    sl = (csum[cut + 1] - csum[gstart[g]]).astype(float)
+    nr = gsize[g] - nl
+    sr = ones[node] - sl
+    score = sl * (nl - sl) / nl + sr * (nr - sr) / nr
+
+    # per node: the least score, then the least (position, feature) among its ties
+    new = np.empty(len(node), dtype=bool)
+    new[0] = True
+    np.not_equal(node[1:], node[:-1], out=new[1:])
+    bounds = np.flatnonzero(new)
+    best = np.minimum.reduceat(score, bounds)
+    tie = np.where(score == best[np.cumsum(new) - 1], n_left * f + (g - node * f), np.iinfo(np.int64).max)
+    tie = np.minimum.reduceat(tie, bounds)
+    s = node[bounds]
+    nl_best, k_best = np.divmod(tie, f)
+    first = gstart[s * f + k_best]
+    q = first + nl_best - 1
+    j = feats[s, k_best]
+    cut_rank = group_rank[q] % n
+    found[s] = True
+    feature[s] = j
+    thr[s] = trees._threshold(values[voff[s] + cut_rank, j], values[voff[s] + group_rank[q + 1] % n, j])
+    left_size[s] = nl_best
+    left_ones[s] = csum[q + 1] - csum[first]
+
+    # partition each cut node's rows on its chosen column alone, left child first
+    m = size[s]
+    first_of = np.repeat(np.cumsum(m) - m, m)
+    span = np.arange(len(first_of)) - first_of
+    base = np.repeat(start[s], m)
+    r = rows[base + span]
+    go_left = (codes.ravel()[r * p + np.repeat(j, m)] >> 1) <= np.repeat(cut_rank, m)
+    left_rank = np.cumsum(go_left) - go_left
+    left_rank -= left_rank[first_of]  # the node's left rows before this one
+    rows[base + np.where(go_left, left_rank, np.repeat(nl_best, m) + span - left_rank)] = r
+    return found, feature, thr, left_size, left_ones
+
+
 def block_values_along_axis(Xt, block):
     xs = np.take_along_axis(Xt, block, axis=1)
     return xs, xs[:, 1:] > xs[:, :-1]

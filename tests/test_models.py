@@ -351,6 +351,47 @@ class TestReplacedKernels:
         assert xs.tobytes() == want_xs.tobytes() and np.array_equal(valid, want_valid)
         assert trees._mse_split(block, xs, valid, target) == oracles.mse_split_transposed(block, xs, valid, target)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6), st.sampled_from([1, 2, 5, 12]),
+           st.integers(1, 8), st.sampled_from(["fits", "at 2**32", "past 2**32", "2**31"]))
+    def test_gini_batch_matches_the_int64_oracle(self, seed, n_fits, p, n_nodes, min_leaf, key_range):
+        # one to three fits stacked as _grow_forest stacks them, tied codes and
+        # constant columns, and nodes of bootstrap rows from 1 row up, so that
+        # some nodes have no admissible cut
+        rng = np.random.default_rng(seed)
+        fit_n = rng.integers(1, 40, size=n_fits)
+        fits = [_tied_design(int(rng.integers(2**32)), int(k), p) for k in fit_n]
+        fit_first = np.cumsum(fit_n) - fit_n
+        labels = np.concatenate([y for _, y in fits])
+        codes = np.zeros((len(labels), p), dtype=np.uint32)
+        values = np.zeros((len(labels), p))
+        for (X, y), lo in zip(fits, fit_first):
+            trees._value_codes(X, y, codes[lo : lo + len(y)], values[lo : lo + len(y)])
+        f = int(rng.integers(1, p + 1))
+        feats = np.array([np.sort(rng.choice(p, size=f, replace=False)) for _ in range(n_nodes)])
+        fit = rng.integers(0, n_fits, size=n_nodes)
+        size = rng.integers(1, 3 * fit_n[fit] + 1)
+        # each node's rows after a gap of up to two rows its search must leave alone
+        gap = rng.integers(0, 3, size=n_nodes)
+        start = np.cumsum(gap + size) - size
+        rows = rng.integers(0, len(labels), size=int((gap + size).sum()))
+        for s in range(n_nodes):
+            rows[start[s] : start[s] + size[s]] = rng.integers(0, fit_n[fit[s]], size=size[s]) + fit_first[fit[s]]
+        ones = np.array([int(labels[rows[a : a + m]].sum()) for a, m in zip(start, size)])
+        voff = fit_first[fit]
+        # every rank is below any n of at least the largest fit's rows; the keys
+        # are uint32 up to groups * 2n = 2**32 and int64 past it, and at n = 2**31
+        # (the most rows a fit's 32-bit codes hold) a second group's keys pass 2**32
+        edge = 2**32 // (2 * n_nodes * f)
+        n = {"fits": int(fit_n.max()), "at 2**32": edge, "past 2**32": edge + 1, "2**31": 2**31}[key_range]
+        args = (start, size, ones, feats, voff, min_leaf)
+        got_rows, want_rows = rows.copy(), rows.copy()
+        got = trees._gini_batch(codes, values, got_rows, n, *args)
+        want = oracles.gini_batch_int64(codes, values, want_rows, n, *args)
+        assert got_rows.tobytes() == want_rows.tobytes()
+        for name, a, b in zip(("found", "feature", "threshold", "left size", "left ones"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
 
 class TestRandomForest:
     def test_stump_predicts_bootstrap_prevalence(self, rng):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskfuse import cohort, folds, gof, survival, synth
+from riskfuse import cohort, folds, gof, pipeline, survival, synth
 from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
 from riskfuse.schema import Key
@@ -838,6 +838,35 @@ class TestCli:
         assert re.fullmatch(r"numeric error: gaussian bootstrap replicate 4 of 10 \(20 pairs\) has Kendall tau "
                             r"-?1\.0: gaussian fit requires \|tau\| < 1\n", err), err
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("family, step, rule", [("gaussian", 1, "|tau| < 1"), ("gaussian", -1, "|tau| < 1"),
+                                                    ("clayton", 1, "tau < 1"), ("gumbel", 1, "tau < 1")])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_gof_perfectly_ordered_sample_exits_four_naming_the_table(self, tmp_path, capsys, family, step, rule,
+                                                                       rows):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("p_clin,p_gen\n" + "".join(f"{i / 10},{0.5 + step * i / 10}\n" for i in range(1, rows + 1)))
+        argv = ["gof", "--scores", str(scores), "--family", family, "--B", "10", "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (f"numeric error: {scores}: the observed sample of {rows} pairs, not a "
+                                           f"bootstrap replicate, has Kendall tau {float(step)}: {family} fit "
+                                           f"requires {rule}\n")
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("family, rule", [("gaussian", "|tau| < 1"), ("clayton", "tau < 1"), ("gumbel", "tau < 1")])
+    def test_run_with_perfectly_ordered_scores_names_the_score_columns(self, tmp_path, capsys, monkeypatch, family,
+                                                                        rule):
+        # every model of both views scores the rows alike, so p_clin and p_gen have tau 1; on the tied
+        # AUCs each view selects the first family
+        monkeypatch.setattr(pipeline, "oof_scores", lambda view, y, *args, **kwargs: np.linspace(0.1, 0.9, len(y)))
+        cfg = write_synth(tmp_path, SynthParams(n=60, seed=3))
+        cfg["copula"]["families"] = [family]
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "c.json")]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric error: \[stage copula\] p_clin \(clinical elastic_net_lr\) and p_gen \(genomic "
+                            rf"elastic_net_lr\) have Kendall tau 1\.0 over \d+ rows: {family} fit requires "
+                            rf"{re.escape(rule)}\n", err), err
 
     @pytest.mark.parametrize("rows", [[], ["0.3,0.4"]], ids=["header-only", "one-row"])
     def test_gof_too_few_score_rows_exits_three(self, tmp_path, capsys, rows):
