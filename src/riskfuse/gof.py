@@ -121,8 +121,9 @@ def parametric_bootstrap(u, v, family: str, n_boot: int, seed: int) -> GofResult
     Each of the ``n_boot`` replicates has the sample's n pairs, is refitted by
     tau-inversion, and uses its own RNG stream keyed by (seed, family,
     replicate). A tau at which the family's fit clamps its parameter
-    (``fit_clamps``) still runs and is flagged degenerate. A replicate with
-    tau +-1, likely only for a small sample, raises a ``NumericError`` naming it.
+    (``fit_clamps``) still runs and is flagged degenerate. An observed sample
+    or a replicate with tau +-1, likely only for a small sample, raises a
+    ``NumericError`` naming it.
     """
     if n_boot < 1:
         raise NumericError("bootstrap requires at least one replicate")
@@ -134,7 +135,11 @@ def parametric_bootstrap(u, v, family: str, n_boot: int, seed: int) -> GofResult
 
     observed = rank_pass(u, v)  # one ranking for tau and the statistic
     tau_hat = observed.tau()
-    model_hat = fit_family(family, tau_hat)
+    try:
+        model_hat = fit_family(family, tau_hat)
+    except NumericError as exc:  # a perfectly ordered sample
+        raise NumericError(f"the observed sample of {n} pairs, not a bootstrap replicate, has Kendall tau "
+                           f"{tau_hat!r}: {exc}") from exc
     degenerate = fit_clamps(family, tau_hat)
     stat = cvm_statistic(u, v, model_hat, observed)
 

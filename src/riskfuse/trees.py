@@ -8,16 +8,22 @@ sorts a node's rows:
 
 - Boosting argsorts each column of X once per fit (stable) and keeps, per
   node, a (p, m) column block: the node's rows in each column's sorted order.
-  A child's block is its parent's block filtered by a stable boolean
-  partition. Node rows stay ascending, so a block equals the stable argsort
-  of the node's submatrix, and every prefix sum and score is the float the
-  node-by-node sort gave. Every round's root has the same block, so its
-  sorted values and admissible cuts are taken once per fit. A child at the
-  depth cap is a leaf and gets only its rows, no block. A node's split
-  takes, for each feature, the first position of its largest gain, then the
-  least of those positions among the features whose gain equals the node's
-  best, then the least such feature: the first best cut in (position,
-  feature) order, found without transposing the (p, m - 1) gain table.
+  A cut node's block and its rows split into the children with np.compress
+  over the flattened arrays, on each cell's flag taken from a per-row
+  left-child mask, so every block row keeps its order. Node rows stay
+  ascending, so a block equals the stable argsort of the node's submatrix,
+  and every prefix sum and score is the float the node-by-node sort gave. A
+  node's values come from one flat take on the contiguous transposed design,
+  at each block row's row numbers plus its column's offset, and its tied
+  positions from == of adjacent values. Every round's root has the same
+  block, so its values and tied positions are taken once per fit. A child
+  at the depth cap is a leaf and gets only its rows, no block. Gains are
+  scored at all m positions of contiguous (p, m) arrays; the last position,
+  which no cut follows, is tied and divides by a right count of 1. A node's
+  split takes, for each feature, the first position of its largest gain,
+  then the least of those positions among the features whose gain equals
+  the node's best, then the least such feature: the first best cut in
+  (position, feature) order, found without transposing the gain table.
 - The forest grows all its trees in lockstep, and fit_forests grows
   several forests of one design width (the folds of one out-of-fold run)
   in one lockstep. Each step pops one node from every tree's own
@@ -134,31 +140,44 @@ def _threshold(below, above):
 
 
 def _block_values(Xt, block):
-    """A (p, m) column block's values, and which of its m - 1 cuts fall
-    between distinct values: boosted leaves may hold one row, so every such
-    cut is admissible."""
-    xs = Xt[np.arange(len(block))[:, None], block]
-    return xs, xs[:, 1:] > xs[:, :-1]
+    """A (p, m) column block's values, from one flat take with each column's
+    row offset into the contiguous Xt, and which of its m positions are tied:
+    position i is tied when its cut falls between equal values, and the last
+    position always is, as no cut follows it. Boosted leaves may hold one
+    row, so every untied cut is admissible."""
+    p, n = Xt.shape
+    xs = Xt.ravel().take(block + np.arange(0, p * n, n)[:, None])
+    tied = np.empty(block.shape, dtype=bool)
+    np.equal(xs[:, 1:], xs[:, :-1], out=tied[:, :-1])
+    tied[:, -1] = True
+    return xs, tied
 
 
-def _mse_split(block, xs, valid, target):
+def _mse_split(block, xs, tied, target):
     """Best squared-error cut of one node from its (p, m) column block and
     _block_values, as (feature, position, threshold), or None when no cut is
     admissible. The best cut has the largest s_l^2 / n_l + s_r^2 / n_r, the
-    first in (position, feature) order among ties."""
-    if not valid.any():
+    first in (position, feature) order among ties.
+
+    Gains are scored at all m positions of contiguous (p, m) arrays. The
+    last position, with every row on the left, gets a right count of 1, so
+    that nothing divides by zero, and is always tied."""
+    if tied.all():
         return None
     p, m = block.shape
-    cs = np.cumsum(target[block], axis=1)
-    n_left = np.arange(1, m, dtype=float)
-    s_left = cs[:, :-1]
-    s_right = cs[:, -1:] - s_left
-    gain = s_left * s_left
+    cs = target.take(block)
+    np.cumsum(cs, axis=1, out=cs)
+    n_left = np.arange(1, m + 1, dtype=float)
+    n_right = m - n_left
+    n_right[-1] = 1.0
+    s_right = cs[:, -1:] - cs
+    gain = cs
+    gain *= gain
     gain /= n_left
     s_right *= s_right
-    s_right /= m - n_left
+    s_right /= n_right
     gain += s_right
-    np.copyto(gain, -np.inf, where=~valid)
+    np.copyto(gain, -np.inf, where=tied)
     # each feature's first best position, then the least position among the
     # features that reach the overall best, and the least such feature
     pos = gain.argmax(axis=1)
@@ -197,27 +216,28 @@ def _grow_boosted(Xt, presort, root_values, grad, hess, max_depth):
     stack = [(0, np.arange(n), presort, 0)]
     while stack:
         node, idx, block, depth = stack.pop()
-        gnode = grad[idx]
+        gnode = grad.take(idx)
         found = None
         if depth < depth_cap and len(idx) >= 2 and not np.all(gnode == gnode[0]):
             found = _mse_split(block, *(root_values if node == 0 else _block_values(Xt, block)), grad)
         if found is None:
-            value[node] = float(np.sum(gnode) / (np.sum(hess[idx]) + _NEWTON_EPS))
+            value[node] = float(np.sum(gnode) / (np.sum(hess.take(idx)) + _NEWTON_EPS))
             fitted[idx] = value[node]
             continue
         j, i, thr = found
         goes_left[block[j, : i + 1]] = True
-        in_idx = goes_left[idx]
+        in_idx = goes_left.take(idx)
         if depth + 1 < depth_cap:
-            in_block = goes_left[block]
-            blocks = block[~in_block].reshape(p, -1), block[in_block].reshape(p, -1)
+            cells = block.ravel()
+            in_block = goes_left.take(cells)
+            blocks = np.compress(~in_block, cells).reshape(p, -1), np.compress(in_block, cells).reshape(p, -1)
         else:  # both children are leaves, which read only their rows
             blocks = None, None
         goes_left[block[j, : i + 1]] = False
         left_id = _split_node(tree, node, j, thr)
         # push right first so the left child is grown first
-        stack.append((left_id + 1, idx[~in_idx], blocks[0], depth + 1))
-        stack.append((left_id, idx[in_idx], blocks[1], depth + 1))
+        stack.append((left_id + 1, np.compress(~in_idx, idx), blocks[0], depth + 1))
+        stack.append((left_id, np.compress(in_idx, idx), blocks[1], depth + 1))
     return _Tree(*tree), fitted
 
 
@@ -595,6 +615,12 @@ class GradientBoosting:
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
+        if not np.all((y == 0) | (y == 1)):
+            raise NumericError("gradient boosting labels must be 0 or 1")
+        if len(X) != len(y):
+            raise NumericError(f"gradient boosting design has {len(X)} rows for {len(y)} labels")
+        if not np.isfinite(X).all():
+            raise NumericError("gradient boosting features must be finite")
         Xt = np.ascontiguousarray(X.T)
         presort = np.argsort(Xt, axis=1, kind="stable")
         root_values = _block_values(Xt, presort)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,17 @@ class TestParametricBootstrap:
                                                rf"\({n} pairs\) has Kendall tau -?1\.0: {family} fit requires "
                                                r"[^;]*$"):
             parametric_bootstrap(u, v, family, n_boot=n_boot, seed=seed)
+
+    @pytest.mark.parametrize("family, step, rule", [("gaussian", 1, "|tau| < 1"), ("gaussian", -1, "|tau| < 1"),
+                                                    ("clayton", 1, "tau < 1"), ("gumbel", 1, "tau < 1")])
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_perfectly_ordered_sample_is_named(self, family, step, rule, n):
+        u = np.arange(1, n + 1) / (n + 1)
+        v = u if step == 1 else 1.0 - u
+        message = (f"the observed sample of {n} pairs, not a bootstrap replicate, has Kendall tau {float(step)}: "
+                   f"{family} fit requires {rule}")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            parametric_bootstrap(u, v, family, n_boot=10, seed=1)
 
     def test_power_direction_clayton_vs_gaussian_null(self):
         # data from the lower-tail family should look worse under the

@@ -348,8 +348,8 @@ class TestReplacedKernels:
         block = rows[np.argsort(Xt[:, rows], axis=1, kind="stable")]
         xs, valid = trees._block_values(Xt, block)
         want_xs, want_valid = oracles.block_values_along_axis(Xt, block)
-        assert xs.tobytes() == want_xs.tobytes() and np.array_equal(valid, want_valid)
-        assert trees._mse_split(block, xs, valid, target) == oracles.mse_split_transposed(block, xs, valid, target)
+        assert xs.tobytes() == want_xs.tobytes() and np.array_equal(valid, np.c_[~want_valid, np.ones(len(block), bool)])
+        assert trees._mse_split(block, xs, valid, target) == oracles.mse_split_transposed(block, xs, want_valid, target)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6), st.sampled_from([1, 2, 5, 12]),
@@ -499,6 +499,12 @@ def _same_trees(model, oracle):
             assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
 
 
+def _same_boosting(X, y, **gb):
+    model, oracle = GradientBoosting(**gb).fit(X, y), GradientBoostingOracle(**gb).fit(X, y)
+    _same_trees(model, oracle)
+    assert model.train_losses_ == oracle.train_losses_
+
+
 def _tied_design(seed, n, p):
     """Small-integer columns (heavy ties), a constant column at times, and
     near-duplicate values one part in 1e12 apart."""
@@ -531,6 +537,31 @@ def _metabric_width_design():
     X = np.column_stack([cont, small, *onehot])
     z = cont[:, 0] - 0.5 * small[:, 1] + X[:, 13] - X[:, 20] + 0.7 * rng.standard_normal(n)
     return X, (z > 0).astype(float)
+
+
+def _mixed_design(seed, n, p):
+    """p columns of four kinds: rounded continuous values (ties), small
+    integers (few values), 0/1 indicators and one-hot blocks of 2-5 levels.
+    At times the rows are drawn from a few distinct ones, so that deep nodes
+    hold rows equal in every column."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    while sum(block.shape[1] for block in blocks) < p:
+        kind = rng.integers(4)
+        if kind == 0:
+            blocks.append(np.round(rng.standard_normal((n, 1)), 1))
+        elif kind == 1:
+            blocks.append(rng.integers(0, rng.integers(2, 7), (n, 1)).astype(float))
+        elif kind == 2:
+            blocks.append((rng.uniform(size=(n, 1)) < rng.uniform(0.05, 0.95)).astype(float))
+        else:
+            k = rng.integers(2, 6)
+            blocks.append((rng.integers(0, k, n)[:, None] == np.arange(k)).astype(float))
+    X = np.column_stack(blocks)[:, :p]
+    if rng.random() < 0.3:
+        X = X[rng.integers(0, rng.integers(2, 12), n)]
+    y = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(float)
+    return X, y
 
 
 def _digest(model):
@@ -576,6 +607,15 @@ class TestTreeGrowth:
         rf = dict(n_trees=12, max_depth=None, mtry=None, min_leaf=5, seed=21)
         _same_trees(RandomForest(**rf).fit(X, y), RandomForestOracle(**rf).fit(X, y))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 300), st.integers(9, 60), st.sampled_from([None, 2, 3]),
+           st.integers(1, 8))
+    def test_boosting_at_workload_widths_matches_the_oracle(self, seed, n, p, max_depth, n_rounds):
+        _same_boosting(*_mixed_design(seed, n, p), n_rounds=n_rounds, learning_rate=0.5, max_depth=max_depth)
+
+    def test_metabric_width_boosting_matches_the_oracle(self):
+        _same_boosting(*_metabric_width_design(), n_rounds=10, learning_rate=0.5, max_depth=3)
+
     @pytest.mark.parametrize("cells", [1, 40, 700])
     def test_forest_batches_of_any_size_match_the_oracle(self, monkeypatch, cells):
         X, y = _tied_design(3, 120, 5)
@@ -605,6 +645,18 @@ class TestTreeGrowth:
             y[7] = 2.0 if bad == "label_two" else 0.5
         with pytest.raises(NumericError, match="random forest"):
             build("random_forest", n_trees=2, seed=1).fit(X, y)
+
+    @pytest.mark.parametrize("bad", ["nan_feature", "inf_feature", "label_two", "label_half", "short_labels"])
+    def test_boosting_rejects_non_finite_features_and_non_binary_labels(self, bad):
+        X, y = _frozen_design()
+        if bad in ("nan_feature", "inf_feature"):
+            X[7, 2] = np.nan if bad == "nan_feature" else np.inf
+        elif bad == "short_labels":
+            y = y[:-1]
+        else:
+            y[7] = 2.0 if bad == "label_two" else 0.5
+        with pytest.raises(NumericError, match="gradient boosting"):
+            build("gradient_boosting", n_rounds=2).fit(X, y)
 
 
 class TestEnsemblePrediction:
