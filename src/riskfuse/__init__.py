@@ -37,7 +37,7 @@ from .linear import ElasticNetLogistic
 from .metrics import roc_auc, roc_points
 from .pipeline import PipelineConfig, ReportBundle, run_pipeline
 from .preprocess import fit_preprocessor, transform
-from .scoring import CVRecord, ModelSpec, oof_scores, select_best_model
+from .scoring import CVRecord, ModelSpec, fold_designs, oof_scores, select_best_model
 from .survival import KMCurve, StratumAssignment, joint_strata, kaplan_meier, strata_km
 from .trees import GradientBoosting, RandomForest
 
@@ -82,6 +82,7 @@ __all__ = [
     "transform",
     "CVRecord",
     "ModelSpec",
+    "fold_designs",
     "oof_scores",
     "select_best_model",
     "KMCurve",

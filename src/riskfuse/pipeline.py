@@ -42,7 +42,7 @@ from .folds import stratified_kfold
 from .gof import GofResult, parametric_bootstrap, select_best_copula
 from .metrics import roc_auc, roc_points
 from .schema import Key
-from .scoring import CVRecord, DEFAULT_MODELS, MODEL_FAMILIES, ModelSpec, oof_scores, select_best_model
+from .scoring import CVRecord, DEFAULT_MODELS, MODEL_FAMILIES, ModelSpec, fold_designs, oof_scores, select_best_model
 from .seeding import hash_seed
 from .survival import StrataKMResult, StratumAssignment, joint_strata, strata_km
 from . import svgplot
@@ -162,10 +162,11 @@ def _scores(bundle: ReportBundle):
     except DataError as exc:
         raise DataError(f"{exc}; cv.k sets k") from exc
     for view_name, view in bundle.views.items():
+        designs = fold_designs(view, y, folds, bundle.patient_ids)
         records = []
         for family in MODEL_FAMILIES:
             spec = ModelSpec(family, config.models[family], hash_seed(config.cv["seed"], view_name, family))
-            scores = oof_scores(view, y, spec, folds, row_ids=bundle.patient_ids)
+            scores = oof_scores(view, y, spec, designs)
             bundle.oof[(view_name, family)] = scores
             records.append(CVRecord(view_name, spec, roc_auc(scores, y)))
         bundle.cv_records.extend(records)

@@ -4,19 +4,21 @@ Every probability comes from a model whose training folds excluded that
 patient; preprocessing is refit inside each fold. Fold work is canonicalized
 by row identifier so that permuting cohort rows permutes scores with them.
 
-Every fold's training design is made once, up front, after the fold
-preprocessors. The elastic-net and boosting fit and predict one fold at a
-time. The random forests of the k folds grow in shared locksteps
-(trees.fit_forests): folds whose designs have one width group together up
-to the lockstep cap. A lockstep's folds' test rows are transformed and
-predicted after it has grown, and its forests and training designs are
-dropped before the next lockstep grows. Every probability is the one a
-fold-by-fold fit gives.
+fold_designs makes a view's fold designs once: per fold one preprocessor,
+fitted on the fold's training rows, and the training and test designs it
+makes. oof_scores then fits and predicts one model family from them, so the
+three families of a view share every design. The elastic-net and boosting
+fit and predict one fold at a time. The random forests of the k folds grow
+in shared locksteps (trees.fit_forests): folds whose designs have one width
+group together up to the lockstep cap. A lockstep's forests predict their
+folds' test rows once it has grown and are dropped before the next lockstep
+grows. Every probability is the one a fold-by-fold fit gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +110,20 @@ def _fold_seed(spec: ModelSpec, f: int) -> int:
     return hash_seed(spec.seed, "fold", f)
 
 
-def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row_ids=None):
-    """Out-of-fold predicted probabilities for every row of the view."""
+class FoldDesign(NamedTuple):
+    """One fold of an out-of-fold run: its training and test rows, in row-id
+    order, and the designs its preprocessor makes of them."""
+    train: np.ndarray
+    test: np.ndarray
+    X_train: np.ndarray
+    X_test: np.ndarray
+
+
+def fold_designs(view: CohortTable, y, folds: FoldAssignment, row_ids=None) -> list[FoldDesign]:
+    """Each fold's rows and designs for out-of-fold scoring of the view: one
+    preprocessor per fold, fitted on its training rows, transforms both its
+    training and its test rows. Every model family of the view is scored
+    from the same designs (oof_scores)."""
     y = np.asarray(y, dtype=float)
     if view.n_rows != len(y):
         raise DataError("labels do not match the view row count")
@@ -120,33 +134,45 @@ def oof_scores(view: CohortTable, y, spec: ModelSpec, folds: FoldAssignment, row
         raise DataError("folds must cover every row exactly once")
     if row_ids is None:
         row_ids = np.arange(len(y))
+    elif len(row_ids) != len(y):
+        raise DataError("row_ids length does not match y")
     id_strings = np.array([str(r) for r in row_ids])
+    if len(np.unique(id_strings)) != len(y):
+        raise DataError("row_ids must be unique")
 
-    fold_rows = []
+    designs = []
     for f in range(folds.k):
         train, test = (rows[np.argsort(id_strings[rows], kind="stable")]
                        for rows in (folds.train_rows(f), folds.test_rows(f)))
         if len(np.unique(y[train])) < 2:
             raise DataError(f"fold {f}: training complement lacks one of the classes")
-        fold_rows.append((train, test))
-    pres = [fit_preprocessor(view, train) for train, _ in fold_rows]
-    designs = [transform(pre, view, train) for pre, (train, _) in zip(pres, fold_rows)]
+        pre = fit_preprocessor(view, train)
+        designs.append(FoldDesign(train, test, transform(pre, view, train), transform(pre, view, test)))
+    return designs
 
+
+def oof_scores(view: CohortTable, y, spec: ModelSpec, designs: list[FoldDesign]):
+    """Out-of-fold predicted probabilities for every row of the view, from
+    fold_designs(view, y, ...)."""
+    y = np.asarray(y, dtype=float)
+    if sum(len(d.test) for d in designs) != view.n_rows:
+        raise DataError("fold designs do not cover the view's rows")
     out = np.empty(len(y))
     if spec.family != "random_forest":
-        for f, ((train, test), pre, X) in enumerate(zip(fold_rows, pres, designs)):
-            model = fit_model(ModelSpec(spec.family, spec.hyperparameters, _fold_seed(spec, f)), X, y[train])
-            out[test] = model.predict_proba(transform(pre, view, test))
+        for f, d in enumerate(designs):
+            model = fit_model(ModelSpec(spec.family, spec.hyperparameters, _fold_seed(spec, f)), d.X_train, y[d.train])
+            out[d.test] = model.predict_proba(d.X_test)
         return out
 
     # the forests grow in locksteps, each predicted and dropped before the next
-    forests = [RandomForest(**_hyperparameters(spec), seed=_fold_seed(spec, f)) for f in range(folds.k)]
-    for group in lockstep_groups([(X.shape[1], forest.n_trees * len(X)) for X, forest in zip(designs, forests)]):
-        fit_forests([forests[f] for f in group], [y[fold_rows[f][0]] for f in group], [designs[f] for f in group])
+    forests = [RandomForest(**_hyperparameters(spec), seed=_fold_seed(spec, f)) for f in range(len(designs))]
+    for group in lockstep_groups([(d.X_train.shape[1], forest.n_trees * len(d.train))
+                                  for d, forest in zip(designs, forests)]):
+        fit_forests([forests[f] for f in group], [y[designs[f].train] for f in group],
+                    [designs[f].X_train for f in group])
         for f in group:
-            test = fold_rows[f][1]
-            out[test] = forests[f].predict_proba(transform(pres[f], view, test))
-            forests[f] = designs[f] = None
+            out[designs[f].test] = forests[f].predict_proba(designs[f].X_test)
+            forests[f] = None
     return out
 
 

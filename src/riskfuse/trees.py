@@ -47,8 +47,13 @@ sorts a node's rows:
   its threshold comes from the node's fit's rows of the value table. Gini
   prefix sums of 0/1 labels are exact integers and cuts fall only between
   distinct values, so neither the order of tied values nor the order of a
-  node's rows changes any score. Each node's ties are settled among only
-  the cuts that reach its least score. A cut node's rows are then
+  node's rows changes any score. Only boundary cuts are scored
+  (_boundary_cuts): a run end between two runs that hold only one label,
+  the same one, is never a node's best cut (Fayyad and Irani's boundary
+  points), unless it is its group's first or last admissible one. That
+  holds to the last bit for nodes of up to _PRUNE_ROWS = 2**12 rows, and a
+  larger node scores every admissible cut. Each node's ties are settled
+  among only the cuts that reach its least score. A cut node's rows are then
   partitioned on its chosen column alone, in place, left child first. The
   search works through the popped nodes in batches of about _SPLIT_CELLS
   cells, which bounds its memory whatever the forest's size. The trees'
@@ -80,6 +85,9 @@ _NEWTON_EPS = 1e-9
 # 5.2 MiB); 2**15 grew the benchmark workloads' forests faster than 2**14
 # and as fast as 2**16.
 _SPLIT_CELLS = 1 << 15
+# the largest node (rows) whose split search scores only boundary cuts
+# (_boundary_cuts); a larger node scores every admissible cut
+_PRUNE_ROWS = 1 << 12
 # split nodes' worth of uint32 draws each tree's stream is read ahead by
 _DRAW_NODES = 16
 # bootstrap rows (trees x training rows) one lockstep of forests holds at
@@ -256,6 +264,49 @@ def _value_codes(X, y, codes, values):
     codes += y.astype(codes.dtype)[:, None]
 
 
+def _boundary_cuts(key, gstart, gsize, n, lo):
+    """The cuts a Gini search scores, from its sorted keys and its groups'
+    cells: each as the position of its run end in key, its group and its
+    left count, in key order.
+
+    A run of one value in one group ends where adjacent keys differ above
+    the low bit. A run end is admissible when at least lo cells lie on each
+    side of it in its group, and is scored when it is admissible and
+    - the two runs around it do not both hold only one label, the same one;
+    - or it is its group's first or last admissible run end;
+    - or its group holds more than _PRUNE_ROWS cells.
+    With one label's count fixed, a node's Gini score is strictly concave in
+    its left count, so along a stretch of one-label runs it is least at the
+    ends of the stretch's admissible run ends, and each of those ends is
+    scored. The score's second difference there is at least 2 / m**3 for a
+    node of m rows, so a cut inside such a stretch trails its best by at
+    least 1 / m**3, more than the rounding of two scores while m is at most
+    _PRUNE_ROWS: dropping it changes neither a node's least score nor its
+    ties."""
+    # scored[c + 1] marks cell c as a scored run end; scored[0] catches the run end before the first cell
+    scored = np.zeros(len(key) + 1, dtype=bool)
+    step = key[1:] ^ key[:-1]
+    change = np.flatnonzero((step & 1).astype(bool))  # the label changes after these cells
+    at_end = step[change] > 1
+    scored[change[at_end] + 1] = True
+    # a run whose labels change inside it holds both: its ends either side are scored
+    mixed = key[change[~at_end]]  # each such run's least key, with label 0
+    scored[np.searchsorted(key, mixed)] = True
+    scored[np.searchsorted(key, mixed | 1, side="right")] = True
+    # each group's first and last admissible run end: the end of the run holding
+    # its lo-th cell, and the end before the run holding its lo-th cell from the end
+    wide = 2 * lo <= gsize
+    scored[np.searchsorted(key, key[(gstart + lo - 1)[wide]] | 1, side="right")] = True
+    scored[np.searchsorted(key, key[(gstart + gsize - lo)[wide]] >> 1 << 1)] = True
+    if gsize.max(initial=0) > _PRUNE_ROWS:
+        scored[1:-1] |= (step > 1) & np.repeat(gsize > _PRUNE_ROWS, gsize)[:-1]
+    cut = np.flatnonzero(scored[1:])
+    g = key[cut] // np.int64(2 * n)  # int64: it indexes faster than uint32, and 2n may be 2**32
+    n_left = cut + 1 - gstart[g]
+    admissible = (n_left >= lo) & (gsize[g] - n_left >= lo)
+    return tuple(np.compress(admissible, a) for a in (cut, g, n_left))
+
+
 def _gini_batch(codes, values, rows, n, start, size, ones, feats, voff, min_leaf):
     """Best Gini cut of each of a batch of nodes.
 
@@ -286,12 +337,7 @@ def _gini_batch(codes, values, rows, n, start, size, ones, feats, voff, min_leaf
     # group g fills sorted cells [gstart[g], gstart[g] + gsize[g])
     gsize = np.repeat(size, f)
     gstart = np.cumsum(gsize) - gsize
-    cut = np.flatnonzero((key[1:] ^ key[:-1]) > 1)  # last cell of each run of one value
-    g = key[cut] // np.int64(2 * n)  # int64: it indexes faster than uint32, and 2n may be 2**32
-    n_left = cut + 1 - gstart[g]
-    lo = max(min_leaf, 1)
-    keep = (n_left >= lo) & (gsize[g] - n_left >= lo)
-    cut, g, n_left = cut[keep], g[keep], n_left[keep]
+    cut, g, n_left = _boundary_cuts(key, gstart, gsize, n, max(min_leaf, 1))
 
     found = np.zeros(n_nodes, dtype=bool)
     feature = np.zeros(n_nodes, dtype=int)

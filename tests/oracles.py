@@ -863,6 +863,117 @@ def gini_batch_int64(codes, values, rows, n, start, size, ones, feats, voff, min
     return found, feature, thr, left_size, left_ones
 
 
+# The Gini search before it scored only boundary cuts: every admissible run
+# end of every group. Kept as it was.
+
+
+def gini_batch_all_cuts(codes, values, rows, n, start, size, ones, feats, voff, min_leaf):
+    """trees._gini_batch scoring every admissible run end: the best Gini
+    cut of each of a batch of nodes.
+
+    Node s holds rows[start[s] : start[s] + size[s]] (row numbers of codes)
+    with ones[s] positive labels, and may cut on the features feats[s]. Its
+    fit's ranks run below n and its distinct values are values[voff[s] :].
+    Returns, per node, whether a cut was found, its feature, threshold, left
+    size and left positive count. Each cut node's rows are reordered in
+    place so that its left child's rows come first.
+    """
+    p = codes.shape[1]
+    n_nodes, f = feats.shape
+    # key = group * 2n + 2 * rank + label, group g = node g // f, feature slot g % f;
+    # every key is below groups * 2n, so 32 bits hold them while that fits
+    dtype = np.uint32 if n_nodes * f * 2 * n <= 1 << 32 else np.int64
+    offset = np.cumsum(size) - size
+    r = rows[np.arange(int(size.sum())) + np.repeat(start - offset, size)]
+    cell = np.repeat(feats, size, axis=0)
+    cell += (r * p)[:, None]
+    key = np.repeat((np.arange(n_nodes * f) * (2 * n)).astype(dtype).reshape(n_nodes, f), size, axis=0)
+    key += codes.ravel()[cell]
+    del cell
+    key = key.ravel()
+    key.sort()
+    csum = np.zeros(len(key) + 1, dtype=dtype)
+    np.cumsum(key & 1, out=csum[1:])
+
+    # group g fills sorted cells [gstart[g], gstart[g] + gsize[g])
+    gsize = np.repeat(size, f)
+    gstart = np.cumsum(gsize) - gsize
+    cut = np.flatnonzero((key[1:] ^ key[:-1]) > 1)  # last cell of each run of one value
+    g = key[cut] // np.int64(2 * n)  # int64: it indexes faster than uint32, and 2n may be 2**32
+    n_left = cut + 1 - gstart[g]
+    lo = max(min_leaf, 1)
+    keep = (n_left >= lo) & (gsize[g] - n_left >= lo)
+    cut, g, n_left = cut[keep], g[keep], n_left[keep]
+
+    found = np.zeros(n_nodes, dtype=bool)
+    feature = np.zeros(n_nodes, dtype=int)
+    thr = np.zeros(n_nodes)
+    left_size = np.zeros(n_nodes, dtype=int)
+    left_ones = np.zeros(n_nodes, dtype=int)
+    if not len(cut):
+        return found, feature, thr, left_size, left_ones
+
+    node = g // f
+    nl = n_left.astype(float)
+    sl = (csum[cut + 1] - csum[gstart[g]]).astype(float)
+    nr = gsize[g] - nl
+    sr = ones[node] - sl
+    score = sl * (nl - sl) / nl + sr * (nr - sr) / nr
+
+    # per node: the least score, then the least (position, feature) among the cuts that reach it
+    new = np.empty(len(node), dtype=bool)
+    new[0] = True
+    np.not_equal(node[1:], node[:-1], out=new[1:])
+    bounds = np.flatnonzero(new)
+    best = np.minimum.reduceat(score, bounds)
+    tied = np.flatnonzero(score == np.repeat(best, np.diff(bounds, append=len(node))))
+    tie = np.minimum.reduceat(n_left[tied] * f + g[tied] % f, np.flatnonzero(np.diff(node[tied], prepend=-1)))
+    s = node[bounds]
+    nl_best, k_best = np.divmod(tie, f)
+    first = gstart[s * f + k_best]
+    q = first + nl_best - 1
+    j = feats[s, k_best]
+    cut_rank = (key[q] >> 1) % n
+    found[s] = True
+    feature[s] = j
+    thr[s] = trees._threshold(values[voff[s] + cut_rank, j], values[voff[s] + (key[q + 1] >> 1) % n, j])
+    left_size[s] = nl_best
+    left_ones[s] = csum[q + 1] - csum[first]
+
+    # partition each cut node's rows on its chosen column alone, left child first
+    m = size[s]
+    first_of = np.repeat(np.cumsum(m) - m, m)
+    span = np.arange(len(first_of)) - first_of
+    base = np.repeat(start[s], m)
+    r = rows[base + span]
+    go_left = (codes.ravel()[r * p + np.repeat(j, m)] >> 1) <= np.repeat(cut_rank, m)
+    left_rank = np.cumsum(go_left) - go_left
+    left_rank -= left_rank[first_of]  # the node's left rows before this one
+    rows[base + np.where(go_left, left_rank, np.repeat(nl_best, m) + span - left_rank)] = r
+    return found, feature, thr, left_size, left_ones
+
+
+def boundary_cuts_brute(key, gsize, lo, guard):
+    """(position in key, group, left count) of each run end that
+    trees._boundary_cuts scores, in key order, from its definition: group by
+    group and run by run, reading each run's labels off its keys' low bits."""
+    out, first = [], 0
+    for g, m in enumerate(gsize.tolist()):
+        cells = [int(k) for k in key[first : first + m]]
+        runs, a = [], 0  # each run of one value as [first cell, last cell] in the group
+        for i in range(1, m + 1):
+            if i == m or cells[i] >> 1 != cells[a] >> 1:
+                runs.append((a, i - 1))
+                a = i
+        admissible = [r for r in range(len(runs) - 1) if lo <= runs[r][1] + 1 <= m - lo]
+        for r in admissible:
+            labels = {cells[i] & 1 for i in range(runs[r][0], runs[r + 1][1] + 1)}
+            if len(labels) == 2 or r in (admissible[0], admissible[-1]) or m > guard:
+                out.append((first + runs[r][1], g, runs[r][1] + 1))
+        first += m
+    return out
+
+
 def block_values_along_axis(Xt, block):
     xs = np.take_along_axis(Xt, block, axis=1)
     return xs, xs[:, 1:] > xs[:, :-1]

@@ -29,7 +29,7 @@ from riskfuse.folds import stratified_kfold
 from riskfuse.gof import empirical_copula, parametric_bootstrap, select_best_copula
 from riskfuse.metrics import roc_auc
 from riskfuse.pipeline import PipelineConfig, run_pipeline
-from riskfuse.scoring import ModelSpec, oof_scores
+from riskfuse.scoring import ModelSpec, fold_designs, oof_scores
 from riskfuse.survival import kaplan_meier
 from riskfuse.synth import SynthParams, write_synth
 
@@ -195,12 +195,12 @@ def test_c6_ml_sanity():
         view = CohortTable(tuple(Column(f"f{j}", "numeric", Xn[:, j].copy()) for j in range(6)), n)
         folds = stratified_kfold(yn, k=5, seed=2)
         for spec in specs:
-            scores = oof_scores(view, yn, spec, folds)
+            scores = oof_scores(view, yn, spec, fold_designs(view, yn, folds))
             base = scores.copy()
             for i in (0, 250, 499):
                 y_pert = yn.copy()
                 y_pert[i] = 1 - y_pert[i]
-                assert oof_scores(view, y_pert, spec, folds)[i] == base[i], spec.family
+                assert oof_scores(view, y_pert, spec, fold_designs(view, y_pert, folds))[i] == base[i], spec.family
             auc = roc_auc(scores, yn)
             assert 0.40 <= auc <= 0.60, f"{spec.family} null AUC {auc:.3f}"
 

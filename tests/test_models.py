@@ -393,6 +393,90 @@ class TestReplacedKernels:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def _stretch_design(seed, n, p):
+    """Labels in a few long one-label stretches along one hidden order of the
+    rows, and p columns over that order: its ranks, ranks tied a few rows at
+    a time, two values, the ranks reversed, or a few values at random."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat(rng.integers(0, 2, size=n), rng.integers(1, max(2, n // 2), size=n))[:n].astype(float)
+    order = np.arange(n, dtype=float)
+    columns = []
+    for kind in rng.integers(0, 5, size=p):
+        columns.append([order, order // rng.integers(2, 6), (order >= rng.integers(0, n + 1)).astype(float), -order,
+                        rng.integers(0, 4, size=n).astype(float)][kind])
+    perm = rng.permutation(n)
+    return np.column_stack(columns)[perm], y[perm]
+
+
+class TestBoundaryCuts:
+    """The Gini search scores only boundary cuts, and finds what scoring
+    every admissible cut found, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 5), st.sampled_from([1, 2, 6]),
+           st.floats(0, 1 / 3), st.booleans(), st.sampled_from(["fits", "past 2**32"]))
+    def test_matches_the_every_cut_search(self, seed, n_fits, p, n_nodes, leaf_share, every_feature, key_range):
+        # long one-label stretches that a min_leaf of up to a third of the
+        # largest node cuts into, on distinct, tied and two-valued columns
+        rng = np.random.default_rng(seed)
+        fit_n = rng.integers(2, 80, size=n_fits)
+        fits = [_stretch_design(int(rng.integers(2**32)), int(k), p) for k in fit_n]
+        fit_first = np.cumsum(fit_n) - fit_n
+        labels = np.concatenate([y for _, y in fits])
+        codes = np.zeros((len(labels), p), dtype=np.uint32)
+        values = np.zeros((len(labels), p))
+        for (X, y), lo in zip(fits, fit_first):
+            trees._value_codes(X, y, codes[lo : lo + len(y)], values[lo : lo + len(y)])
+        f = p if every_feature else int(rng.integers(1, p + 1))
+        feats = np.array([np.sort(rng.choice(p, size=f, replace=False)) for _ in range(n_nodes)])
+        fit = rng.integers(0, n_fits, size=n_nodes)
+        # a node holds its fit's rows once each, or a bootstrap sample of them
+        whole = rng.random(n_nodes) < 0.5
+        size = np.where(whole, fit_n[fit], rng.integers(1, 2 * fit_n[fit] + 1))
+        rows = np.concatenate([(rng.permutation(m) if w else rng.integers(0, fit_n[k], size=m)) + fit_first[k]
+                               for k, m, w in zip(fit, size, whole)])
+        start = np.cumsum(size) - size
+        ones = np.array([int(labels[rows[a : a + m]].sum()) for a, m in zip(start, size)])
+        min_leaf = max(1, int(leaf_share * size.max()))
+        n = {"fits": int(fit_n.max()), "past 2**32": 2**32 // (2 * n_nodes * f) + 1}[key_range]
+        args = (start, size, ones, feats, fit_first[fit], min_leaf)
+        got_rows, want_rows = rows.copy(), rows.copy()
+        got = trees._gini_batch(codes, values, got_rows, n, *args)
+        want = oracles.gini_batch_all_cuts(codes, values, want_rows, n, *args)
+        assert got_rows.tobytes() == want_rows.tobytes()
+        for name, a, b in zip(("found", "feature", "threshold", "left size", "left ones"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12), st.sampled_from([None, 0, 20]),
+           st.sampled_from([np.uint32, np.int64]))
+    def test_scored_cuts_are_the_boundary_cuts(self, seed, n_groups, lo, guard, dtype):
+        # groups of sorted keys with tied values and long one-label stretches,
+        # some of them above the row guard (None keeps the module's)
+        rng = np.random.default_rng(seed)
+        n = 64
+        gsize = rng.integers(1, 60, size=n_groups)
+        key = np.concatenate([np.sort(g * 2 * n + 2 * rng.integers(0, rng.integers(1, n + 1), size=m)
+                                      + np.repeat(rng.integers(0, 2, size=m), rng.integers(1, m + 1, size=m))[:m])
+                              for g, m in enumerate(gsize)]).astype(dtype)
+        gstart = np.cumsum(gsize) - gsize
+        guard = trees._PRUNE_ROWS if guard is None else guard
+        with mock.patch.object(trees, "_PRUNE_ROWS", guard):
+            got = trees._boundary_cuts(key, gstart, gsize, n, lo)
+        assert list(zip(*(a.tolist() for a in got))) == oracles.boundary_cuts_brute(key, gsize, lo, guard)
+
+    def test_a_forest_above_the_row_guard_matches_the_every_cut_search(self, monkeypatch):
+        X, y = _stretch_design(8, 4500, 3)  # 41% ones
+        rf = dict(n_trees=2, max_depth=4, mtry=None, min_leaf=5, seed=3)
+        largest = []
+        scored = trees._boundary_cuts
+        monkeypatch.setattr(trees, "_boundary_cuts", lambda *args: largest.append(args[2].max()) or scored(*args))
+        model = RandomForest(**rf).fit(X, y)
+        assert max(largest) > trees._PRUNE_ROWS  # each root's 4,500 bootstrap rows
+        monkeypatch.setattr(trees, "_gini_batch", oracles.gini_batch_all_cuts)
+        _same_trees(model, RandomForest(**rf).fit(X, y))
+
+
 class TestRandomForest:
     def test_stump_predicts_bootstrap_prevalence(self, rng):
         X = rng.standard_normal((50, 2))

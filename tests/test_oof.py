@@ -7,7 +7,7 @@ from riskfuse.cohort import CohortTable, Column
 from riskfuse.errors import DataError, NumericError
 from riskfuse.folds import FoldAssignment, stratified_kfold
 from riskfuse.metrics import roc_auc
-from riskfuse.scoring import MODEL_FAMILIES, CVRecord, ModelSpec, oof_scores, select_best_model
+from riskfuse.scoring import MODEL_FAMILIES, CVRecord, ModelSpec, fold_designs, oof_scores, select_best_model
 
 from oracles import oof_scores_per_fold
 
@@ -32,7 +32,7 @@ def test_every_row_scored_exactly_once(small_problem):
     view, y = small_problem
     folds = stratified_kfold(y, k=5, seed=0)
     spec = ModelSpec("elastic_net_lr", {"lam": 0.05}, seed=1)
-    scores = oof_scores(view, y, spec, folds)
+    scores = oof_scores(view, y, spec, fold_designs(view, y, folds))
     assert scores.shape == (60,)
     assert np.all((scores >= 0) & (scores <= 1))
 
@@ -41,22 +41,22 @@ def test_perturbing_own_label_does_not_move_own_score(small_problem):
     view, y = small_problem
     folds = stratified_kfold(y, k=5, seed=0)
     spec = ModelSpec("gradient_boosting", {"n_rounds": 15, "max_depth": 2}, seed=1)
-    base = oof_scores(view, y, spec, folds)
+    base = oof_scores(view, y, spec, fold_designs(view, y, folds))
     for i in (3, 27, 59):
         y_pert = y.copy()
         y_pert[i] = 1 - y_pert[i]
-        assert oof_scores(view, y_pert, spec, folds)[i] == base[i]
+        assert oof_scores(view, y_pert, spec, fold_designs(view, y_pert, folds))[i] == base[i]
 
 
 def test_permuting_rows_permutes_scores(rng, small_problem):
     view, y = small_problem
     ids = np.array([f"r{i:03d}" for i in range(60)])
     spec = ModelSpec("elastic_net_lr", {"lam": 0.05}, seed=1)
-    base = oof_scores(view, y, spec, stratified_kfold(y, 5, 0, row_ids=ids), row_ids=ids)
+    base = oof_scores(view, y, spec, fold_designs(view, y, stratified_kfold(y, 5, 0, row_ids=ids), ids))
     perm = rng.permutation(60)
     view_p = CohortTable(tuple(Column(c.name, c.kind, c.values[perm]) for c in view.columns), 60)
     moved = oof_scores(
-        view_p, y[perm], spec, stratified_kfold(y[perm], 5, 0, row_ids=ids[perm]), row_ids=ids[perm]
+        view_p, y[perm], spec, fold_designs(view_p, y[perm], stratified_kfold(y[perm], 5, 0, row_ids=ids[perm]), ids[perm])
     )
     assert np.array_equal(moved, base[perm])
 
@@ -67,7 +67,7 @@ def test_null_labels_give_chance_level_auc(rng):
     view = numeric_view(X)
     folds = stratified_kfold(y, k=5, seed=2)
     spec = ModelSpec("elastic_net_lr", {"lam": 0.05}, seed=3)
-    auc = roc_auc(oof_scores(view, y, spec, folds), y)
+    auc = roc_auc(oof_scores(view, y, spec, fold_designs(view, y, folds)), y)
     assert 0.35 <= auc <= 0.65
 
 
@@ -78,7 +78,18 @@ def test_incomplete_folds_rejected(small_problem):
     orphaned[:3] = 99  # these rows never appear in any test fold
     broken = type(folds)(fold_of=orphaned, k=5)
     with pytest.raises(DataError, match="exactly once"):
-        oof_scores(view, y, ModelSpec("elastic_net_lr", {"lam": 0.1}), broken)
+        oof_scores(view, y, ModelSpec("elastic_net_lr", {"lam": 0.1}), fold_designs(view, y, broken))
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([f"r{i}" for i in range(59)], "row_ids length does not match y"),
+    ([f"r{i}" for i in range(61)], "row_ids length does not match y"),
+    ([f"r{i}" for i in range(59)] + ["r0"], "row_ids must be unique"),
+])
+def test_row_ids_are_checked_where_the_folds_are_made(small_problem, ids, message):
+    view, y = small_problem
+    with pytest.raises(DataError, match=message):
+        fold_designs(view, y, stratified_kfold(y, k=5, seed=0), ids)
 
 
 def test_select_best_model_prefers_auc_then_family_order():
@@ -159,7 +170,7 @@ class TestForestLocksteps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trees, "_LOCKSTEP_ROWS", cap)
             calls = _spied_locksteps(mp)
-            scores = oof_scores(view, y, spec, folds)
+            scores = oof_scores(view, y, spec, fold_designs(view, y, folds))
             assert _within_cap(calls)
         assert sum(len(fits) for fits in calls) == (k if family == "random_forest" else 0)
         assert np.array_equal(scores, expected)
@@ -170,7 +181,7 @@ class TestForestLocksteps:
         rare = np.flatnonzero(view.columns[2].values == "rare")[0]
         spec = ModelSpec("random_forest", {"n_trees": 7, "min_leaf": 2}, seed=3)
         calls = _spied_locksteps(monkeypatch)
-        scores = oof_scores(view, y, spec, folds)
+        scores = oof_scores(view, y, spec, fold_designs(view, y, folds))
         assert sorted(len(fits) for fits in calls) == [1, 3]
         alone = next(fits for fits in calls if len(fits) == 1)
         assert alone == [(len(folds.train_rows(folds.fold_of[rare])), 7)]
@@ -187,7 +198,7 @@ class TestForestLocksteps:
         for n_trees, locksteps in ((300, 5), (15, 1)):
             calls.clear()
             spec = ModelSpec("random_forest", {"n_trees": n_trees, "max_depth": 1}, seed=1)
-            scores = oof_scores(view, y, spec, folds)
+            scores = oof_scores(view, y, spec, fold_designs(view, y, folds))
             assert len(calls) == locksteps and _within_cap(calls)
             assert np.array_equal(scores, oof_scores_per_fold(view, y, spec, folds))
 

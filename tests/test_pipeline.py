@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskfuse import cohort, folds, gof, pipeline, survival, synth
+from riskfuse import cohort, folds, gof, pipeline, scoring, survival, synth
 from riskfuse.cli import _build_parser, main
 from riskfuse.errors import ConfigError
 from riskfuse.schema import Key
@@ -73,6 +73,23 @@ def synth_run(tmp_path_factory):
     config = PipelineConfig.from_dict(cfg)
     bundle = run_pipeline(config)
     return cfg, config, bundle
+
+
+def test_each_view_fits_one_preprocessor_per_fold(tmp_path, monkeypatch):
+    # every model family of a view is scored from the same fold designs: per
+    # view and fold one preprocessor, one training and one test design
+    cfg = write_synth(tmp_path, SynthParams(n=120, n_genes=8, seed=3))
+    cfg["models"] = dict(FAST_MODELS)
+    cfg["cv"]["k"] = 5
+    calls = {"fit_preprocessor": 0, "transform": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(scoring, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(scoring, name, counted)
+    bundle = run_pipeline(PipelineConfig.from_dict(cfg), stop_after="scores", emit=False)
+    assert len(bundle.views) == 2 and len(bundle.oof) == 6
+    assert calls == {"fit_preprocessor": 10, "transform": 20}
 
 
 def _half_then_fail(only):
