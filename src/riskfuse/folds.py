@@ -1,4 +1,8 @@
-"""Deterministic stratified k-fold assignment keyed to stable row identifiers."""
+"""Deterministic stratified k-fold assignment keyed to stable row identifiers.
+
+Row ids are read as strings (row_id_strings), as the fold hash and
+scoring.fold_designs' id order read them, so 1 and "1" are one id.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +26,19 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of != fold)
 
 
+def row_id_strings(row_ids, n: int) -> np.ndarray:
+    """The row ids as strings, np.arange(n)'s when ``row_ids`` is None; a
+    DataError unless there are n of them and no two read alike."""
+    if row_ids is None:
+        return np.arange(n).astype(str)
+    if len(row_ids) != n:
+        raise DataError("row_ids length does not match y")
+    ids = np.array([str(r) for r in row_ids], dtype=str)
+    if len(np.unique(ids)) != n:
+        raise DataError("row_ids must be unique")
+    return ids
+
+
 def stratified_kfold(y, k: int, seed: int, row_ids=None) -> FoldAssignment:
     """Assign rows to k folds, balancing each class to within one row per fold.
 
@@ -39,15 +56,7 @@ def stratified_kfold(y, k: int, seed: int, row_ids=None) -> FoldAssignment:
     counts = {c: int(np.sum(y == c)) for c in classes}
     if k > min(counts.values()):
         raise DataError(f"k={k} exceeds the smallest class count {min(counts.values())}")
-
-    if row_ids is None:
-        row_ids = np.arange(n)
-    else:
-        row_ids = np.asarray(row_ids, dtype=object)
-        if len(row_ids) != n:
-            raise DataError("row_ids length does not match y")
-        if len(set(row_ids)) != n:
-            raise DataError("row_ids must be unique")
+    row_ids = row_id_strings(row_ids, n)
 
     fold_of = np.empty(n, dtype=int)
     for c in classes:

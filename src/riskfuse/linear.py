@@ -19,6 +19,7 @@ most. A proximal term, _DAMPING/2 * sum_j Q_jj (v_j - v0_j)^2, keeps every
 active block nonsingular when its columns are collinear or, under the lasso,
 outnumber the rows; it changes the steps, not the points where they stop. A
 column that is all zero and has no ridge term keeps a zero coefficient.
+A fit and lambda_grid check their input with errors.check_training_data.
 
 Proximal Newton needs step-size control to converge from any start (Lee, Sun
 & Saunders 2014, SIAM J. Optim. 24(3)): when the step's minimizer raises the
@@ -42,12 +43,13 @@ import warnings
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, check_training_data
 
 _KKT_TOL = 1e-12  # largest optimality-condition violation of a converged fit, in column scales
 _DAMPING = 1e-10  # each step's proximal term, relative to Q's diagonal
 _RISE_TOL = 1e-14  # largest objective rise a step may make by rounding, relative to max(1, objective)
 _MAX_HALVINGS = 50  # step halvings before a fit stops as not converged
+_MODEL = "elastic-net logistic regression"  # the name its errors and warnings give
 
 
 def _sigmoid(z):
@@ -162,8 +164,7 @@ class ElasticNetLogistic:
         has not converged after ``max_iter`` Newton steps warns and keeps the
         iterate with the lowest objective.
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = check_training_data(X, y, _MODEL)
         n, p = X.shape
         v = np.empty(p + 1)  # (intercept, coefficients)
         if start is None:
@@ -223,7 +224,7 @@ class ElasticNetLogistic:
             steps += 1
 
         if not self.converged_:
-            warnings.warn("elastic-net logistic regression did not converge; returning best iterate")
+            warnings.warn(f"{_MODEL} did not converge; returning best iterate")
         self.coef_ = best_v[1:].copy()
         self.intercept_ = float(best_v[0])
         self.n_iter_ = steps
@@ -236,8 +237,7 @@ class ElasticNetLogistic:
 
 def lambda_grid(X, y, alpha, n_points):
     """Log-spaced penalty grid from the smallest all-zero lam down 3 decades."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = check_training_data(X, y, _MODEL)
     n = len(y)
     resid = y - y.mean()
     lam_max = float(np.max(np.abs(X.T @ resid)) / (n * max(alpha, 1e-3)))

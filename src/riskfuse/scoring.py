@@ -25,7 +25,7 @@ import numpy as np
 from . import schema
 from .cohort import CohortTable
 from .errors import ConfigError, DataError
-from .folds import FoldAssignment, stratified_kfold
+from .folds import FoldAssignment, row_id_strings, stratified_kfold
 from .linear import ElasticNetLogistic, lambda_grid
 from .metrics import roc_auc
 from .preprocess import fit_preprocessor, transform
@@ -132,13 +132,7 @@ def fold_designs(view: CohortTable, y, folds: FoldAssignment, row_ids=None) -> l
         seen[folds.test_rows(f)] += 1
     if not np.all(seen == 1):
         raise DataError("folds must cover every row exactly once")
-    if row_ids is None:
-        row_ids = np.arange(len(y))
-    elif len(row_ids) != len(y):
-        raise DataError("row_ids length does not match y")
-    id_strings = np.array([str(r) for r in row_ids])
-    if len(np.unique(id_strings)) != len(y):
-        raise DataError("row_ids must be unique")
+    id_strings = row_id_strings(row_ids, len(y))
 
     designs = []
     for f in range(folds.k):

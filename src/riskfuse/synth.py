@@ -138,22 +138,29 @@ def generate_cohort(params: SynthParams):
 
     header = ["patient_id", *CLINICAL_COLUMNS, *(f"g{j + 1:03d}_exp" for j in range(params.n_genes)),
               *SURVIVAL_COLUMNS]
-    rows = []
-    for i in range(params.n):
-        row = [
-            f"P{i + 1:05d}",
-            f"{age[i]:.3f}",
-            "" if miss_ts[i] else f"{tumor_size[i]:.3f}",
-            f"{node_burden[i]:.3f}",
-            f"{prognostic_index[i]:.3f}",
-            f"{marker_noise[i]:.3f}",
-            "" if miss_grade[i] else grade[i],
-            receptor[i],
-            center[i],
-        ]
-        row += [f"{gene_cols[j][i]:.4f}" for j in range(params.n_genes)]
-        row += [f"{t_obs[i]:.0f}", str(overall_death[i]), status[i]]
-        rows.append(row)
+
+    def cells(values, spec=""):  # one column's cells, formatted from Python numbers
+        return [format(x, spec) for x in values.tolist()]
+
+    def columns():  # one at a time, so the rows are the only table of cells held
+        yield cells(age, ".3f")
+        yield np.where(miss_ts, "", cells(tumor_size, ".3f")).tolist()
+        yield cells(node_burden, ".3f")
+        yield cells(prognostic_index, ".3f")
+        yield cells(marker_noise, ".3f")
+        yield np.where(miss_grade, "", grade).tolist()
+        yield receptor.tolist()
+        yield center.tolist()
+        for g in gene_cols:
+            yield cells(g, ".4f")
+        yield cells(t_obs, ".0f")
+        yield cells(overall_death)
+        yield status.tolist()
+
+    rows = [[f"P{i + 1:05d}"] for i in range(params.n)]
+    for column in columns():
+        for row, cell in zip(rows, column):
+            row.append(cell)
     return header, rows
 
 

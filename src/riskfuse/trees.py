@@ -67,6 +67,8 @@ sorts a node's rows:
 Both ensembles predict in one walk over all their trees (_predict_all), and
 add the trees' predictions in tree order, so a probability is the float a
 tree-by-tree sum gives.
+
+Every fit checks its input with errors.check_training_data.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, check_training_data
 from .seeding import stream_rng
 
 _NEWTON_EPS = 1e-9
@@ -583,15 +585,7 @@ def fit_forests(forests, labels, designs):
 
     The forests must share mtry, min_leaf and max_depth, and their designs
     one width."""
-    labels = [np.asarray(y, dtype=float) for y in labels]
-    designs = [np.asarray(X, dtype=float) for X in designs]
-    if not all(np.all((y == 0) | (y == 1)) for y in labels):
-        raise NumericError("random forest labels must be 0 or 1")
-    for X, y in zip(designs, labels):
-        if len(X) != len(y):
-            raise NumericError(f"random forest design has {len(X)} rows for {len(y)} labels")
-        if not np.isfinite(X).all():
-            raise NumericError("random forest features must be finite")
+    designs, labels = zip(*(check_training_data(X, y, "random forest") for X, y in zip(designs, labels)))
     if len({X.shape[1] for X in designs}) > 1:
         raise NumericError("the forests of one lockstep must share their width")
     for name in ("mtry", "min_leaf", "max_depth"):
@@ -659,14 +653,7 @@ class GradientBoosting:
         return float(np.mean(np.logaddexp(0.0, -margin)))
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not np.all((y == 0) | (y == 1)):
-            raise NumericError("gradient boosting labels must be 0 or 1")
-        if len(X) != len(y):
-            raise NumericError(f"gradient boosting design has {len(X)} rows for {len(y)} labels")
-        if not np.isfinite(X).all():
-            raise NumericError("gradient boosting features must be finite")
+        X, y = check_training_data(X, y, "gradient boosting")
         Xt = np.ascontiguousarray(X.T)
         presort = np.argsort(Xt, axis=1, kind="stable")
         root_values = _block_values(Xt, presort)

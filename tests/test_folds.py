@@ -65,6 +65,13 @@ def test_duplicate_row_ids_rejected():
         stratified_kfold(y, k=2, seed=0, row_ids=["a", "a", "b", "c"])
 
 
+def test_row_ids_that_read_alike_are_repeats():
+    # rows 0 and 2 share a class and their ids hash alike, so their folds would follow the row order
+    y = np.array([0, 1, 0, 1])
+    with pytest.raises(DataError, match="row_ids must be unique"):
+        stratified_kfold(y, k=2, seed=0, row_ids=[1, 2, "1", 3])
+
+
 def test_cover_exactly_once():
     y = np.array([0, 1] * 15)
     folds = stratified_kfold(y, k=3, seed=5)

@@ -12,6 +12,10 @@ that boosting's fits are. Out-of-fold forests grow through
 ``trees.fit_forests``, which the tracer does not wrap, so their fits show
 only in ``scoring.oof_scores``.
 
+Each error message has one owner: no message template (a raised string,
+with each formatted field read as ``{}``) is raised from two modules, so a
+rule on inputs is checked in one place and its callers share it.
+
 The runtime is numpy and scipy: every module imports only the standard
 library, numpy, scipy or riskfuse itself.
 
@@ -26,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +78,26 @@ def test_one_reader_and_one_writer():
             if isinstance(node, ast.Call) and _opens_for_writing(node) and id(node) not in inside_write_file:
                 problems.append(f"{where} writes a file outside pipeline.write_file")
     assert problems == []
+
+
+def _message_template(node: ast.Raise):
+    """The message a ``raise X("...")`` or ``raise X(f"...")`` gives, each
+    formatted field as {}; None for any other raise."""
+    message = node.exc.args[0] if isinstance(node.exc, ast.Call) and node.exc.args else None
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in message.values)
+    return None
+
+
+def test_each_error_message_is_raised_from_one_module():
+    raised_in = defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and (template := _message_template(node)) is not None:
+                raised_in[template].add(path.name)
+    assert {template: sorted(names) for template, names in raised_in.items() if len(names) > 1} == {}
 
 
 def test_runtime_imports_only_numpy_and_scipy():

@@ -718,29 +718,26 @@ class TestTreeGrowth:
         assert sum(len(tree.feature) for tree in gb.trees_) == 219
         assert _digest(gb) == "6b129253679a2b2fa8b85fc9003442f78b1e41be2f2906abc97877a27073760c"
 
-    @pytest.mark.parametrize("bad", ["nan_feature", "label_two", "label_half", "short_labels"])
-    def test_forest_rejects_non_finite_features_and_non_binary_labels(self, bad):
-        X, y = _frozen_design()
-        if bad == "nan_feature":
-            X[7, 2] = np.nan
-        elif bad == "short_labels":
-            y = y[:-1]
-        else:
-            y[7] = 2.0 if bad == "label_two" else 0.5
-        with pytest.raises(NumericError, match="random forest"):
-            build("random_forest", n_trees=2, seed=1).fit(X, y)
 
-    @pytest.mark.parametrize("bad", ["nan_feature", "inf_feature", "label_two", "label_half", "short_labels"])
-    def test_boosting_rejects_non_finite_features_and_non_binary_labels(self, bad):
-        X, y = _frozen_design()
-        if bad in ("nan_feature", "inf_feature"):
-            X[7, 2] = np.nan if bad == "nan_feature" else np.inf
-        elif bad == "short_labels":
-            y = y[:-1]
-        else:
-            y[7] = 2.0 if bad == "label_two" else 0.5
-        with pytest.raises(NumericError, match="gradient boosting"):
-            build("gradient_boosting", n_rounds=2).fit(X, y)
+@pytest.mark.parametrize("family, name, given", [
+    ("elastic_net_lr", "elastic-net logistic regression", {"lam": 0.01}),
+    ("random_forest", "random forest", {"n_trees": 2, "seed": 1}),
+    ("gradient_boosting", "gradient boosting", {"n_rounds": 2}),
+])
+@pytest.mark.parametrize("bad", ["nan_feature", "inf_feature", "label_two", "label_half", "short_labels"])
+def test_every_family_rejects_non_finite_features_and_non_binary_labels(family, name, given, bad):
+    X, y = _frozen_design()
+    if bad in ("nan_feature", "inf_feature"):
+        X[7, 2] = np.nan if bad == "nan_feature" else np.inf
+        message = f"{name} features must be finite"
+    elif bad == "short_labels":
+        y = y[:-1]
+        message = f"{name} design has {len(X)} rows for {len(y)} labels"
+    else:
+        y[7] = 2.0 if bad == "label_two" else 0.5
+        message = f"{name} labels must be 0 or 1"
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        build(family, **given).fit(X, y)
 
 
 class TestEnsemblePrediction:

@@ -12,7 +12,8 @@ import pytest
 
 from riskfuse import cohort, folds, gof, pipeline, scoring, survival, synth
 from riskfuse.cli import _build_parser, main
-from riskfuse.errors import ConfigError
+from riskfuse.copulas import pseudo_observations
+from riskfuse.errors import ConfigError, NumericError
 from riskfuse.schema import Key
 from riskfuse.pipeline import CONFIG_SCHEMA, PLOT_FILES, STAGES, TABLE_FILES, PipelineConfig, render_plots, run_pipeline
 from riskfuse.synth import SYNTH_RULES, SynthParams, default_config, write_synth
@@ -852,9 +853,21 @@ class TestCli:
                 "--out", str(tmp_path / "g.json")]
         assert main(argv) == 4
         err = capsys.readouterr().err
-        assert re.fullmatch(r"numeric error: gaussian bootstrap replicate 4 of 10 \(20 pairs\) has Kendall tau "
+        assert re.fullmatch(re.escape(f"numeric error: {tmp_path / 's.csv'}: ") +
+                            r"gaussian bootstrap replicate 4 of 10 \(20 pairs\) has Kendall tau "
                             r"-?1\.0: gaussian fit requires \|tau\| < 1\n", err), err
         assert not (tmp_path / "g.json").exists()
+
+    def test_gof_replicate_failure_is_the_bootstraps_error_after_the_file_name(self, tmp_path, capsys):
+        # the 20 pairs of the test above, whose replicate 4 is perfectly ordered
+        p_clin, p_gen = np.arange(1, 21) / 21, np.array([2, 1, *range(3, 21)]) / 21
+        scores = tmp_path / "s.csv"
+        scores.write_text("p_clin,p_gen\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(p_clin.tolist(), p_gen.tolist())))
+        u, v = pseudo_observations(p_clin), pseudo_observations(p_gen)
+        with pytest.raises(NumericError, match="replicate 4 of 10") as raised:
+            gof.parametric_bootstrap(u, v, "gaussian", n_boot=10, seed=CONFIG_SCHEMA["copula"]["seed"].default)
+        assert main(["gof", "--scores", str(scores), "--family", "gaussian", "--B", "10"]) == 4
+        assert capsys.readouterr().err == f"numeric error: {scores}: {raised.value}\n"
 
     @pytest.mark.parametrize("family, step, rule", [("gaussian", 1, "|tau| < 1"), ("gaussian", -1, "|tau| < 1"),
                                                     ("clayton", 1, "tau < 1"), ("gumbel", 1, "tau < 1")])
